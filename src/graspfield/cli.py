@@ -25,7 +25,7 @@ import numpy as np
 from .anchors import build_anchors, build_proposal_targets, decode_proposal
 from .confidence import confidence_field
 from .config import Config, config_from_pairs, parse_pairs
-from .dataset import ensure_normals, generate_dataset
+from .dataset import ensure_normals, generate_dataset, verify_stored_grasps
 from .errors import ConfigError, DataError, GraspFieldError, VerificationError
 from .fileio import (
     load_cloud,
@@ -41,7 +41,6 @@ from .fileio import (
 )
 from .geometry import Grasp, canonical_orientation, nearest_center
 from .metrics import evaluate, load_report, save_report
-from .quality import score_grasp
 from .refine import build_refinement_targets, decode_refinement
 from .sampling import build_positive_set
 
@@ -119,11 +118,7 @@ def _cmd_sample_grasps(args) -> int:
     save_grasps(out, positives)
     print(f"wrote {len(positives)} grasps to {out}")
     if args.verify:
-        for i, g in enumerate(load_grasps(out)):
-            s = score_grasp(cloud, g, gripper, mu=mu)
-            stored = (g.score_antipodal, g.score_collision, g.score)
-            if (s.score_antipodal, s.score_collision, s.score) != stored or s.score != 1:
-                raise VerificationError(f"stored grasp {i} does not re-score to 1")
+        verify_stored_grasps(cloud, load_grasps(out), gripper, mu)
         print(f"verify: {len(positives)} grasps re-score to 1")
     return 0
 

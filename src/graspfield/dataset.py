@@ -39,7 +39,7 @@ from .fileio import (
     save_proposal_targets,
 )
 from .geometry import PointCloud, derive_seed, estimate_normals
-from .quality import score_grasp
+from .quality import score_grasps
 from .sampling import OrthoCamera, build_positive_set, render_single_view
 
 MANIFEST_NAME = "manifest.txt"
@@ -243,18 +243,19 @@ def generate_dataset(
     return path
 
 
+def verify_stored_grasps(obj: PointCloud, grasps, gripper, mu: float, where: str = "") -> None:
+    """Re-score stored positives; raise VerificationError naming the first
+    grasp whose stored or recomputed scores are not (1, 1, 1)."""
+    for i, (g, row) in enumerate(zip(grasps, score_grasps(obj, grasps, gripper, mu=mu))):
+        if row[2] != 1 or (g.score_antipodal, g.score_collision, g.score) != (1, 1, 1):
+            raise VerificationError(f"{where}stored grasp {i} does not re-score to 1")
+
+
 def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> None:
     """Reload artifacts and re-run the physics checks against them."""
     for name, obj_cloud, view_checks in checks:
         grasps = load_grasps(out_dir / name / "grasps.csv")
-        for i, g in enumerate(grasps):
-            rescored = score_grasp(obj_cloud, g, gripper, mu=config.mu)
-            if (rescored.score_antipodal, rescored.score_collision, rescored.score) != (
-                g.score_antipodal,
-                g.score_collision,
-                g.score,
-            ) or rescored.score != 1:
-                raise VerificationError(f"{name}: stored grasp {i} does not re-score to 1")
+        verify_stored_grasps(obj_cloud, grasps, gripper, config.mu, where=f"{name}: ")
         for view_rel, targets_rel in view_checks:
             view = load_cloud(out_dir / view_rel)
             for point_index, cls, res_c, res_o, res_a in load_proposal_targets(out_dir / targets_rel):
@@ -263,7 +264,7 @@ def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> 
                 decoded = decode_proposal(
                     view.points[point_index], cls, res_c, res_o, res_a, anchors, gripper.scale
                 )
-                if score_grasp(obj_cloud, decoded, gripper, mu=config.mu).score != 1:
+                if score_grasps(obj_cloud, [decoded], gripper, mu=config.mu)[0, 2] != 1:
                     raise VerificationError(
                         f"{targets_rel}: decoded target at point {point_index} does not re-score to 1"
                     )

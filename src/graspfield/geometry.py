@@ -73,6 +73,18 @@ def _as_array(x, shape, name: str) -> np.ndarray:
     return a
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors.
+
+    The same products and differences, in the same order, as the
+    3-vector path of ``np.cross``, so the result is bit-equal to it
+    (signed zeros included) without that function's per-call overhead.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize a vector, raising on (near-)zero input."""
     n = np.linalg.norm(v)
@@ -321,7 +333,7 @@ class GraspFrame:
         x, y, z = axes
         if max(abs(x @ y), abs(y @ z), abs(x @ z)) > _ORTHO_TOL:
             raise DataError("frame axes must be mutually orthogonal")
-        if np.abs(np.cross(x, y) - z).max() > _ORTHO_TOL:
+        if np.abs(_cross3(x, y) - z).max() > _ORTHO_TOL:
             raise DataError("frame must be right-handed (x cross y = z)")
 
     @property
@@ -430,12 +442,12 @@ def estimate_normals(cloud: PointCloud, k: int = 30, viewpoint=(0.0, 0.0, 0.0)) 
 def _horizontal_reference(y_axis: np.ndarray, up: np.ndarray) -> np.ndarray:
     """X' = normalize(up x Y); falls back to world basis vectors when the
     orientation is parallel to up. Never fails."""
-    xp = np.cross(up, y_axis)
+    xp = _cross3(up, y_axis)
     n = np.linalg.norm(xp)
     if n >= _DEGENERATE_AXIS_TOL:
         return xp / n
     for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        xp = np.cross(up, basis)
+        xp = _cross3(up, basis)
         n = np.linalg.norm(xp)
         if n >= _DEGENERATE_AXIS_TOL:
             return xp / n
@@ -453,17 +465,36 @@ def grasp_frame(g: Grasp, up=WORLD_UP) -> GraspFrame:
     y = g.orientation
     xp = _horizontal_reference(y, up)
     ct, st = np.cos(g.angle), np.sin(g.angle)
-    x = xp * ct + np.cross(y, xp) * st  # Rodrigues with y . xp = 0
+    x = xp * ct + _cross3(y, xp) * st  # Rodrigues with y . xp = 0
     x = x / np.linalg.norm(x)
-    z = np.cross(x, y)
+    z = _cross3(x, y)
     return GraspFrame(g.center, x, y, z / np.linalg.norm(z))
+
+
+def local_coords(points: np.ndarray, frame: GraspFrame) -> np.ndarray:
+    """(N, 3) world points in grasp-frame coordinates, R^T (p - origin).
+
+    Computed as the one ``(points - origin) @ R`` product that every
+    grasp-frame test reads; a different evaluation order (``einsum``, a
+    batch over grasps) rounds differently and can flip contact ties.
+    """
+    return (points - frame.origin) @ frame.rotation
+
+
+def box_indices(local: np.ndarray, half_extents) -> np.ndarray:
+    """Ascending indices of grasp-frame points inside the closed box
+    |x| <= hx, |y| <= hy, |z| <= hz; the thin z slab is tested first."""
+    hx, hy, hz = half_extents
+    idx = np.flatnonzero(np.abs(local[:, 2]) <= hz)
+    near = local[idx]
+    return idx[(np.abs(near[:, 0]) <= hx) & (np.abs(near[:, 1]) <= hy)]
 
 
 def to_grasp_frame(cloud: PointCloud, frame: GraspFrame) -> PointCloud:
     """Re-express a cloud in the grasp frame: p -> R^T (p - origin)."""
     r = frame.rotation
     return PointCloud(
-        (cloud.points - frame.origin) @ r,
+        local_coords(cloud.points, frame),
         cloud.colors,
         None if cloud.normals is None else cloud.normals @ r,
         "grasp",
@@ -487,9 +518,7 @@ def points_in_box(cloud: PointCloud, frame: GraspFrame, half_extents) -> np.ndar
     h = _as_array(half_extents, (3,), "half_extents")
     if (h <= 0.0).any():
         raise DataError("half_extents must be positive")
-    local = (cloud.points - frame.origin) @ frame.rotation
-    inside = (np.abs(local) <= h).all(axis=1)
-    return np.nonzero(inside)[0]
+    return box_indices(local_coords(cloud.points, frame), h)
 
 
 def transform_grasp(g: Grasp, transform: RigidTransform, up=WORLD_UP) -> Grasp:
@@ -507,7 +536,7 @@ def transform_grasp(g: Grasp, transform: RigidTransform, up=WORLD_UP) -> Grasp:
     y_new = transform.apply_vectors(frame.y_axis)
 
     xp = _horizontal_reference(y_new, up)
-    theta = float(np.arctan2(np.cross(xp, x_new) @ y_new, xp @ x_new))
+    theta = float(np.arctan2(_cross3(xp, x_new) @ y_new, xp @ x_new))
     if abs(theta) > np.pi / 2:
         y_new = -y_new
         theta = np.pi - theta

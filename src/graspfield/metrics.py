@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import Grasp, GripperModel, PointCloud, RigidTransform, transform_grasp
-from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasp
+from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
 
 REPORT_HEADER = "k3,kT,kT_a,kT_c,vgr,vagr,vcgr"
 SCORE_HEADER = "index,sa,sc,sg"
@@ -94,11 +94,8 @@ def evaluate(
     """
     if not predicted:
         raise DataError("no grasps to evaluate")
-    rows = []
-    for g in predicted:
-        scored = score_grasp(obj, transform_grasp(g, object_pose), gripper, mu=mu, tol=tol)
-        rows.append((scored.score_antipodal, scored.score_collision, scored.score))
-    return summarize_scores(rows)
+    moved = (transform_grasp(g, object_pose) for g in predicted)
+    return summarize_scores(score_grasps(obj, moved, gripper, mu=mu, tol=tol))
 
 
 def compare_reports(named_reports: list[tuple[str, EvalReport]]) -> str:

@@ -1,13 +1,19 @@
-"""Physics-based grasp quality: the binary antipodal (force-closure) score,
-the binary collision score, and their combination.
+"""Physics-based grasp quality on point clouds: the binary antipodal
+(force-closure) score, the binary collision score, and their minimum.
 
-Both tests work directly on point clouds (no meshes). A grasp collides iff
-some object point lies strictly inside one of the gripper solids; the open
-region between the fingers is never a collision. The antipodal test checks
-that both contact forces lie inside their friction cones, folding the
-surface-normal sign so that raw estimated normals with ambiguous
-orientation score the same either way. Grasps whose jaws sweep no object
-points simply get antipodal score 0.
+A grasp collides iff some object point lies strictly inside one of the
+gripper solids; the open region between the fingers never collides. The
+antipodal test needs both contact forces inside their friction cones,
+folding the normal sign away; jaws that sweep no points score 0.
+
+:func:`score_grasps` is the one scoring kernel; the single-grasp functions
+wrap it. Per grasp it builds the frame once and reads one
+``(points - origin) @ R`` product (:func:`local_coords`) in both tests, so
+its scores are bit-identical to per-grasp BLAS scoring. That order is kept
+on purpose: each contact is the extreme-Y point (lowest index on ties) and
+grid objects tie to an ulp, so ``einsum`` or cross-grasp local coordinates
+(33% of elements differ in the last bit) or axis-1 frame norms (10% differ
+from the 1-D norm) would flip scores.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .geometry import Grasp, GraspFrame, GripperModel, PointCloud, grasp_frame
+from .geometry import Grasp, GraspFrame, GripperModel, PointCloud, box_indices, grasp_frame, local_coords
 
 DEFAULT_MU = 0.6
 DEFAULT_CONTACT_TOL = 0.005
@@ -52,8 +58,30 @@ class ContactPair:
             raise DataError("contact points must be distinct")
 
 
-def _local_coords(cloud: PointCloud, frame: GraspFrame) -> np.ndarray:
-    return (cloud.points - frame.origin) @ frame.rotation
+def _contacts(obj: PointCloud, frame: GraspFrame, local: np.ndarray, gripper: GripperModel, tol: float):
+    """:func:`find_contacts` on the cloud's grasp-frame coordinates."""
+    half = (gripper.finger_length / 2.0 + tol, gripper.max_opening / 2.0, gripper.finger_height / 2.0 + tol)
+    swept = box_indices(local, half)
+    y = local[swept, 1]
+    on_a, on_b = y >= 0.0, y <= 0.0
+    if not (on_a.any() and on_b.any()):
+        return None
+    ia = swept[on_a][np.argmax(y[on_a])]
+    ib = swept[on_b][np.argmin(y[on_b])]
+    if ia == ib:
+        return None
+    return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -frame.y_axis, frame.y_axis)
+
+
+def _collision_free(local: np.ndarray, boxes) -> int:
+    """1 iff no grasp-frame point lies strictly inside any (lo, hi) box."""
+    z = local[:, 2]
+    slab = local[(z > min(lo[2] for lo, _ in boxes)) & (z < max(hi[2] for _, hi in boxes))]
+    x, y, z = slab[:, 0], slab[:, 1], slab[:, 2]
+    for lo, hi in boxes:
+        if ((z > lo[2]) & (z < hi[2]) & (x > lo[0]) & (x < hi[0]) & (y > lo[1]) & (y < hi[1])).any():
+            return 0
+    return 1
 
 
 def find_contacts(
@@ -73,28 +101,7 @@ def find_contacts(
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
     frame = grasp_frame(g)
-    local = _local_coords(obj, frame)
-    hx = gripper.finger_length / 2.0 + tol
-    hz = gripper.finger_height / 2.0 + tol
-    hw = gripper.max_opening / 2.0
-    in_section = (np.abs(local[:, 0]) <= hx) & (np.abs(local[:, 2]) <= hz)
-    y = local[:, 1]
-    side_a = np.nonzero(in_section & (y >= 0.0) & (y <= hw))[0]
-    side_b = np.nonzero(in_section & (y <= 0.0) & (y >= -hw))[0]
-    if side_a.size == 0 or side_b.size == 0:
-        return None
-    ia = side_a[np.argmax(y[side_a])]
-    ib = side_b[np.argmin(y[side_b])]
-    if ia == ib:
-        return None
-    return ContactPair(
-        obj.points[ia],
-        obj.points[ib],
-        obj.normals[ia],
-        obj.normals[ib],
-        -frame.y_axis,
-        frame.y_axis,
-    )
+    return _contacts(obj, frame, local_coords(obj.points, frame), gripper, tol)
 
 
 def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
@@ -117,14 +124,35 @@ def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
 def collision_score(obj: PointCloud, g: Grasp, gripper: GripperModel) -> int:
     """1 iff no object point lies strictly inside any gripper solid (the
     two open fingers and the base) placed at the grasp pose."""
-    if len(obj) == 0:
-        return 1
-    local = _local_coords(obj, grasp_frame(g))
-    for lo, hi in gripper.collision_boxes():
-        inside = ((local > lo) & (local < hi)).all(axis=1)
-        if inside.any():
-            return 0
-    return 1
+    return _collision_free(local_coords(obj.points, grasp_frame(g)), gripper.collision_boxes())
+
+
+def score_grasps(
+    obj: PointCloud,
+    grasps,
+    gripper: GripperModel,
+    mu: float = DEFAULT_MU,
+    tol: float = DEFAULT_CONTACT_TOL,
+) -> np.ndarray:
+    """(G, 3) int64 table of (antipodal, collision, combined) scores for
+    an iterable of G grasps (a generator keeps one grasp alive at a time).
+
+    The combined score is min of the two components; unreachable grasps
+    (no contacts) get antipodal score 0 rather than an error. Row i is
+    bit-identical to scoring grasp i on its own.
+    """
+    if obj.normals is None:
+        raise DataError("normals required to extract contacts")
+    boxes = gripper.collision_boxes()
+    rows = []
+    for g in grasps:
+        frame = grasp_frame(g)
+        local = local_coords(obj.points, frame)
+        contacts = _contacts(obj, frame, local, gripper, tol)
+        sa = 0 if contacts is None else antipodal_score(contacts, mu)
+        sc = _collision_free(local, boxes)
+        rows.append((sa, sc, min(sa, sc)))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
 
 
 def score_grasp(
@@ -134,12 +162,7 @@ def score_grasp(
     mu: float = DEFAULT_MU,
     tol: float = DEFAULT_CONTACT_TOL,
 ) -> Grasp:
-    """Attach (antipodal, collision, combined) scores to a grasp.
-
-    The combined score is min of the two components; unreachable grasps
-    (no contacts) get antipodal score 0 rather than an error.
-    """
-    contacts = find_contacts(obj, g, gripper, tol=tol)
-    sa = 0 if contacts is None else antipodal_score(contacts, mu)
-    sc = collision_score(obj, g, gripper)
+    """Attach (antipodal, collision, combined) scores to one grasp; see
+    :func:`score_grasps`."""
+    sa, sc, _ = score_grasps(obj, [g], gripper, mu=mu, tol=tol)[0]
     return g.with_scores(sa, sc)

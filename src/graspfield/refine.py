@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GraspFieldWarning
-from .geometry import Grasp, GripperModel, PointCloud, grasp_frame, nearest_center
+from .geometry import Grasp, GripperModel, PointCloud, box_indices, grasp_frame, local_coords, nearest_center
 from .losses import cross_entropy, smooth_l1
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
@@ -35,10 +35,8 @@ def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np
     spans finger_length/2 along X, max_opening/2 along Y, and
     finger_height/2 along Z, all inclusive.
     """
-    frame = grasp_frame(g)
-    local = (cloud.points - frame.origin) @ frame.rotation
-    inside = np.all(np.abs(local) <= gripper.closing_half_extents(), axis=1)
-    idx = np.nonzero(inside)[0]
+    local = local_coords(cloud.points, grasp_frame(g))
+    idx = box_indices(local, gripper.closing_half_extents())
     return idx, local[idx]
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GraspFieldWarning, UngraspableError
-from .geometry import Grasp, GripperModel, PointCloud, canonical_orientation, derive_seed, unit
-from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasp
+from .geometry import Grasp, GripperModel, PointCloud, _as_array, _cross3, canonical_orientation, derive_seed, unit
+from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
 
 ATTEMPT_FACTOR = 100
 
@@ -26,7 +26,7 @@ def _perpendicular(v: np.ndarray) -> np.ndarray:
     """Any unit vector perpendicular to v."""
     axis = np.zeros(3)
     axis[np.argmin(np.abs(v))] = 1.0
-    return unit(np.cross(v, axis))
+    return unit(_cross3(v, axis))
 
 
 def _sample_cone(rng: np.random.Generator, axis: np.ndarray, half_angle: float) -> np.ndarray:
@@ -36,7 +36,7 @@ def _sample_cone(rng: np.random.Generator, axis: np.ndarray, half_angle: float) 
     sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
     phi = 2.0 * math.pi * w
     e1 = _perpendicular(axis)
-    e2 = np.cross(axis, e1)
+    e2 = _cross3(axis, e1)
     return axis * cos_psi + (e1 * math.cos(phi) + e2 * math.sin(phi)) * sin_psi
 
 
@@ -133,12 +133,13 @@ def build_positive_set(
         )
         drawn += want  # budget counts attempts handed to the sampler
         batch += 1
-        for g in candidates:
-            scored = score_grasp(obj, g, gripper, mu=mu, tol=tol)
-            if scored.score == 1:
-                positives.append(scored)
-                if len(positives) >= per_object:
-                    break
+        start = 0  # slices no longer than the shortfall: nothing past the last positive is scored
+        while start < len(candidates) and len(positives) < per_object:
+            part = candidates[start : start + per_object - len(positives)]
+            start += len(part)
+            for g, (sa, sc, s) in zip(part, score_grasps(obj, part, gripper, mu=mu, tol=tol)):
+                if s == 1:
+                    positives.append(g.with_scores(sa, sc))
     if len(positives) < per_object:
         warnings.warn(
             f"only {len(positives)} of {per_object} positive grasps found within the attempt budget",
@@ -159,17 +160,12 @@ class OrthoCamera:
     up: np.ndarray = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        pos = np.array(self.position, dtype=np.float64)
-        tgt = np.array(self.target, dtype=np.float64)
-        if pos.shape != (3,) or tgt.shape != (3,):
-            raise DataError("camera position/target must be 3-vectors")
-        if self.cell_size <= 0.0:
+        for name in ("position", "target", "up"):
+            object.__setattr__(self, name, _as_array(getattr(self, name), (3,), name))
+        if not self.up.any():
+            raise DataError("up must be a non-zero vector")
+        if not self.cell_size > 0.0:  # NaN too
             raise DataError("cell_size must be positive")
-        pos.setflags(write=False)
-        tgt.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "target", tgt)
-        object.__setattr__(self, "up", np.array(self.up, dtype=np.float64))
 
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         forward = unit(self.target - self.position)

@@ -7,8 +7,15 @@ can be asserted without spawning an interpreter.
 import numpy as np
 import pytest
 
-from graspfield import cli
-from graspfield.fileio import load_grasps, load_labels, load_proposal_targets, save_cloud_text, save_labels
+from graspfield import Grasp, cli
+from graspfield.fileio import (
+    load_grasps,
+    load_labels,
+    load_proposal_targets,
+    save_cloud_text,
+    save_grasps,
+    save_labels,
+)
 from graspfield.metrics import load_report, summarize_scores
 from graspfield.synthetic import box_cloud
 
@@ -379,6 +386,20 @@ def test_verification_failure_exits_three(ws, tmp_path, capsys, monkeypatch):
     )
     assert rc == 3
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_sample_grasps_verify_detects_moved_grasp(ws, tmp_path, capsys, monkeypatch):
+    # a saver that drags the second grasp off the object must trip --verify
+    def moving(path, grasps):
+        moved = Grasp(grasps[1].center + 1.0, grasps[1].orientation, grasps[1].angle, 1, 1, 1)
+        save_grasps(path, [grasps[0], moved, *grasps[2:]])
+
+    monkeypatch.setattr(cli, "save_grasps", moving)
+    rc = cli.main(
+        ["sample-grasps", "--object", str(ws / "box.csv"), "--count", "3", "--out-dir", str(tmp_path), "--verify"]
+    )
+    assert rc == 3
+    assert "verification failed: stored grasp 1 does not re-score to 1" in capsys.readouterr().err
 
 
 def test_eval_verify_detects_mismatched_report(ws, tmp_path, capsys, monkeypatch):

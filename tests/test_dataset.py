@@ -14,9 +14,10 @@ from graspfield.dataset import (
     generate_dataset,
     ring_camera,
     subsample_cloud,
+    verify_stored_grasps,
 )
 from graspfield.errors import DataError, GraspFieldWarning, VerificationError
-from graspfield.geometry import PointCloud, derive_seed
+from graspfield.geometry import Grasp, PointCloud, derive_seed
 from graspfield.synthetic import box_cloud, sphere_cloud
 
 # small settings keep the end-to-end runs quick
@@ -168,6 +169,31 @@ def test_verify_catches_tampered_grasp(box, tmp_path):
     checks = [("box", box, [("box/view_0.csv", "box/targets_0.csv")])]
     with pytest.raises(VerificationError, match="stored grasp"):
         dataset._verify_dataset(out, checks, FAST, build_anchors(8), FAST.gripper())
+
+
+def test_verify_catches_tampered_target_residual(box, tmp_path):
+    out = tmp_path / "ds"
+    fast_dataset([("box", box)], out)
+    targets = out / "box" / "targets_0.csv"
+    lines = targets.read_text().splitlines()
+    row = lines[1].split(",")
+    row[2:5] = ["40.0", "40.0", "40.0"]  # push the decoded center far off the box
+    lines[1] = ",".join(row)
+    targets.write_text("\n".join(lines) + "\n")
+    checks = [("box", box, [("box/view_0.csv", "box/targets_0.csv")])]
+    with pytest.raises(VerificationError, match=f"box/targets_0.csv: decoded target at point {row[0]} does not"):
+        dataset._verify_dataset(out, checks, FAST, build_anchors(8), FAST.gripper())
+
+
+def test_verify_stored_grasps(box, gripper, z_grasp):
+    good = z_grasp.with_scores(1, 1)
+    verify_stored_grasps(box, [good, good], gripper, 0.6)
+    off = Grasp((1.0, 0.0, 0.0), (0, 0, 1), 0.0, 1, 1, 1)
+    with pytest.raises(VerificationError, match="^box: stored grasp 1 does not re-score to 1$"):
+        verify_stored_grasps(box, [good, off], gripper, 0.6, where="box: ")
+    # a grasp that re-scores to 1 still fails when its stored scores are not (1, 1, 1)
+    with pytest.raises(VerificationError, match="^stored grasp 0 does not"):
+        verify_stored_grasps(box, [z_grasp], gripper, 0.6)
 
 
 def test_verify_catches_tampered_target_index(box, tmp_path):

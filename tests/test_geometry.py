@@ -24,6 +24,7 @@ from graspfield import (
     to_grasp_frame,
     transform_grasp,
 )
+from graspfield.geometry import _cross3
 from graspfield.synthetic import plane_grid, sphere_cloud
 
 from conftest import random_unit
@@ -304,6 +305,62 @@ class TestGraspFrame:
             GraspFrame((0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 1))  # not orthogonal
         with pytest.raises(DataError):
             GraspFrame((0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1))  # not unit
+
+
+def np_cross_frame(g, up=(0.0, 0.0, 1.0)):
+    """The grasp frame built with np.cross throughout (reference)."""
+    up = np.asarray(up, dtype=np.float64)
+    up = up / np.linalg.norm(up)
+    y = g.orientation
+    for ref in (y, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
+        xp = np.cross(up, ref)
+        n = np.linalg.norm(xp)
+        if n >= 1e-6:
+            xp = xp / n
+            break
+    x = xp * np.cos(g.angle) + np.cross(y, xp) * np.sin(g.angle)
+    x = x / np.linalg.norm(x)
+    z = np.cross(x, y)
+    return x, y, z / np.linalg.norm(z)
+
+
+class TestCross3:
+    def test_bit_equal_to_np_cross(self):
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=(100_000, 3))
+        b = rng.normal(size=(100_000, 3))
+        # signed zeros, subnormal and huge components
+        a[::5, 0] = 0.0
+        a[::7, 1] = -0.0
+        b[::3, 2] = -0.0
+        b[::11] = 0.0
+        a[::13] *= 1e-310
+        b[::17] *= 1e300
+        got = np.array([_cross3(x, y) for x, y in zip(a, b)])
+        want = np.cross(a, b)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_grasp_frame_bit_equal_to_np_cross_construction(self):
+        rng = np.random.default_rng(41)
+        grasps = [random_grasp(rng) for _ in range(500)]
+        # vertical and nearly vertical closing lines take the fallback
+        for sign in (1.0, -1.0):
+            for tilt in (0.0, -0.0, 1e-9, -1e-7, 5e-7):
+                grasps.append(Grasp((0.01, 0, 0), (tilt, 0.0, sign), rng.uniform(-1.5, 1.5)))
+                grasps.append(Grasp((0, 0, 0), (tilt, 0.0, sign), 0.0))
+        for g in grasps:
+            frame = grasp_frame(g)
+            for got, want in zip((frame.x_axis, frame.y_axis, frame.z_axis), np_cross_frame(g)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_grasp_frame_custom_up_fallback(self):
+        # up along x: closing lines along x degenerate onto the second basis
+        for g in (Grasp((0, 0, 0), (1, 0, 0), 0.4), Grasp((0, 0, 0), (-1, 0, 0), -0.2)):
+            frame = grasp_frame(g, up=(1.0, 0.0, 0.0))
+            want = np_cross_frame(g, up=(1.0, 0.0, 0.0))
+            assert all(np.array_equal(a, b) for a, b in zip((frame.x_axis, frame.y_axis, frame.z_axis), want))
 
 
 class TestCanonicalTransform:

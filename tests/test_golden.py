@@ -1,0 +1,83 @@
+"""Outputs pinned across commits.
+
+The determinism tests compare two runs of the same code; these compare
+against SHA-256 digests recorded once, so a refactor that silently moves
+any output byte (a sampler draw, a tie between contacts, a rounding in
+the grasp frame) fails here. A change that alters these outputs on
+purpose must update the digests and say why in CHANGES.md.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from graspfield import cli
+from graspfield.config import Config
+from graspfield.dataset import generate_dataset
+from graspfield.fileio import save_cloud_text, save_grasps, save_pose
+from graspfield.geometry import Grasp, RigidTransform
+from graspfield.metrics import load_report
+from graspfield.synthetic import box_cloud, cylinder_cloud
+
+MANIFEST_SHA256 = "d2a4e3f71fd667ba75823fc3b9f9949251278eff81d11c6eb3ee1d35767d5e07"
+REPORT_SHA256 = "57fd6bf40c0b25d6cf1a58139752f75e03be639cf801203afcd1dd3cace7c0c2"
+EVAL_GRASPS = 300
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _eval_inputs(root):
+    """Seeded noisy box grasps in the world, the box under a fixed pose."""
+    rng = np.random.default_rng(0)
+    axes = rng.integers(3, size=EVAL_GRASPS)
+    centers = rng.uniform(-0.02, 0.02, size=(EVAL_GRASPS, 3))
+    centers[np.arange(EVAL_GRASPS), axes] = 0.0
+    orientations = np.zeros((EVAL_GRASPS, 3))
+    orientations[np.arange(EVAL_GRASPS), axes] = rng.choice((-1.0, 1.0), size=EVAL_GRASPS)
+    orientations += rng.normal(scale=0.3, size=orientations.shape)
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, size=EVAL_GRASPS)
+    c, s = math.cos(0.7), math.sin(0.7)
+    pose = RigidTransform([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], [0.05, -0.02, 0.1])
+    # predictions live in the world; the pose maps world to object
+    to_world = pose.inverse()
+    save_grasps(
+        root / "pred.csv",
+        [Grasp(to_world.apply_points(p), to_world.apply_vectors(r), a)
+         for p, r, a in zip(centers, orientations, angles)],
+    )
+    save_cloud_text(root / "box.csv", box_cloud())
+    save_pose(root / "pose.txt", pose)
+
+
+def test_dataset_manifest_digest(tmp_path):
+    manifest = generate_dataset(
+        [("box", box_cloud()), ("cylinder", cylinder_cloud())],
+        tmp_path,
+        Config(),
+        seed=0,
+        views_per_object=2,
+        positives_per_object=50,
+        verify=True,
+    )
+    assert _sha256(manifest) == MANIFEST_SHA256
+
+
+def test_eval_report_digest(tmp_path):
+    _eval_inputs(tmp_path)
+    rc = cli.main(
+        [
+            "eval-vgr",
+            "--pred", str(tmp_path / "pred.csv"),
+            "--object", str(tmp_path / "box.csv"),
+            "--pose", str(tmp_path / "pose.txt"),
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    report = load_report(tmp_path / "report.csv")
+    # a pin is only informative when both tests pass and fail somewhere
+    assert 0 < report.kT_a < report.k3 and 0 < report.kT_c < report.k3
+    assert _sha256(tmp_path / "report.csv") == REPORT_SHA256

@@ -21,6 +21,9 @@ from graspfield import (
     transform_grasp,
 )
 from graspfield.geometry import GraspFrame
+from graspfield.quality import score_grasps
+from graspfield.sampling import sample_candidates
+from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
 from conftest import random_unit
 from test_geometry import random_grasp, random_rotation
@@ -143,6 +146,13 @@ class TestFindContacts:
         cloud = PointCloud([[0.0, 0.0, 0.0]], normals=[[0.0, 0.0, 1.0]])
         g = Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
         assert find_contacts(cloud, g, gripper) is None
+
+    def test_point_on_closing_plane_counts_for_the_positive_jaw(self, gripper):
+        # hand case frame: y=(0,1,0); a point at local y == 0 is a +Y contact
+        cloud = PointCloud([[0.0, 0.0, 0.0], [0.0, -0.01, 0.0]], normals=[[0, 1.0, 0], [0, -1.0, 0]])
+        contacts = find_contacts(cloud, Grasp((0, 0, 0), (0, 1, 0), 0.0), gripper)
+        assert contacts is not None
+        assert np.array_equal(contacts.point_a, (0, 0, 0)) and np.array_equal(contacts.point_b, (0, -0.01, 0))
 
     def test_requires_normals(self, box, gripper, z_grasp):
         bare = PointCloud(box.points)
@@ -271,6 +281,20 @@ class TestCollisionScore:
         cloud = PointCloud([[0.0, gripper.max_opening / 2, 0.0]])
         assert collision_score(cloud, g, gripper) == 1
 
+    def test_points_on_box_faces_are_free(self, gripper):
+        # hand case frame: local (x, y, z) sits at world (-x, y, -z), exactly
+        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        to_world = np.array([-1.0, 1.0, -1.0])
+        for lo, hi in gripper.collision_boxes():
+            center = (lo + hi) / 2.0
+            assert collision_score(PointCloud([center * to_world]), g, gripper) == 0
+            for k in range(3):
+                for bound in (lo[k], hi[k]):
+                    local = center.copy()
+                    local[k] = bound
+                    cloud = PointCloud([local * to_world])
+                    assert collision_score(cloud, g, gripper) == oracle_collision(cloud, g, gripper) == 1
+
     def test_base_behind_fingers_collides(self, gripper):
         # hand case: base occupies world x in (0.03, 0.05) (local -x is world +x)
         g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
@@ -361,3 +385,97 @@ class TestScoreGrasp:
                 moved.score_collision,
                 moved.score,
             )
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel
+# ---------------------------------------------------------------------------
+
+def reference_scores(obj, g, gripper, mu=0.6, tol=0.005):
+    """Per-grasp scoring as first written: full-cloud masks for the jaw
+    sweep and one all-columns pass per collision box."""
+    frame = grasp_frame(g)
+    local = (obj.points - frame.origin) @ frame.rotation
+    hx = gripper.finger_length / 2.0 + tol
+    hz = gripper.finger_height / 2.0 + tol
+    hw = gripper.max_opening / 2.0
+    in_section = (np.abs(local[:, 0]) <= hx) & (np.abs(local[:, 2]) <= hz)
+    y = local[:, 1]
+    side_a = np.nonzero(in_section & (y >= 0.0) & (y <= hw))[0]
+    side_b = np.nonzero(in_section & (y <= 0.0) & (y >= -hw))[0]
+    sa = 0
+    if side_a.size and side_b.size:
+        ia = side_a[np.argmax(y[side_a])]
+        ib = side_b[np.argmin(y[side_b])]
+        if ia != ib:
+            pair = ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib],
+                               -frame.y_axis, frame.y_axis)
+            sa = antipodal_score(pair, mu)
+    sc = 1
+    for lo, hi in gripper.collision_boxes():
+        if ((local > lo) & (local < hi)).all(axis=1).any():
+            sc = 0
+    return sa, sc, min(sa, sc)
+
+
+def table_scene():
+    """A box resting on a plane grid: one cloud, two kinds of surface."""
+    plane = plane_grid(half_size=0.08, spacing=0.004)
+    box = box_cloud()
+    return PointCloud(
+        np.vstack([plane.points, box.points + (0.0, 0.0, 0.016)]),
+        normals=np.vstack([plane.normals, box.normals]),
+    )
+
+
+class TestScoreGrasps:
+    @pytest.mark.parametrize(
+        "make, count",
+        [
+            (box_cloud, 120),  # tied contacts across the flat faces
+            (cylinder_cloud, 80),
+            (lambda: sphere_cloud(radius=0.035, count=2000), 80),
+            (table_scene, 60),
+        ],
+        ids=["box", "cylinder", "sphere", "scene"],
+    )
+    def test_equals_looped_and_reference_scoring(self, gripper, make, count):
+        obj = make()
+        candidates = sample_candidates(obj, gripper, count, seed=11)
+        rng = np.random.default_rng(12)
+        grasps = candidates + [random_grasp(rng) for _ in range(20)]
+        table = score_grasps(obj, grasps, gripper)
+        assert table.dtype == np.int64 and table.shape == (len(grasps), 3)
+        looped = [score_grasp(obj, g, gripper) for g in grasps]
+        assert np.array_equal(table, [(s.score_antipodal, s.score_collision, s.score) for s in looped])
+        assert np.array_equal(table, [reference_scores(obj, g, gripper) for g in grasps])
+        assert 0 < table[:, 2].sum() < len(grasps)
+
+    def test_mu_and_tol_forwarded(self, box, gripper):
+        grasps = sample_candidates(box, gripper, 40, seed=13)
+        for mu, tol in ((0.2, 0.005), (1.5, 0.0), (0.6, 0.01)):
+            assert np.array_equal(
+                score_grasps(box, grasps, gripper, mu=mu, tol=tol),
+                [reference_scores(box, g, gripper, mu=mu, tol=tol) for g in grasps],
+            )
+
+    def test_accepts_a_generator(self, box, gripper):
+        grasps = sample_candidates(box, gripper, 30, seed=14)
+        assert np.array_equal(score_grasps(box, (g for g in grasps), gripper), score_grasps(box, grasps, gripper))
+
+    def test_empty_cloud(self, gripper):
+        empty = PointCloud(np.zeros((0, 3)), normals=np.zeros((0, 3)))
+        grasps = [Grasp((0, 0, 0), (0, 1, 0), 0.0), Grasp((1, 2, 3), (1, 1, 0), 0.5)]
+        assert np.array_equal(score_grasps(empty, grasps, gripper), [[0, 1, 0], [0, 1, 0]])
+
+    def test_grasps_sweeping_nothing(self, box, gripper):
+        far = [Grasp((1.0, 1.0, 1.0), (0, 0, 1), 0.0), Grasp((0.0, 0.0, -0.5), (1, 0, 0), 1.0)]
+        assert np.array_equal(score_grasps(box, far, gripper), [[0, 1, 0], [0, 1, 0]])
+
+    def test_no_grasps(self, box, gripper):
+        table = score_grasps(box, [], gripper)
+        assert table.shape == (0, 3) and table.dtype == np.int64
+
+    def test_requires_normals(self, box, gripper, z_grasp):
+        with pytest.raises(DataError, match="normals"):
+            score_grasps(PointCloud(box.points), [z_grasp], gripper)

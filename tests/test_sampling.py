@@ -151,6 +151,28 @@ class TestOrthoCamera:
     def test_validation(self):
         with pytest.raises(DataError, match="cell_size"):
             OrthoCamera((0, 0, 1), (0, 0, 0), 0.0)
+        with pytest.raises(DataError, match="cell_size"):
+            OrthoCamera((0, 0, 1), (0, 0, 0), float("nan"))
+        with pytest.raises(DataError, match="position: contains non-finite"):
+            OrthoCamera((0, float("inf"), 1), (0, 0, 0), 0.01)
+
+    def test_up_wrong_shape_rejected(self):
+        with pytest.raises(DataError, match="up: expected shape"):
+            OrthoCamera((0, 0, 1), (0, 0, 0), 0.01, up=(0, 0))
+
+    def test_up_zero_rejected(self):
+        with pytest.raises(DataError, match="up must be a non-zero vector"):
+            OrthoCamera((0, 0, 1), (0, 0, 0), 0.01, up=(0, 0, 0))
+
+    def test_up_non_finite_rejected(self):
+        with pytest.raises(DataError, match="up: contains non-finite"):
+            OrthoCamera((0, 0, 1), (0, 0, 0), 0.01, up=(float("nan"), 0, 1))
+
+    def test_up_frozen(self):
+        cam = OrthoCamera((0, 0, 1), (0, 0, 0), 0.01)
+        assert cam.up.dtype == np.float64 and np.array_equal(cam.up, (0, 0, 1))
+        with pytest.raises(ValueError):
+            cam.up[0] = 1.0
 
 
 class TestRenderSingleView:
