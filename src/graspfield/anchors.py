@@ -3,9 +3,15 @@
 A small set of reference orientations (anchors) discretizes the sphere.
 A ground-truth grasp at a region center is encoded as the nearest anchor's
 index plus residuals: center offset in gripper-scale units, orientation
-difference vector, and the approach angle itself (the anchors carry a zero
-assigned angle). Decoding inverts the construction, so a proposal head
-only has to classify the anchor and regress small corrections.
+difference vector, and the approach angle itself (the reference angle is
+zero). Decoding inverts the construction, so a proposal head only has to
+classify the anchor and regress small corrections.
+
+The residual codec is shared with the refine network (:mod:`.refine`),
+which regresses the same residuals from a proposal instead of an anchor:
+``_encode_residuals``/``_decode_residuals`` take the reference grasp as
+``(center, orientation, angle)``, and ``_residual_arrays`` validates the
+stored residuals of both target types.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from .confidence import DEFAULT_DISTANCE_THRESHOLD
 from .errors import DataError, GraspFieldWarning
 from .geometry import Grasp, PointCloud, canonical_orientation, nearest_center
-from .losses import cross_entropy, smooth_l1
+from .losses import _weighted_loss
 from .region import extract_regions
 
 DEFAULT_ANCHOR_COUNT = 8
@@ -31,10 +37,9 @@ _MIN_ANCHOR_ANGLE = math.radians(10.0)
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Reference orientations; every anchor carries assigned angle 0."""
+    """Reference orientations; the reference angle of every anchor is 0."""
 
     orientations: np.ndarray
-    assigned_angle: float = 0.0
 
     def __post_init__(self):
         ori = np.ascontiguousarray(self.orientations, dtype=np.float64)
@@ -95,25 +100,68 @@ class ProposalTarget:
 
     def __post_init__(self):
         center = np.ascontiguousarray(self.center, dtype=np.float64)
-        res_c = np.ascontiguousarray(self.res_center, dtype=np.float64)
-        res_o = np.ascontiguousarray(self.res_orientation, dtype=np.float64)
-        if center.shape != (3,) or res_c.shape != (3,) or res_o.shape != (3,):
-            raise DataError("center and residual vectors must be 3-vectors")
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(res_c)) and np.all(np.isfinite(res_o))):
-            raise DataError("target values must be finite")
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise DataError("center must be a finite 3-vector")
+        res_c, res_o, res_a = _residual_arrays(self.res_center, self.res_orientation, self.res_angle)
         if self.anchor_class < 0:
             raise DataError("anchor_class must be a valid index")
-        if np.linalg.norm(res_o) > 2.0 + 1e-9:
-            raise DataError("orientation residual exceeds the unit-difference bound")
-        if not -math.pi / 2 - 1e-12 <= self.res_angle <= math.pi / 2 + 1e-12:
+        if not -math.pi / 2 - 1e-12 <= res_a <= math.pi / 2 + 1e-12:
             raise DataError("res_angle out of [-pi/2, pi/2]")
-        for arr in (center, res_c, res_o):
-            arr.setflags(write=False)
+        center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "res_center", res_c)
         object.__setattr__(self, "res_orientation", res_o)
         object.__setattr__(self, "anchor_class", int(self.anchor_class))
-        object.__setattr__(self, "res_angle", float(self.res_angle))
+        object.__setattr__(self, "res_angle", res_a)
+
+
+def _residual_arrays(res_center, res_orientation, res_angle) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated residuals of a stored target: read-only center and
+    orientation 3-vectors and the angle as a float."""
+    res_c = np.ascontiguousarray(res_center, dtype=np.float64)
+    res_o = np.ascontiguousarray(res_orientation, dtype=np.float64)
+    if res_c.shape != (3,) or res_o.shape != (3,):
+        raise DataError("residual vectors must be 3-vectors")
+    if not (np.all(np.isfinite(res_c)) and np.all(np.isfinite(res_o)) and math.isfinite(res_angle)):
+        raise DataError("residuals must be finite")
+    if np.linalg.norm(res_o) > 2.0 + 1e-9:
+        raise DataError("orientation residual exceeds the unit-difference bound")
+    res_c.setflags(write=False)
+    res_o.setflags(write=False)
+    return res_c, res_o, float(res_angle)
+
+
+def _encode_residuals(ref, gt, scale: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Residuals taking the reference grasp ``ref`` onto ``gt``, both given
+    as (center, orientation, angle): the center offset in units of
+    ``scale``, the orientation difference and the angle difference."""
+    if scale <= 0.0:
+        raise DataError("scale must be positive")
+    (center, orientation, angle), (gt_center, gt_orientation, gt_angle) = ref, gt
+    return (gt_center - center) / scale, gt_orientation - orientation, gt_angle - angle
+
+
+def _decode_residuals(ref, res_center, res_orientation, res_angle, scale: float) -> Grasp:
+    """Apply residuals to the reference grasp ``ref = (center, orientation,
+    angle)``: the inverse of :func:`_encode_residuals`.
+
+    The orientation is renormalized; a residual that cancels the
+    reference orientation is rejected. An angle outside [-pi/2, pi/2] is
+    clamped back with a warning.
+    """
+    if scale <= 0.0:
+        raise DataError("scale must be positive")
+    center, orientation, angle = ref
+    p = center + np.asarray(res_center, dtype=np.float64) * scale
+    v = orientation + np.asarray(res_orientation, dtype=np.float64)
+    norm = np.linalg.norm(v)
+    if norm < 1e-9:
+        raise DataError("degenerate orientation")
+    angle = angle + float(res_angle)
+    if abs(angle) > math.pi / 2:
+        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=3)
+        angle = math.copysign(math.pi / 2, angle)
+    return Grasp(p, v / norm, angle)
 
 
 def encode_proposal(center, gt: Grasp, anchors: AnchorSet, scale: float) -> ProposalTarget:
@@ -122,18 +170,12 @@ def encode_proposal(center, gt: Grasp, anchors: AnchorSet, scale: float) -> Prop
     The gt orientation is sign-canonicalized first (the fingertip line is
     headless); grasps produced by this package's sampler already are.
     """
-    if scale <= 0.0:
-        raise DataError("scale must be positive")
     center = np.asarray(center, dtype=np.float64)
     r = canonical_orientation(gt.orientation)
     cls = nearest_anchor(anchors, r)
-    return ProposalTarget(
-        center=center,
-        anchor_class=cls,
-        res_center=(gt.center - center) / scale,
-        res_orientation=r - anchors.orientations[cls],
-        res_angle=gt.angle,
-    )
+    # x - 0.0 == x for every float, so the angle residual is gt.angle itself
+    residuals = _encode_residuals((center, anchors.orientations[cls], 0.0), (gt.center, r, gt.angle), scale)
+    return ProposalTarget(center, cls, *residuals)
 
 
 def decode_proposal(
@@ -150,21 +192,12 @@ def decode_proposal(
     Out-of-range angles are clamped to [-pi/2, pi/2] with a warning;
     a residual that cancels the anchor is rejected.
     """
-    if scale <= 0.0:
-        raise DataError("scale must be positive")
     if not 0 <= anchor_class < len(anchors):
         raise DataError("anchor_class must be a valid index")
-    center = np.asarray(center, dtype=np.float64)
-    p = np.asarray(res_center, dtype=np.float64) * scale + center
-    v = np.asarray(res_orientation, dtype=np.float64) + anchors.orientations[anchor_class]
-    norm = np.linalg.norm(v)
-    if norm < 1e-9:
-        raise DataError("degenerate orientation")
-    angle = float(res_angle)
-    if abs(angle) > math.pi / 2:
-        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=2)
-        angle = math.copysign(math.pi / 2, angle)
-    return Grasp(p, v / norm, angle)
+    # the reference angle is -0.0, not 0.0: x + -0.0 == x for every float,
+    # -0.0 included, so the decoded angle is res_angle itself
+    ref = (np.asarray(center, dtype=np.float64), anchors.orientations[anchor_class], -0.0)
+    return _decode_residuals(ref, res_center, res_orientation, res_angle, scale)
 
 
 def build_proposal_targets(
@@ -213,30 +246,6 @@ def proposal_loss(
     L1 over the three residual groups, each weighted then normalized by
     the target count. Returns the total and the per-term breakdown.
     """
-    n = len(targets)
-    if n == 0:
-        raise DataError("no targets")
-    w_cls, w_center, w_orient, w_angle = (float(w) for w in weights)
-    probs = np.asarray(class_probs, dtype=np.float64)
     classes = np.array([t.anchor_class for t in targets], dtype=np.int64)
-    ce = cross_entropy(probs, classes)
-
-    def _gap(pred, truth, name):
-        pred = np.asarray(pred, dtype=np.float64)
-        truth = np.asarray(truth, dtype=np.float64)
-        if pred.shape != truth.shape:
-            raise DataError(f"{name} predictions must have shape {truth.shape}")
-        return float(smooth_l1(pred - truth).sum())
-
-    center_gap = _gap(res_center_pred, np.stack([t.res_center for t in targets]), "center")
-    orient_gap = _gap(res_orientation_pred, np.stack([t.res_orientation for t in targets]), "orientation")
-    angle_gap = _gap(res_angle_pred, np.array([t.res_angle for t in targets]), "angle")
-
-    parts = {
-        "classification": w_cls * ce / n,
-        "center": w_center * center_gap / n,
-        "orientation": w_orient * orient_gap / n,
-        "angle": w_angle * angle_gap / n,
-    }
-    parts["total"] = sum(parts.values())
-    return parts
+    preds = (res_center_pred, res_orientation_pred, res_angle_pred)
+    return _weighted_loss(class_probs, classes, preds, slice(None), targets, weights)

@@ -103,6 +103,14 @@ def _grasp_mismatch(a, b) -> bool:
     return abs(a.angle - b.angle) >= _ROUND_TRIP_TOL
 
 
+def _verify_decoded(decoded, grasps, what: str) -> None:
+    """Check that each decoded target is the grasp nearest its reference
+    center; ``decoded`` yields (row index, reference center, grasp)."""
+    for index, center, grasp in decoded:
+        if _grasp_mismatch(grasp, grasps[nearest_center(grasps, center)[0]]):
+            raise VerificationError(f"{what} {index} does not decode to its grasp")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -168,13 +176,13 @@ def _cmd_make_targets(args) -> int:
     save_proposal_targets(out, targets)
     print(f"wrote {len(targets)} targets to {out}")
     if args.verify:
-        for point_index, cls, res_c, res_o, res_a in load_proposal_targets(out):
-            p_a = view.points[point_index]
-            decoded = decode_proposal(p_a, cls, res_c, res_o, res_a, anchors, gripper.scale)
-            gt = positives[nearest_center(positives, p_a)[0]]
-            gt = Grasp(gt.center, canonical_orientation(gt.orientation), gt.angle)
-            if _grasp_mismatch(decoded, gt):
-                raise VerificationError(f"target at point {point_index} does not decode to its grasp")
+        # targets encode the sign-canonical orientation of their grasp
+        encoded = [Grasp(g.center, canonical_orientation(g.orientation), g.angle) for g in positives]
+        decoded = (
+            (i, view.points[i], decode_proposal(view.points[i], cls, *res, anchors, gripper.scale))
+            for i, cls, *res in load_proposal_targets(out)
+        )
+        _verify_decoded(decoded, encoded, "target at point")
         print(f"verify: {len(targets)} targets decode to their grasps")
     return 0
 
@@ -194,13 +202,12 @@ def _cmd_refine_targets(args) -> int:
     n_pos = sum(t.label for t in targets)
     print(f"wrote {len(targets)} refinement targets ({n_pos} positive) to {out}")
     if args.verify:
-        for idx, label, res_c, res_o, res_a in load_refine_targets(out):
-            if label == 0:
-                continue
-            decoded = decode_refinement(proposals[idx], res_c, res_o, res_a, gripper.scale)
-            gt = positives[nearest_center(positives, proposals[idx].center)[0]]
-            if _grasp_mismatch(decoded, gt):
-                raise VerificationError(f"refinement target {idx} does not decode to its grasp")
+        decoded = (
+            (i, proposals[i].center, decode_refinement(proposals[i], *res, gripper.scale))
+            for i, label, *res in load_refine_targets(out)
+            if label
+        )
+        _verify_decoded(decoded, positives, "refinement target")
         print(f"verify: {n_pos} positive targets decode to their grasps")
     return 0
 
@@ -262,12 +269,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out-dir", default=".", help="directory for outputs")
     common.add_argument(
         "--verify", action="store_true", help="re-check written outputs; exit 3 on mismatch"
-    )
-    common.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker count (results are schedule-independent; this build runs serially)",
     )
 
     parser = _Parser(prog="graspfield", description=__doc__.splitlines()[0])

@@ -99,24 +99,6 @@ class Config:
             return self.region_radius
         return self.gripper().region_radius
 
-    @property
-    def proposal_weights(self) -> tuple[float, float, float, float]:
-        return (
-            self.proposal_weight_class,
-            self.proposal_weight_center,
-            self.proposal_weight_orientation,
-            self.proposal_weight_angle,
-        )
-
-    @property
-    def refine_weights(self) -> tuple[float, float, float, float]:
-        return (
-            self.refine_weight_class,
-            self.refine_weight_center,
-            self.refine_weight_orientation,
-            self.refine_weight_angle,
-        )
-
     def lines(self) -> list[str]:
         """Echo every setting, resolved, as `key = value` lines."""
         out = []

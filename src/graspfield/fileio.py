@@ -186,10 +186,9 @@ def load_cloud(path) -> PointCloud:
 # Grasps
 # ---------------------------------------------------------------------------
 
-def save_grasps(path, grasps, header_comments: list[str] | None = None) -> None:
+def save_grasps(path, grasps) -> None:
     path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(GRASP_HEADER)
+    lines = [GRASP_HEADER]
     for g in grasps:
         sa = -1 if g.score_antipodal is None else g.score_antipodal
         sc = -1 if g.score_collision is None else g.score_collision
@@ -232,10 +231,9 @@ def load_grasps(path) -> list[Grasp]:
 # Labels and targets
 # ---------------------------------------------------------------------------
 
-def save_labels(path, values, labels, header_comments: list[str] | None = None) -> None:
+def save_labels(path, values, labels) -> None:
     path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(LABEL_HEADER)
+    lines = [LABEL_HEADER]
     for i, (v, lab) in enumerate(zip(values, labels)):
         lines.append(f"{i},{_fmt(v)},{int(lab)}")
     path.write_text("\n".join(lines) + "\n")
@@ -260,79 +258,65 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(labels, dtype=np.int64)
 
 
-def save_proposal_targets(path, targets, header_comments: list[str] | None = None) -> None:
-    """Targets: iterable of (point_index, ProposalTarget)."""
+def _save_target_rows(path, header: str, rows) -> None:
+    """Target table shared by both heads: ``header``, then per row the
+    index, the class and the seven residuals (center, orientation, angle).
+    ``rows`` yields (index, class, target); the residual cells are empty
+    for a target without residuals."""
+    lines = [header]
+    for index, cls, t in rows:
+        if t.res_center is None:
+            tail = ",,,,,,"
+        else:
+            tail = ",".join(_fmt(v) for v in (*t.res_center, *t.res_orientation, t.res_angle))
+        lines.append(f"{int(index)},{int(cls)},{tail}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _load_target_rows(path, header: str) -> list[tuple]:
+    """Rows of a :func:`_save_target_rows` table as (index, class,
+    res_center, res_orientation, res_angle); the residuals are None where
+    the row's residual cells are empty."""
     path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(TARGET_HEADER)
-    for point_index, t in targets:
-        vals = [*t.res_center, *t.res_orientation, t.res_angle]
-        lines.append(f"{int(point_index)},{t.anchor_class}," + ",".join(_fmt(v) for v in vals))
-    path.write_text("\n".join(lines) + "\n")
+    lines = _data_lines(path)
+    if not lines or lines[0][1] != header:
+        raise DataError(f"{path}: missing target header '{header}'")
+    rows = []
+    for lineno, text in lines[1:]:
+        parts = text.split(",")
+        if len(parts) != 9:
+            raise DataError(f"{path}:{lineno}: expected 9 columns")
+        try:
+            index, cls = int(parts[0]), int(parts[1])
+            res = [float(p) for p in parts[2:]] if any(parts[2:]) else None
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if res is None:
+            rows.append((index, cls, None, None, None))
+        else:
+            rows.append((index, cls, np.array(res[0:3]), np.array(res[3:6]), res[6]))
+    return rows
+
+
+def save_proposal_targets(path, targets) -> None:
+    """Targets: iterable of (point_index, ProposalTarget)."""
+    _save_target_rows(path, TARGET_HEADER, ((i, t.anchor_class, t) for i, t in targets))
 
 
 def load_proposal_targets(path) -> list[tuple[int, int, np.ndarray, np.ndarray, float]]:
     """Rows as (point_index, anchor_class, res_center, res_orientation, res_angle)."""
-    path = Path(path)
-    lines = _data_lines(path)
-    if not lines or lines[0][1] != TARGET_HEADER:
-        raise DataError(f"{path}: missing target header '{TARGET_HEADER}'")
-    rows = []
-    for lineno, text in lines[1:]:
-        parts = text.split(",")
-        if len(parts) != 9:
-            raise DataError(f"{path}:{lineno}: expected 9 columns")
-        rows.append(
-            (
-                int(parts[0]),
-                int(parts[1]),
-                np.array([float(p) for p in parts[2:5]]),
-                np.array([float(p) for p in parts[5:8]]),
-                float(parts[8]),
-            )
-        )
-    return rows
+    return _load_target_rows(path, TARGET_HEADER)
 
 
-def save_refine_targets(path, targets, header_comments: list[str] | None = None) -> None:
+def save_refine_targets(path, targets) -> None:
     """Targets: iterable of RefineTarget; residual cells are empty for y=0."""
-    path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(REFINE_TARGET_HEADER)
-    for t in targets:
-        if t.label:
-            vals = [*t.res_center, *t.res_orientation, t.res_angle]
-            tail = ",".join(_fmt(v) for v in vals)
-        else:
-            tail = ",,,,,,"
-        lines.append(f"{t.proposal_index},{t.label},{tail}")
-    path.write_text("\n".join(lines) + "\n")
+    _save_target_rows(path, REFINE_TARGET_HEADER, ((t.proposal_index, t.label, t) for t in targets))
 
 
 def load_refine_targets(path) -> list[tuple[int, int, np.ndarray | None, np.ndarray | None, float | None]]:
-    path = Path(path)
-    lines = _data_lines(path)
-    if not lines or lines[0][1] != REFINE_TARGET_HEADER:
-        raise DataError(f"{path}: missing target header '{REFINE_TARGET_HEADER}'")
-    rows = []
-    for lineno, text in lines[1:]:
-        parts = text.split(",")
-        if len(parts) != 9:
-            raise DataError(f"{path}:{lineno}: expected 9 columns")
-        label = int(parts[1])
-        if label:
-            rows.append(
-                (
-                    int(parts[0]),
-                    label,
-                    np.array([float(p) for p in parts[2:5]]),
-                    np.array([float(p) for p in parts[5:8]]),
-                    float(parts[8]),
-                )
-            )
-        else:
-            rows.append((int(parts[0]), label, None, None, None))
-    return rows
+    """Rows as (proposal_index, label, res_center, res_orientation, res_angle);
+    the residuals are None for label-0 rows."""
+    return _load_target_rows(path, REFINE_TARGET_HEADER)
 
 
 # ---------------------------------------------------------------------------

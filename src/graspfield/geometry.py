@@ -448,6 +448,12 @@ def _horizontal_reference(y_axis: np.ndarray, up: np.ndarray) -> np.ndarray:
         return xp / n
     for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         xp = _cross3(up, basis)
+        # up x basis is orthogonal to up, not to a Y that leans off up:
+        # Gram-Schmidt it against Y (skipped when already exact, so those
+        # frames keep every bit, signed zeros included)
+        d = xp @ y_axis
+        if d != 0.0:
+            xp = xp - d * y_axis
         n = np.linalg.norm(xp)
         if n >= _DEGENERATE_AXIS_TOL:
             return xp / n

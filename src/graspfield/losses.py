@@ -14,6 +14,9 @@ from .errors import DataError, GraspFieldWarning
 
 PROB_FLOOR = 1e-12
 
+# (loss term, target attribute) of the three residual groups
+_RESIDUAL_GROUPS = (("center", "res_center"), ("orientation", "res_orientation"), ("angle", "res_angle"))
+
 
 def smooth_l1(x, beta: float = 1.0):
     """Elementwise smooth L1: 0.5 x^2 / beta for |x| < beta, else |x| - beta/2.
@@ -54,3 +57,31 @@ def cross_entropy(probs: np.ndarray, true_classes) -> float:
         p = np.maximum(p, PROB_FLOOR)
     # 0.0 - x instead of -x so a perfect score reports +0.0, not -0.0
     return float(0.0 - np.log(p).sum())
+
+
+def _weighted_loss(class_probs, classes, preds, rows, regressed, weights) -> dict[str, float]:
+    """Loss of a proposal or refinement head: the weighted cross-entropy of
+    ``classes`` averaged over every target, plus per residual group of
+    ``preds`` (center, orientation, angle; one row per target) the weighted
+    smooth L1 between its ``rows`` and the residuals of the ``regressed``
+    targets, averaged over those (0.0 when there are none). ``weights`` are
+    (class, center, orientation, angle). Returns the total and the terms.
+    """
+    n = len(classes)
+    if n == 0:
+        raise DataError("no targets")
+    w_cls, w_center, w_orient, w_angle = (float(w) for w in weights)
+    ce = cross_entropy(np.asarray(class_probs, dtype=np.float64), classes)
+    parts = {"classification": w_cls * ce / n}
+    for (name, attr), w, pred in zip(_RESIDUAL_GROUPS, (w_center, w_orient, w_angle), preds):
+        parts[name] = 0.0
+        if not regressed:
+            continue
+        truth = np.array([getattr(t, attr) for t in regressed])
+        pred = np.asarray(pred, dtype=np.float64)
+        expected = (n, *truth.shape[1:])
+        if pred.shape != expected:
+            raise DataError(f"{name} predictions must cover all {n} targets with shape {expected}")
+        parts[name] = w * float(smooth_l1(pred[rows] - truth).sum()) / len(regressed)
+    parts["total"] = sum(parts.values())
+    return parts

@@ -6,19 +6,24 @@ A proposal is worth refining only when enough points fall between the
 jaws; it counts as a positive refinement example when its orientation
 and approach angle are already close to the matched ground truth, and
 only positives carry regression residuals.
+
+The residuals are those of the proposal head's codec in :mod:`.anchors`
+(``_encode_residuals``/``_decode_residuals``, with the proposal as the
+reference grasp in place of an anchor), validated by the same
+``_residual_arrays``; the loss is the shared ``losses._weighted_loss``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, GraspFieldWarning
+from .anchors import _decode_residuals, _encode_residuals, _residual_arrays
+from .errors import DataError
 from .geometry import Grasp, GripperModel, PointCloud, box_indices, grasp_frame, local_coords, nearest_center
-from .losses import cross_entropy, smooth_l1
+from .losses import _weighted_loss
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
 ORIENTATION_GATE = 2.0 * math.pi / 9.0  # 40 deg
@@ -95,19 +100,10 @@ class RefineTarget:
             return
         if any(r is None for r in residuals):
             raise DataError("positive targets require all residuals")
-        res_c = np.ascontiguousarray(self.res_center, dtype=np.float64)
-        res_o = np.ascontiguousarray(self.res_orientation, dtype=np.float64)
-        if res_c.shape != (3,) or res_o.shape != (3,):
-            raise DataError("residual vectors must be 3-vectors")
-        if not (np.all(np.isfinite(res_c)) and np.all(np.isfinite(res_o)) and math.isfinite(self.res_angle)):
-            raise DataError("residuals must be finite")
-        if np.linalg.norm(res_o) > 2.0 + 1e-9:
-            raise DataError("orientation residual exceeds the unit-difference bound")
-        res_c.setflags(write=False)
-        res_o.setflags(write=False)
+        res_c, res_o, res_a = _residual_arrays(*residuals)
         object.__setattr__(self, "res_center", res_c)
         object.__setattr__(self, "res_orientation", res_o)
-        object.__setattr__(self, "res_angle", float(self.res_angle))
+        object.__setattr__(self, "res_angle", res_a)
         object.__setattr__(self, "proposal_index", int(self.proposal_index))
         object.__setattr__(self, "label", int(self.label))
 
@@ -118,17 +114,12 @@ def encode_refinement(proposal: Grasp, gt: Grasp, scale: float, proposal_index: 
     Only defined for refinable pairs (label 1); encoding a negative pair
     is an error since negatives carry no regression target.
     """
-    if scale <= 0.0:
-        raise DataError("scale must be positive")
+    residuals = _encode_residuals(
+        (proposal.center, proposal.orientation, proposal.angle), (gt.center, gt.orientation, gt.angle), scale
+    )
     if refinement_label(proposal, gt) == 0:
         raise DataError("no target for negatives")
-    return RefineTarget(
-        proposal_index=proposal_index,
-        label=1,
-        res_center=(gt.center - proposal.center) / scale,
-        res_orientation=gt.orientation - proposal.orientation,
-        res_angle=gt.angle - proposal.angle,
-    )
+    return RefineTarget(proposal_index, 1, *residuals)
 
 
 def decode_refinement(proposal: Grasp, res_center, res_orientation, res_angle: float, scale: float) -> Grasp:
@@ -137,18 +128,8 @@ def decode_refinement(proposal: Grasp, res_center, res_orientation, res_angle: f
     The corrected angle is clamped back into [-pi/2, pi/2] with a warning
     when the residual pushes it outside.
     """
-    if scale <= 0.0:
-        raise DataError("scale must be positive")
-    p = proposal.center + np.asarray(res_center, dtype=np.float64) * scale
-    v = proposal.orientation + np.asarray(res_orientation, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm < 1e-9:
-        raise DataError("degenerate orientation")
-    angle = proposal.angle + float(res_angle)
-    if abs(angle) > math.pi / 2:
-        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=2)
-        angle = math.copysign(math.pi / 2, angle)
-    return Grasp(p, v / norm, angle)
+    ref = (proposal.center, proposal.orientation, proposal.angle)
+    return _decode_residuals(ref, res_center, res_orientation, res_angle, scale)
 
 
 def build_refinement_targets(
@@ -191,30 +172,7 @@ def refinement_loss(
     arrays aligned with ``targets``; regression rows for label-0 entries
     are ignored.
     """
-    k2 = len(targets)
-    if k2 == 0:
-        raise DataError("no targets")
-    w_cls, w_center, w_orient, w_angle = (float(w) for w in weights)
     labels = np.array([t.label for t in targets], dtype=np.int64)
-    ce = cross_entropy(np.asarray(class_probs, dtype=np.float64), labels)
-    parts = {"classification": w_cls * ce / k2, "center": 0.0, "orientation": 0.0, "angle": 0.0}
-
     pos = np.nonzero(labels == 1)[0]
-    if pos.size:
-        def _gap(pred, truth, name):
-            pred = np.asarray(pred, dtype=np.float64)
-            if pred.shape[0] != k2:
-                raise DataError(f"{name} predictions must cover all {k2} targets")
-            if pred[pos].shape != truth.shape:
-                raise DataError(f"{name} predictions have the wrong row shape")
-            return float(smooth_l1(pred[pos] - truth).sum())
-
-        k3 = pos.size
-        parts["center"] = w_center * _gap(
-            res_center_pred, np.stack([targets[i].res_center for i in pos]), "center") / k3
-        parts["orientation"] = w_orient * _gap(
-            res_orientation_pred, np.stack([targets[i].res_orientation for i in pos]), "orientation") / k3
-        parts["angle"] = w_angle * _gap(
-            res_angle_pred, np.array([targets[i].res_angle for i in pos]), "angle") / k3
-    parts["total"] = parts["classification"] + parts["center"] + parts["orientation"] + parts["angle"]
-    return parts
+    preds = (res_center_pred, res_orientation_pred, res_angle_pred)
+    return _weighted_loss(class_probs, labels, preds, pos, [targets[i] for i in pos], weights)

@@ -43,7 +43,6 @@ class TestBuildAnchors:
         anchors = build_anchors(8)
         assert len(anchors) == 8
         assert np.abs(np.linalg.norm(anchors.orientations, axis=1) - 1.0).max() < 1e-12
-        assert anchors.assigned_angle == 0.0
         # normalized cube corners: all coordinates +-1/sqrt(3)
         assert np.abs(np.abs(anchors.orientations) - 1 / math.sqrt(3)).max() < 1e-12
         assert len({tuple(np.sign(a)) for a in anchors.orientations}) == 8

@@ -4,6 +4,8 @@ Commands run in-process through cli.main(argv) so exit codes and stdout
 can be asserted without spawning an interpreter.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from graspfield.fileio import (
     load_grasps,
     load_labels,
     load_proposal_targets,
+    load_refine_targets,
     save_cloud_text,
     save_grasps,
     save_labels,
+    save_proposal_targets,
+    save_refine_targets,
 )
 from graspfield.metrics import load_report, summarize_scores
 from graspfield.synthetic import box_cloud
@@ -233,23 +238,6 @@ def test_generate_dataset_command(ws, tmp_path, capsys):
     assert "object box points" in manifest.read_text()
 
 
-def test_jobs_flag_accepted(ws, tmp_path):
-    rc = cli.main(
-        [
-            "confidence",
-            "--cloud",
-            str(ws / "box.csv"),
-            "--grasps",
-            str(ws / "grasps.csv"),
-            "--jobs",
-            "4",
-            "--out-dir",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 0
-
-
 def test_out_dir_creates_parents(ws, tmp_path):
     rc = cli.main(
         [
@@ -400,6 +388,63 @@ def test_sample_grasps_verify_detects_moved_grasp(ws, tmp_path, capsys, monkeypa
     )
     assert rc == 3
     assert "verification failed: stored grasp 1 does not re-score to 1" in capsys.readouterr().err
+
+
+def test_make_targets_verify_detects_shifted_target(ws, tmp_path, capsys, monkeypatch):
+    # a saver that shifts the first target's center residual must trip --verify
+    def shifting(path, targets):
+        (i, t), *rest = targets
+        save_proposal_targets(path, [(i, replace(t, res_center=t.res_center + 1.0)), *rest])
+
+    monkeypatch.setattr(cli, "save_proposal_targets", shifting)
+    rc = cli.main(
+        [
+            "make-targets",
+            "--cloud",
+            str(ws / "box.csv"),
+            "--labels",
+            str(ws / "labels.csv"),
+            "--grasps",
+            str(ws / "grasps.csv"),
+            "--config",
+            str(ws / "fast.cfg"),
+            "--out-dir",
+            str(tmp_path),
+            "--verify",
+        ]
+    )
+    targets = load_proposal_targets(tmp_path / "targets.csv")
+    assert rc == 3
+    assert f"target at point {targets[0][0]} does not decode to its grasp" in capsys.readouterr().err
+
+
+def test_refine_targets_verify_detects_shifted_target(ws, tmp_path, capsys, monkeypatch):
+    def shifting(path, targets):
+        first = next(k for k, t in enumerate(targets) if t.label)
+        targets = list(targets)
+        targets[first] = replace(targets[first], res_center=targets[first].res_center + 1.0)
+        save_refine_targets(path, targets)
+
+    monkeypatch.setattr(cli, "save_refine_targets", shifting)
+    rc = cli.main(
+        [
+            "refine-targets",
+            "--cloud",
+            str(ws / "box.csv"),
+            "--proposals",
+            str(ws / "grasps.csv"),
+            "--grasps",
+            str(ws / "grasps.csv"),
+            "--min-points",
+            "10",
+            "--out-dir",
+            str(tmp_path),
+            "--verify",
+        ]
+    )
+    first = next(row for row in load_refine_targets(tmp_path / "rn_targets.csv") if row[1])
+    assert rc == 3
+    assert f"refinement target {first[0]} does not decode to its grasp" in capsys.readouterr().err
 
 
 def test_eval_verify_detects_mismatched_report(ws, tmp_path, capsys, monkeypatch):

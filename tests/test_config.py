@@ -24,8 +24,6 @@ def test_defaults_match_pipeline_settings():
     assert cfg.region_radius is None
     assert cfg.subsample_size == 20000
     assert cfg.min_closing_points == 50
-    assert cfg.proposal_weights == (0.2, 10.0, 5.0, 1.0)
-    assert cfg.refine_weights == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_gripper_built_from_fields():

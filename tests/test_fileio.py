@@ -199,10 +199,10 @@ class TestGrasps:
 
     def test_header_comments(self, tmp_path):
         p = tmp_path / "g.csv"
-        save_grasps(p, [], header_comments=["seed 7", "object box"])
-        text = p.read_text()
-        assert text.startswith("# seed 7\n# object box\n")
-        assert load_grasps(p) == []
+        save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.25)])
+        p.write_text("# seed 7\n# object box\n" + p.read_text())
+        (g,) = load_grasps(p)
+        assert np.array_equal(g.orientation, (1, 0, 0)) and g.angle == 0.25
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "g.csv"

@@ -280,6 +280,23 @@ class TestGraspFrame:
             r = frame.rotation
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
+    def test_near_vertical_lines_leaning_off_the_fallback(self):
+        # within 1e-6 of up the reference falls back to up x e_x = e_y; a
+        # line leaning toward y is not orthogonal to it and used to raise
+        # "frame axes must be mutually orthogonal"
+        identity = RigidTransform(np.eye(3), np.zeros(3))
+        for lean in (1e-9, 1e-8, 1e-7, 5e-7, 9e-7):
+            for sign in (1.0, -1.0):
+                for direction in ((0.0, lean), (0.0, -lean), (lean, lean)):
+                    for theta in (-1.5, 0.0, 0.3, 1.2):
+                        g = Grasp((0, 0, 0), (*direction, sign), theta)
+                        frame = grasp_frame(g)
+                        r = frame.rotation
+                        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
+                        assert np.array_equal(frame.y_axis, g.orientation)
+                        back = transform_grasp(g, identity)
+                        assert abs(back.angle - theta) < 1e-9
+
     def test_theta_rotation_about_y(self):
         # rotating X' by theta then by -theta restores X'
         rng = np.random.default_rng(6)
