@@ -16,17 +16,17 @@ Exit codes: 0 success, 1 usage error, 2 data or config error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .anchors import build_anchors, build_proposal_targets, decode_proposal
 from .confidence import confidence_field
-from .config import Config, config_from_pairs, parse_pairs
+from .config import Config, load_config
 from .dataset import ensure_normals, generate_dataset, verify_stored_grasps
-from .errors import ConfigError, DataError, GraspFieldError, VerificationError
+from .errors import DataError, GraspFieldError, VerificationError
 from .fileio import (
     load_cloud,
     load_grasps,
@@ -72,17 +72,11 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _merged_config(*paths) -> Config:
-    """Overlay config files left to right (later files win per key)."""
-    pairs: dict[str, str] = {}
-    for path in paths:
-        if not path:
-            continue
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        pairs.update(parse_pairs(path.read_text(), source=str(path)))
-    return config_from_pairs(pairs)
+def _config(args) -> Config:
+    """``--config``, then ``--gripper`` over it, then the override flags
+    over both; each override flag's dest is the config key it sets."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    return load_config(args.config, getattr(args, "gripper", None), overrides=overrides)
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -94,13 +88,15 @@ def _out_path(args, default_name: str) -> Path:
 
 
 def _grasp_mismatch(a, b) -> bool:
-    """True when two grasps differ beyond the round-trip tolerance."""
-    if np.linalg.norm(a.center - b.center) >= _ROUND_TRIP_TOL:
-        return True
-    dot = abs(float(np.clip(a.orientation @ b.orientation, -1.0, 1.0)))
-    if math.acos(dot) >= _ROUND_TRIP_TOL:
-        return True
-    return abs(a.angle - b.angle) >= _ROUND_TRIP_TOL
+    """True when two grasps differ beyond the round-trip tolerance; the
+    orientation is a headless axis, so it is compared by the shorter chord
+    to ``b`` or ``-b``."""
+    chord = min(np.linalg.norm(a.orientation - b.orientation), np.linalg.norm(a.orientation + b.orientation))
+    return (
+        np.linalg.norm(a.center - b.center) >= _ROUND_TRIP_TOL
+        or chord >= _ROUND_TRIP_TOL
+        or abs(a.angle - b.angle) >= _ROUND_TRIP_TOL
+    )
 
 
 def _verify_decoded(decoded, grasps, what: str) -> None:
@@ -117,27 +113,24 @@ def _verify_decoded(decoded, grasps, what: str) -> None:
 
 
 def _cmd_sample_grasps(args) -> int:
-    config = _merged_config(args.config, args.gripper)
+    config = _config(args)
     gripper = config.gripper()
-    mu = args.mu if args.mu is not None else config.mu
     cloud = ensure_normals(load_cloud(args.object))
-    positives = build_positive_set(cloud, gripper, mu=mu, per_object=args.count, seed=args.seed)
+    positives = build_positive_set(cloud, gripper, mu=config.mu, per_object=args.count, seed=args.seed)
     out = _out_path(args, "grasps.csv")
     save_grasps(out, positives)
     print(f"wrote {len(positives)} grasps to {out}")
     if args.verify:
-        verify_stored_grasps(cloud, load_grasps(out), gripper, mu)
+        verify_stored_grasps(cloud, load_grasps(out), gripper, config.mu)
         print(f"verify: {len(positives)} grasps re-score to 1")
     return 0
 
 
 def _cmd_confidence(args) -> int:
-    config = _merged_config(args.config)
+    config = _config(args)
     cloud = load_cloud(args.cloud)
     grasps = load_grasps(args.grasps)
-    dth = args.dth if args.dth is not None else config.distance_threshold
-    ct = args.ct if args.ct is not None else config.confidence_threshold
-    field = confidence_field(cloud, grasps, dth, ct)
+    field = confidence_field(cloud, grasps, config.distance_threshold, config.confidence_threshold)
     out = _out_path(args, "labels.csv")
     save_labels(out, field.values, field.labels)
     print(f"wrote {len(field)} labels ({int(field.labels.sum())} positive) to {out}")
@@ -150,15 +143,14 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_make_targets(args) -> int:
-    config = _merged_config(args.config)
+    config = _config(args)
     gripper = config.gripper()
     view = load_cloud(args.cloud)
     values, labels = load_labels(args.labels)
     if len(values) != len(view):
         raise DataError("label count does not match the cloud")
     positives = load_grasps(args.grasps)
-    k1 = args.k1 if args.k1 is not None else config.region_count
-    anchors = build_anchors(args.m1 if args.m1 is not None else config.anchor_count)
+    anchors = build_anchors(config.anchor_count)
     label_scores = np.stack([1.0 - labels, labels.astype(np.float64)], axis=1)
     targets = build_proposal_targets(
         view,
@@ -166,7 +158,7 @@ def _cmd_make_targets(args) -> int:
         positives,
         anchors,
         gripper.scale,
-        k1,
+        config.region_count,
         config.resolved_region_radius(),
         config.region_size,
         seed=args.seed,
@@ -188,14 +180,13 @@ def _cmd_make_targets(args) -> int:
 
 
 def _cmd_refine_targets(args) -> int:
-    config = _merged_config(args.config)
+    config = _config(args)
     gripper = config.gripper()
     cloud = load_cloud(args.cloud)
     proposals = load_grasps(args.proposals)
     positives = load_grasps(args.grasps)
-    min_points = args.min_points if args.min_points is not None else config.min_closing_points
     targets = build_refinement_targets(
-        proposals, cloud, positives, gripper, gripper.scale, min_points
+        proposals, cloud, positives, gripper, gripper.scale, config.min_closing_points
     )
     out = _out_path(args, "rn_targets.csv")
     save_refine_targets(out, targets)
@@ -213,13 +204,12 @@ def _cmd_refine_targets(args) -> int:
 
 
 def _cmd_eval_vgr(args) -> int:
-    config = _merged_config(args.config, args.gripper)
+    config = _config(args)
     gripper = config.gripper()
-    mu = args.mu if args.mu is not None else config.mu
     predicted = load_grasps(args.pred)
     obj = ensure_normals(load_cloud(args.object))
     pose = load_pose(args.pose)
-    report = evaluate(predicted, pose, obj, gripper, mu=mu)
+    report = evaluate(predicted, pose, obj, gripper, mu=config.mu)
     out = _out_path(args, "report.csv")
     save_report(out, report)
     print(
@@ -238,7 +228,7 @@ def _cmd_eval_vgr(args) -> int:
 
 
 def _cmd_generate_dataset(args) -> int:
-    config = _merged_config(args.config)
+    config = _config(args)
     objects = []
     for path in args.objects:
         objects.append((Path(path).stem, load_cloud(path)))
@@ -271,6 +261,8 @@ def _build_parser() -> _Parser:
         "--verify", action="store_true", help="re-check written outputs; exit 3 on mismatch"
     )
 
+    # An override flag's dest is the config key it sets; _config lays it
+    # over the config files, so the config schema checks it.
     parser = _Parser(prog="graspfield", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -278,15 +270,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--object", required=True, help="object point cloud")
     p.add_argument("--gripper", help="gripper config file (overlays --config)")
     p.add_argument("--count", type=_positive_int, default=400, help="positive grasps to collect")
-    p.add_argument("--mu", type=float, help="friction coefficient (default from config)")
+    p.add_argument("--mu", type=float, help="friction coefficient")
     p.add_argument("--out", help="output grasp CSV (default grasps.csv)")
     p.set_defaults(func=_cmd_sample_grasps)
 
     p = sub.add_parser("confidence", parents=[common], help="label per-point grasp confidence")
     p.add_argument("--cloud", required=True, help="point cloud to label")
     p.add_argument("--grasps", required=True, help="positive grasp CSV")
-    p.add_argument("--dth", type=float, help="confidence distance threshold (m)")
-    p.add_argument("--ct", type=float, help="positive-label confidence threshold")
+    p.add_argument("--dth", dest="distance_threshold", type=float, help="confidence distance threshold (m)")
+    p.add_argument("--ct", dest="confidence_threshold", type=float, help="positive-label confidence threshold")
     p.add_argument("--out", help="output label CSV (default labels.csv)")
     p.set_defaults(func=_cmd_confidence)
 
@@ -294,8 +286,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cloud", required=True, help="single-view point cloud")
     p.add_argument("--labels", required=True, help="label CSV for the cloud")
     p.add_argument("--grasps", required=True, help="positive grasp CSV")
-    p.add_argument("--k1", type=_positive_int, help="region count (default from config)")
-    p.add_argument("--m1", type=int, choices=(6, 8), help="anchor count (default from config)")
+    p.add_argument("--k1", dest="region_count", type=_positive_int, help="region count")
+    p.add_argument("--m1", dest="anchor_count", type=int, choices=(6, 8), help="anchor count")
     p.add_argument("--out", help="output target CSV (default targets.csv)")
     p.set_defaults(func=_cmd_make_targets)
 
@@ -304,7 +296,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--proposals", required=True, help="proposal grasp CSV")
     p.add_argument("--grasps", required=True, help="positive grasp CSV")
     p.add_argument(
-        "--min-points", type=_non_negative_int, help="closing-area point cutoff (strictly more required)"
+        "--min-points",
+        dest="min_closing_points",
+        type=_non_negative_int,
+        help="closing-area point cutoff (strictly more required)",
     )
     p.add_argument("--out", help="output target CSV (default rn_targets.csv)")
     p.set_defaults(func=_cmd_refine_targets)
@@ -314,7 +309,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--object", required=True, help="object point cloud (object frame)")
     p.add_argument("--pose", required=True, help="12-number row-major world-to-object transform")
     p.add_argument("--gripper", help="gripper config file (overlays --config)")
-    p.add_argument("--mu", type=float, help="friction coefficient (default from config)")
+    p.add_argument("--mu", type=float, help="friction coefficient")
     p.add_argument("--out", help="output report (default report.csv)")
     p.set_defaults(func=_cmd_eval_vgr)
 

@@ -145,9 +145,16 @@ def config_from_pairs(pairs: dict[str, str]) -> Config:
     return Config(**kwargs)
 
 
-def load_config(path) -> Config:
-    """Parse a config file; an empty file yields all defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return config_from_pairs(parse_pairs(path.read_text(), source=str(path)))
+def load_config(*paths, overrides=None) -> Config:
+    """Parse config files left to right, later files winning per key (None
+    paths are skipped; an empty file yields all defaults), then lay
+    ``overrides`` (key -> value; None values are skipped) over them. The
+    schema checks every merged pair alike."""
+    pairs: dict[str, str] = {}
+    for path in filter(None, paths):
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        pairs.update(parse_pairs(path.read_text(), source=str(path)))
+    pairs.update((key, str(value)) for key, value in (overrides or {}).items() if value is not None)
+    return config_from_pairs(pairs)

@@ -1,11 +1,19 @@
 """File formats: point clouds (text and binary), grasp tables, labels,
 targets, and rigid-transform pose files.
 
+Text tables
+    Every text format here, and the evaluation report in ``metrics``, is
+    written by :func:`_write_table` and read by :func:`_read_table`: an
+    optional header line, then one comma-separated row per line. ``#``
+    starts a comment anywhere and blank lines are skipped; a table with a
+    header must open with it. A wrong cell count or a malformed number
+    raises ``DataError`` naming ``path:line``.
+
 Point-cloud text format
-    One point per line, comma-separated ``x,y,z[,r,g,b][,nx,ny,nz]`` in
-    meters; ``#`` starts a comment. The writer emits a ``# fields: ...``
-    comment declaring the column layout; the reader honors it and otherwise
-    interprets 6 columns as xyz+rgb and 9 as xyz+rgb+normals.
+    One point per row, ``x,y,z[,r,g,b][,nx,ny,nz]`` in meters. The writer
+    emits a ``# fields: ...`` comment declaring the column layout; the
+    reader honors it and otherwise interprets 6 columns as xyz+rgb and 9 as
+    xyz+rgb+normals.
 
 Point-cloud binary format
     16-byte magic (``GFPC0001`` padded with NULs), little-endian uint32
@@ -13,8 +21,8 @@ Point-cloud binary format
     packed little-endian float32 records, one point per record.
 
 Grasp table
-    CSV with header ``px,py,pz,rx,ry,rz,theta,sa,sc,sg``; score columns are
-    -1 for unscored grasps. ``#`` comment lines are permitted anywhere.
+    Header ``px,py,pz,rx,ry,rz,theta,sa,sc,sg``; score columns are -1 for
+    unscored grasps.
 
 Pose file
     12 whitespace- or comma-separated numbers: the row-major 3x4 matrix
@@ -23,6 +31,9 @@ Pose file
 
 from __future__ import annotations
 
+import itertools
+import math
+import re
 import struct
 from pathlib import Path
 
@@ -46,101 +57,112 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _data_lines(path: Path) -> list[tuple[int, str]]:
-    lines = []
+def _write_table(path, header: str | None, rows) -> None:
+    """Write ``header`` (when given), then each pre-formatted row, one per line."""
+    lines = rows if header is None else itertools.chain((header,), rows)
+    Path(path).write_text("".join(f"{line}\n" for line in lines))
+
+
+def _read_table(path, header: str | None, width: int | None, parse, what: str = "table") -> list:
+    """Rows of a text table, each parsed from its comma-separated cells by
+    ``parse(cells)``.
+
+    Text after ``#`` and blank lines are skipped. With ``header`` the
+    first line must equal it; with ``width`` every row must have exactly
+    that many cells (without it ``parse`` checks them). A ``ValueError`` or
+    ``DataError`` raised by ``parse`` becomes a ``DataError`` naming
+    ``path:line``.
+    """
+    path = Path(path)
+    rows = []
+    expect = header
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
-        if text:
-            lines.append((lineno, text))
-    return lines
+        if not text:
+            continue
+        if expect is not None:
+            if text != expect:
+                break
+            expect = None
+            continue
+        cells = text.split(",")
+        if width is not None and len(cells) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+        try:
+            rows.append(parse(cells))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if expect is not None:
+        raise DataError(f"{path}: malformed {what} file: missing {what} header '{header}'")
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Point clouds
 # ---------------------------------------------------------------------------
 
-def save_cloud_text(path, cloud: PointCloud) -> None:
-    path = Path(path)
-    fields = ["x", "y", "z"]
-    cols = [cloud.points]
-    if cloud.colors is not None:
-        fields += ["r", "g", "b"]
-        cols.append(cloud.colors)
-    if cloud.normals is not None:
-        fields += ["nx", "ny", "nz"]
-        cols.append(cloud.normals)
-    data = np.hstack(cols)
-    out = [f"# fields: {','.join(fields)}"]
-    for row in data:
-        out.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(out) + "\n")
-
-
+# fields spec -> layout (has colors, has normals)
 _FIELD_LAYOUTS = {
     "x,y,z": (False, False),
     "x,y,z,r,g,b": (True, False),
     "x,y,z,nx,ny,nz": (False, True),
     "x,y,z,r,g,b,nx,ny,nz": (True, True),
 }
+_WIDTH_LAYOUTS = {3: (False, False), 6: (True, False), 9: (True, True)}
+_FIELDS_COMMENT = re.compile(r"^[ \t]*#.*?fields:(.*)$", re.MULTILINE)
+
+
+def _cloud_columns(cloud: PointCloud) -> tuple[tuple[bool, bool], np.ndarray]:
+    """A cloud's layout and its (N, 3|6|9) columns: points, then colors
+    and normals when present."""
+    parts = [a for a in (cloud.points, cloud.colors, cloud.normals) if a is not None]
+    return (cloud.colors is not None, cloud.normals is not None), np.hstack(parts)
+
+
+def _columns_cloud(layout: tuple[bool, bool], data: np.ndarray) -> PointCloud:
+    """Inverse of :func:`_cloud_columns`."""
+    has_colors, has_normals = layout
+    colors = data[:, 3:6] if has_colors else None
+    return PointCloud(data[:, :3], colors, data[:, -3:] if has_normals else None)
+
+
+def _cloud_row(cells) -> list[float]:
+    if len(cells) not in _WIDTH_LAYOUTS:
+        raise ValueError(f"expected 3, 6 or 9 columns, got {len(cells)}")
+    return list(map(float, cells))
+
+
+def save_cloud_text(path, cloud: PointCloud) -> None:
+    layout, data = _cloud_columns(cloud)
+    spec = next(spec for spec, fields in _FIELD_LAYOUTS.items() if fields == layout)
+    _write_table(path, f"# fields: {spec}", (",".join(_fmt(v) for v in row) for row in data))
 
 
 def load_cloud_text(path) -> PointCloud:
     path = Path(path)
     layout = None
-    for raw in path.read_text().splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("#") and "fields:" in stripped:
-            spec = stripped.split("fields:", 1)[1].replace(" ", "")
-            if spec not in _FIELD_LAYOUTS:
-                raise DataError(f"{path}: unknown fields layout '{spec}'")
-            layout = _FIELD_LAYOUTS[spec]
-            break
-    rows = []
-    width = None
-    for lineno, text in _data_lines(path):
-        parts = text.split(",")
-        if width is None:
-            width = len(parts)
-            if width not in (3, 6, 9):
-                raise DataError(f"{path}:{lineno}: expected 3, 6 or 9 columns, got {width}")
-        elif len(parts) != width:
-            raise DataError(f"{path}:{lineno}: inconsistent column count")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), width or 3)
+    match = _FIELDS_COMMENT.search(path.read_text())
+    if match:
+        spec = match.group(1).strip().replace(" ", "")
+        if spec not in _FIELD_LAYOUTS:
+            raise DataError(f"{path}: unknown fields layout '{spec}'")
+        layout = _FIELD_LAYOUTS[spec]
+    rows = _read_table(path, None, None if layout is None else 3 + 3 * sum(layout), _cloud_row)
     if layout is None:
-        layout = {3: (False, False), 6: (True, False), 9: (True, True)}[width or 3]
-    has_colors, has_normals = layout
-    expected = 3 + 3 * has_colors + 3 * has_normals
-    if (width or expected) != expected:
-        raise DataError(f"{path}: fields declare {expected} columns but rows have {width}")
-    c = 3
-    colors = normals = None
-    if has_colors:
-        colors = data[:, c : c + 3]
-        c += 3
-    if has_normals:
-        normals = data[:, c : c + 3]
-    return PointCloud(data[:, :3], colors, normals)
+        layout = _WIDTH_LAYOUTS[len(rows[0]) if rows else 3]
+    try:
+        data = np.array(rows, dtype=np.float64).reshape(len(rows), 3 + 3 * sum(layout))
+    except ValueError:
+        raise DataError(f"{path}: inconsistent column count") from None
+    return _columns_cloud(layout, data)
 
 
 def save_cloud_binary(path, cloud: PointCloud) -> None:
-    path = Path(path)
-    flags = 0
-    cols = [cloud.points]
-    if cloud.colors is not None:
-        flags |= _FLAG_COLORS
-        cols.append(cloud.colors)
-    if cloud.normals is not None:
-        flags |= _FLAG_NORMALS
-        cols.append(cloud.normals)
-    records = np.hstack(cols).astype("<f4")
+    (has_colors, has_normals), data = _cloud_columns(cloud)
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<IB", len(cloud), flags))
-        f.write(records.tobytes())
+        f.write(struct.pack("<IB", len(cloud), _FLAG_COLORS * has_colors | _FLAG_NORMALS * has_normals))
+        f.write(data.astype("<f4").tobytes())
 
 
 def load_cloud_binary(path) -> PointCloud:
@@ -149,25 +171,20 @@ def load_cloud_binary(path) -> PointCloud:
     if len(blob) < len(MAGIC) + 5 or blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a graspfield binary point cloud")
     count, flags = struct.unpack_from("<IB", blob, len(MAGIC))
-    ncols = 3 + 3 * bool(flags & _FLAG_COLORS) + 3 * bool(flags & _FLAG_NORMALS)
+    layout = (bool(flags & _FLAG_COLORS), bool(flags & _FLAG_NORMALS))
+    ncols = 3 + 3 * sum(layout)
     body = blob[len(MAGIC) + 5 :]
     expected = count * ncols * 4
     if len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, got {len(body)}")
     data = np.frombuffer(body, dtype="<f4").reshape(count, ncols).astype(np.float64)
-    c = 3
-    colors = normals = None
-    if flags & _FLAG_COLORS:
-        colors = data[:, c : c + 3]
-        c += 3
-    if flags & _FLAG_NORMALS:
-        normals = data[:, c : c + 3]
+    if layout[1]:
         # float32 storage shortens unit vectors; re-normalize
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+        lengths = np.linalg.norm(data[:, -3:], axis=1, keepdims=True)
         if (lengths <= 0).any():
             raise DataError(f"{path}: zero-length normal record")
-        normals = normals / lengths
-    return PointCloud(data[:, :3], colors, normals)
+        data[:, -3:] /= lengths
+    return _columns_cloud(layout, data)
 
 
 def load_cloud(path) -> PointCloud:
@@ -187,44 +204,21 @@ def load_cloud(path) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 def save_grasps(path, grasps) -> None:
-    path = Path(path)
-    lines = [GRASP_HEADER]
-    for g in grasps:
-        sa = -1 if g.score_antipodal is None else g.score_antipodal
-        sc = -1 if g.score_collision is None else g.score_collision
-        sg = -1 if g.score is None else g.score
-        vals = [_fmt(v) for v in (*g.center, *g.orientation, g.angle)]
-        lines.append(",".join(vals + [str(sa), str(sc), str(sg)]))
-    path.write_text("\n".join(lines) + "\n")
+    def line(g: Grasp) -> str:
+        scores = [-1 if s is None else s for s in (g.score_antipodal, g.score_collision, g.score)]
+        return ",".join([_fmt(v) for v in (*g.center, *g.orientation, g.angle)] + [str(s) for s in scores])
+
+    _write_table(path, GRASP_HEADER, map(line, grasps))
+
+
+def _grasp_row(cells) -> Grasp:
+    vals = [float(c) for c in cells[:7]]
+    sa, sc, sg = (None if s == -1 else s for s in map(int, cells[7:]))
+    return Grasp(vals[0:3], vals[3:6], vals[6], score_antipodal=sa, score_collision=sc, score=sg)
 
 
 def load_grasps(path) -> list[Grasp]:
-    path = Path(path)
-    lines = _data_lines(path)
-    if not lines or lines[0][1] != GRASP_HEADER:
-        raise DataError(f"{path}: missing grasp header '{GRASP_HEADER}'")
-    grasps = []
-    for lineno, text in lines[1:]:
-        parts = text.split(",")
-        if len(parts) != 10:
-            raise DataError(f"{path}:{lineno}: expected 10 columns")
-        try:
-            vals = [float(p) for p in parts[:7]]
-            scores = [int(p) for p in parts[7:]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        opt = [None if s == -1 else s for s in scores]
-        grasps.append(
-            Grasp(
-                vals[0:3],
-                vals[3:6],
-                vals[6],
-                score_antipodal=opt[0],
-                score_collision=opt[1],
-                score=opt[2],
-            )
-        )
-    return grasps
+    return _read_table(path, GRASP_HEADER, 10, _grasp_row, "grasp")
 
 
 # ---------------------------------------------------------------------------
@@ -232,30 +226,26 @@ def load_grasps(path) -> list[Grasp]:
 # ---------------------------------------------------------------------------
 
 def save_labels(path, values, labels) -> None:
-    path = Path(path)
-    lines = [LABEL_HEADER]
-    for i, (v, lab) in enumerate(zip(values, labels)):
-        lines.append(f"{i},{_fmt(v)},{int(lab)}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = (f"{i},{_fmt(v)},{int(lab)}" for i, (v, lab) in enumerate(zip(values, labels)))
+    _write_table(path, LABEL_HEADER, rows)
+
+
+def _label_row(cells) -> tuple[int, float, int]:
+    index, value, label = int(cells[0]), float(cells[1]), int(cells[2])
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"confidence must be finite and >= 0, got {value}")
+    return index, value, label
 
 
 def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, labels) arrays ordered by point index."""
     path = Path(path)
-    lines = _data_lines(path)
-    if not lines or lines[0][1] != LABEL_HEADER:
-        raise DataError(f"{path}: missing label header '{LABEL_HEADER}'")
-    idx, values, labels = [], [], []
-    for lineno, text in lines[1:]:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 columns")
-        idx.append(int(parts[0]))
-        values.append(float(parts[1]))
-        labels.append(int(parts[2]))
-    if idx != list(range(len(idx))):
+    rows = _read_table(path, LABEL_HEADER, 3, _label_row, "label")
+    if [row[0] for row in rows] != list(range(len(rows))):
         raise DataError(f"{path}: point indices must be 0..N-1 in order")
-    return np.array(values), np.array(labels, dtype=np.int64)
+    return np.array([row[1] for row in rows]), np.array([row[2] for row in rows], dtype=np.int64)
 
 
 def _save_target_rows(path, header: str, rows) -> None:
@@ -263,39 +253,30 @@ def _save_target_rows(path, header: str, rows) -> None:
     index, the class and the seven residuals (center, orientation, angle).
     ``rows`` yields (index, class, target); the residual cells are empty
     for a target without residuals."""
-    lines = [header]
-    for index, cls, t in rows:
+
+    def line(index, cls, t) -> str:
         if t.res_center is None:
             tail = ",,,,,,"
         else:
             tail = ",".join(_fmt(v) for v in (*t.res_center, *t.res_orientation, t.res_angle))
-        lines.append(f"{int(index)},{int(cls)},{tail}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        return f"{int(index)},{int(cls)},{tail}"
+
+    _write_table(path, header, itertools.starmap(line, rows))
+
+
+def _target_row(cells) -> tuple:
+    index, cls = int(cells[0]), int(cells[1])
+    if not any(cells[2:]):
+        return index, cls, None, None, None
+    res = [float(c) for c in cells[2:]]
+    return index, cls, np.array(res[0:3]), np.array(res[3:6]), res[6]
 
 
 def _load_target_rows(path, header: str) -> list[tuple]:
     """Rows of a :func:`_save_target_rows` table as (index, class,
     res_center, res_orientation, res_angle); the residuals are None where
     the row's residual cells are empty."""
-    path = Path(path)
-    lines = _data_lines(path)
-    if not lines or lines[0][1] != header:
-        raise DataError(f"{path}: missing target header '{header}'")
-    rows = []
-    for lineno, text in lines[1:]:
-        parts = text.split(",")
-        if len(parts) != 9:
-            raise DataError(f"{path}:{lineno}: expected 9 columns")
-        try:
-            index, cls = int(parts[0]), int(parts[1])
-            res = [float(p) for p in parts[2:]] if any(parts[2:]) else None
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if res is None:
-            rows.append((index, cls, None, None, None))
-        else:
-            rows.append((index, cls, np.array(res[0:3]), np.array(res[3:6]), res[6]))
-    return rows
+    return _read_table(path, header, 9, _target_row, "target")
 
 
 def save_proposal_targets(path, targets) -> None:
@@ -325,9 +306,8 @@ def load_refine_targets(path) -> list[tuple[int, int, np.ndarray | None, np.ndar
 
 def load_pose(path) -> RigidTransform:
     path = Path(path)
-    values = []
-    for _, text in _data_lines(path):
-        values.extend(float(v) for v in text.replace(",", " ").split())
+    rows = _read_table(path, None, None, lambda cells: [float(v) for v in " ".join(cells).split()])
+    values = [v for row in rows for v in row]
     if len(values) != 12:
         raise DataError(f"{path}: expected 12 numbers (row-major 3x4 [R|t]), got {len(values)}")
     m = np.array(values).reshape(3, 4)
@@ -338,7 +318,5 @@ def load_pose(path) -> RigidTransform:
 
 
 def save_pose(path, transform: RigidTransform) -> None:
-    path = Path(path)
     m = np.hstack([transform.rotation, transform.translation[:, None]])
-    lines = [" ".join(_fmt(v) for v in row) for row in m]
-    path.write_text("\n".join(lines) + "\n")
+    _write_table(path, None, (" ".join(_fmt(v) for v in row) for row in m))

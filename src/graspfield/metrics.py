@@ -8,12 +8,13 @@ be re-computed exactly from any stored report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .fileio import _read_table, _write_table
 from .geometry import Grasp, GripperModel, PointCloud, RigidTransform, transform_grasp
 from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
 
@@ -129,34 +130,34 @@ def compare_reports(named_reports: list[tuple[str, EvalReport]]) -> str:
 def save_report(path, report: EvalReport) -> None:
     """Report file: a summary row (counts + 4-decimal ratios) followed by
     the per-grasp score table."""
-    path = Path(path)
-    lines = [REPORT_HEADER]
-    lines.append(
+    summary = (
         f"{report.k3},{report.kT},{report.kT_a},{report.kT_c},"
         f"{report.vgr:.4f},{report.vagr:.4f},{report.vcgr:.4f}"
     )
-    lines.append(SCORE_HEADER)
-    for i, (sa, sc, sg) in enumerate(report.scores):
-        lines.append(f"{i},{sa},{sc},{sg}")
-    path.write_text("\n".join(lines) + "\n")
+    scores = (f"{i},{sa},{sc},{sg}" for i, (sa, sc, sg) in enumerate(report.scores))
+    _write_table(path, REPORT_HEADER, itertools.chain((summary, SCORE_HEADER), scores))
+
+
+def _report_row(cells) -> tuple[int, ...] | None:
+    """The summary row's four counts (its ratios derive from them and are
+    not read), None for the score header, or a score row's three scores."""
+    if len(cells) == 7:
+        return tuple(int(c) for c in cells[:4])
+    if ",".join(cells) == SCORE_HEADER:
+        return None
+    if len(cells) != 4:
+        raise ValueError(f"malformed score row '{','.join(cells)}'")
+    return tuple(int(c) for c in cells[1:])
 
 
 def load_report(path) -> EvalReport:
     """Rebuild a report from its per-grasp table, cross-checking the
     stored counts."""
-    path = Path(path)
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    if len(lines) < 4 or lines[0] != REPORT_HEADER or lines[2] != SCORE_HEADER:
+    rows = _read_table(path, REPORT_HEADER, None, _report_row, "report")
+    shapes = [None if row is None else len(row) for row in rows]
+    if shapes[:2] != [4, None] or set(shapes[2:]) != {3}:
         raise DataError(f"{path}: malformed report file")
-    counts = lines[1].split(",")
-    scores = []
-    for ln in lines[3:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise DataError(f"{path}: malformed score row '{ln}'")
-        scores.append([int(parts[1]), int(parts[2]), int(parts[3])])
-    report = summarize_scores(scores)
-    stored = (int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
-    if stored != (report.k3, report.kT, report.kT_a, report.kT_c):
+    report = summarize_scores(rows[2:])
+    if rows[0] != (report.k3, report.kT, report.kT_a, report.kT_c):
         raise DataError(f"{path}: stored counts disagree with the score table")
     return report

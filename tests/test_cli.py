@@ -490,3 +490,93 @@ def test_label_count_mismatch_exits_two(ws, tmp_path, capsys):
     )
     assert rc == 2
     assert "label count does not match" in capsys.readouterr().err
+
+
+def test_malformed_labels_exit_two(ws, tmp_path, capsys):
+    bad = tmp_path / "bad_labels.csv"
+    lines = (ws / "labels.csv").read_text().splitlines()
+    lines[5] = "4,abc,0"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(
+        [
+            "make-targets",
+            "--cloud",
+            str(ws / "box.csv"),
+            "--labels",
+            str(bad),
+            "--grasps",
+            str(ws / "grasps.csv"),
+            "--out-dir",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert "bad_labels.csv:6:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, key",
+    [
+        ("eval-vgr", "--mu", "nan", "mu"),
+        ("sample-grasps", "--mu", "-0.5", "mu"),
+        ("confidence", "--ct", "-1", "confidence_threshold"),
+        ("confidence", "--dth", "nan", "distance_threshold"),
+        ("confidence", "--dth", "0", "distance_threshold"),
+    ],
+)
+def test_override_flags_checked_by_config_schema(ws, tmp_path, capsys, command, flag, value, key):
+    inputs = {
+        "eval-vgr": ["--pred", ws / "grasps.csv", "--object", ws / "box.csv", "--pose", ws / "pose.txt"],
+        "sample-grasps": ["--object", ws / "box.csv", "--count", "1"],
+        "confidence": ["--cloud", ws / "box.csv", "--grasps", ws / "grasps.csv"],
+    }[command]
+    rc = cli.main([command, *map(str, inputs), f"{flag}={value}", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"key '{key}': value {float(value)} out of range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_override_flags_win_over_config_file(ws, tmp_path):
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("confidence_threshold = 5.0\n")
+    rc = cli.main(
+        [
+            "confidence",
+            "--cloud",
+            str(ws / "box.csv"),
+            "--grasps",
+            str(ws / "grasps.csv"),
+            "--config",
+            str(cfg),
+            "--ct",
+            "0",
+            "--out-dir",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    _, labels = load_labels(tmp_path / "labels.csv")
+    assert labels.sum() > 0
+
+
+def _rotated(orientation, angle):
+    """``orientation`` turned by ``angle`` radians about a perpendicular axis."""
+    perp = np.cross(orientation, (0.0, 0.0, 1.0))
+    perp /= np.linalg.norm(perp)
+    return np.cos(angle) * orientation + np.sin(angle) * perp
+
+
+def test_grasp_mismatch_orientation_tolerance():
+    a = Grasp((0.01, 0.02, 0.03), (1.3664634705496859, -0.6651946734866135, 0.3515100700930197), 0.1)
+    nudged = a.orientation.copy()
+    nudged[1] = np.nextafter(nudged[1], np.inf)
+    ulp_off = Grasp(a.center, nudged, a.angle)
+    # an orientation an ulp or two off whose dot with the original rounds
+    # below 1.0, where acos jumps from 0 to 1.49e-8
+    assert np.abs(ulp_off.orientation - a.orientation).max() <= 2 * np.spacing(1.0)
+    assert abs(float(a.orientation @ ulp_off.orientation)) < 1.0
+    assert not cli._grasp_mismatch(a, ulp_off)
+    assert not cli._grasp_mismatch(a, Grasp(a.center, -a.orientation, a.angle))  # headless axis
+    assert cli._grasp_mismatch(a, Grasp(a.center, _rotated(a.orientation, 1e-6), a.angle))
+    assert cli._grasp_mismatch(a, Grasp(a.center + (1e-6, 0, 0), a.orientation, a.angle))
+    assert cli._grasp_mismatch(a, Grasp(a.center, a.orientation, a.angle + 1e-6))

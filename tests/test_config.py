@@ -148,3 +148,26 @@ def test_load_config_error_names_file(tmp_path):
     path.write_text("mu 0.7\n")
     with pytest.raises(ConfigError, match="broken.cfg:1"):
         load_config(path)
+
+
+def test_load_config_layers_files_then_overrides(tmp_path):
+    base = tmp_path / "base.cfg"
+    base.write_text("mu = 0.3\nregion_count = 4\nmax_opening = 0.05\n")
+    grip = tmp_path / "grip.cfg"
+    grip.write_text("max_opening = 0.07\n")
+    cfg = load_config(base, None, grip, overrides={"mu": 0.9, "region_count": None, "anchor_count": 6})
+    assert (cfg.mu, cfg.region_count, cfg.max_opening, cfg.anchor_count) == (0.9, 4, 0.07, 6)
+    assert load_config() == Config()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("mu", float("nan")), ("confidence_threshold", -1.0), ("anchor_count", 7), ("frobnicate", 1)]
+)
+def test_load_config_overrides_pass_the_schema(key, value):
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        load_config(overrides={key: value})
+
+
+def test_load_config_override_floats_round_trip():
+    mu = 0.1 + 0.2  # a float whose shortest repr needs 17 digits
+    assert load_config(overrides={"mu": mu}).mu == mu

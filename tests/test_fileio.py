@@ -1,5 +1,6 @@
 """On-disk formats: text/binary point clouds, grasp tables, label tables,
-proposal and refinement target tables, and pose files."""
+proposal and refinement target tables, pose files, and the rules every
+text table shares (the evaluation report included)."""
 
 import math
 
@@ -34,6 +35,7 @@ from graspfield.fileio import (
     load_cloud_binary,
     load_cloud_text,
 )
+from graspfield.metrics import EvalReport, load_report, save_report
 from graspfield.refine import RefineTarget
 
 from conftest import random_unit
@@ -358,3 +360,91 @@ class TestPose:
         p.write_text("2 0 0 0\n0 1 0 0\n0 0 1 0\n")
         with pytest.raises(DataError, match="pose.txt"):
             load_pose(p)
+
+
+# ---------------------------------------------------------------------------
+# Shared table rules
+# ---------------------------------------------------------------------------
+
+def _write_grasps(p):
+    save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.25).with_scores(1, 1)])
+
+
+def _write_labels(p):
+    save_labels(p, [0.5, 0.75], [0, 1])
+
+
+def _write_proposal_targets(p):
+    target = ProposalTarget(np.zeros(3), 2, np.ones(3), np.ones(3), 0.5)
+    save_proposal_targets(p, [(0, target)])
+
+
+def _write_refine_targets(p):
+    save_refine_targets(p, [RefineTarget(0, 1, np.ones(3), np.ones(3), 0.5)])
+
+
+def _write_pose(p):
+    save_pose(p, RigidTransform.identity())
+
+
+def _write_report(p):
+    save_report(p, EvalReport([[1, 1, 1], [0, 1, 0]]))
+
+
+def _write_cloud(p):
+    save_cloud_text(p, full_cloud(n=3))
+
+
+# loader, writer, (line, cell) to corrupt; lines count from 1, cells are
+# comma-separated except in the whitespace-separated pose file
+MALFORMED_NUMBER_CASES = {
+    "grasps": (load_grasps, _write_grasps, 2, 4),
+    "labels": (load_labels, _write_labels, 3, 1),
+    "proposal-targets": (load_proposal_targets, _write_proposal_targets, 2, 5),
+    "refine-targets": (load_refine_targets, _write_refine_targets, 2, 8),
+    "pose": (load_pose, _write_pose, 2, 3),
+    "report": (load_report, _write_report, 4, 2),
+    "cloud-text": (load_cloud_text, _write_cloud, 3, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBER_CASES))
+def test_malformed_number_names_path_and_line(tmp_path, case):
+    load, write, lineno, cell = MALFORMED_NUMBER_CASES[case]
+    p = tmp_path / f"{case}.txt"
+    write(p)
+    load(p)  # the file as written loads
+    lines = p.read_text().splitlines()
+    sep = " " if case == "pose" else ","
+    cells = lines[lineno - 1].split(sep)
+    cells[cell] = "1.5abc"
+    lines[lineno - 1] = sep.join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"{case}\.txt:{lineno}: "):
+        load(p)
+
+
+@pytest.mark.parametrize("row", ["1,0.75,7", "1,0.75,-1", "1,nan,1", "1,inf,1", "1,-0.5,0"])
+def test_labels_reject_bad_label_or_confidence(tmp_path, row):
+    p = tmp_path / "l.csv"
+    p.write_text(LABEL_HEADER + "\n0,0.5,0\n" + row + "\n")
+    with pytest.raises(DataError, match=r"l\.csv:3: (label must be 0 or 1|confidence must be finite)"):
+        load_labels(p)
+
+
+def test_report_skips_comments(tmp_path):
+    rep = EvalReport([[1, 1, 1], [0, 1, 0]])
+    p = tmp_path / "report.csv"
+    save_report(p, rep)
+    lines = p.read_text().splitlines()
+    lines.insert(2, "# per-grasp scores follow")
+    lines.insert(0, "# eval-vgr report")
+    p.write_text("\n".join(lines) + "  # trailing note\n")
+    assert np.array_equal(load_report(p).scores, rep.scores)
+
+
+def test_grasp_validation_error_names_line(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text(GRASP_HEADER + "\n# a comment\n0,0,0,0,0,0,0,1,1,1\n")
+    with pytest.raises(DataError, match=r"g\.csv:3: orientation must have positive length"):
+        load_grasps(p)
