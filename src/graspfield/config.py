@@ -8,6 +8,7 @@ out of range is rejected so a typo cannot silently fall back.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -16,11 +17,11 @@ from .geometry import GripperModel
 
 
 def _positive(x: float) -> bool:
-    return x > 0.0
+    return math.isfinite(x) and x > 0.0
 
 
 def _non_negative(x: float) -> bool:
-    return x >= 0.0
+    return math.isfinite(x) and x >= 0.0
 
 
 def _at_least_one(x: int) -> bool:

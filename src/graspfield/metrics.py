@@ -130,19 +130,30 @@ def compare_reports(named_reports: list[tuple[str, EvalReport]]) -> str:
 def save_report(path, report: EvalReport) -> None:
     """Report file: a summary row (counts + 4-decimal ratios) followed by
     the per-grasp score table."""
-    summary = (
-        f"{report.k3},{report.kT},{report.kT_a},{report.kT_c},"
-        f"{report.vgr:.4f},{report.vagr:.4f},{report.vcgr:.4f}"
-    )
+    summary = ",".join(_summary_cells(report.k3, report.kT, report.kT_a, report.kT_c))
     scores = (f"{i},{sa},{sc},{sg}" for i, (sa, sc, sg) in enumerate(report.scores))
     _write_table(path, REPORT_HEADER, itertools.chain((summary, SCORE_HEADER), scores))
 
 
+def _summary_cells(k3: int, kT: int, kT_a: int, kT_c: int) -> list[str]:
+    """The summary row: the four counts, then vgr, vagr and vcgr to 4 decimals."""
+    return [str(k3), str(kT), str(kT_a), str(kT_c), *(f"{count / k3:.4f}" for count in (kT, kT_a, kT_c))]
+
+
 def _report_row(cells) -> tuple[int, ...] | None:
-    """The summary row's four counts (its ratios derive from them and are
-    not read), None for the score header, or a score row's three scores."""
+    """The summary row's four counts (each ratio cell must read as
+    :func:`save_report` writes the ratio of those counts), None for the
+    score header, or a score row's three scores."""
     if len(cells) == 7:
-        return tuple(int(c) for c in cells[:4])
+        counts = tuple(int(c) for c in cells[:4])
+        if counts[0] < 1:
+            raise ValueError(f"k3 must be at least 1, got {counts[0]}")
+        expected = _summary_cells(*counts)[4:]
+        if cells[4:] != expected:
+            raise ValueError(
+                f"summary ratios {','.join(cells[4:])} do not match the counts (expected {','.join(expected)})"
+            )
+        return counts
     if ",".join(cells) == SCORE_HEADER:
         return None
     if len(cells) != 4:

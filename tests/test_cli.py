@@ -522,6 +522,9 @@ def test_malformed_labels_exit_two(ws, tmp_path, capsys):
         ("confidence", "--ct", "-1", "confidence_threshold"),
         ("confidence", "--dth", "nan", "distance_threshold"),
         ("confidence", "--dth", "0", "distance_threshold"),
+        ("confidence", "--dth", "inf", "distance_threshold"),
+        ("confidence", "--ct", "inf", "confidence_threshold"),
+        ("eval-vgr", "--mu", "inf", "mu"),
     ],
 )
 def test_override_flags_checked_by_config_schema(ws, tmp_path, capsys, command, flag, value, key):

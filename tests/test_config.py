@@ -161,7 +161,16 @@ def test_load_config_layers_files_then_overrides(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("mu", float("nan")), ("confidence_threshold", -1.0), ("anchor_count", 7), ("frobnicate", 1)]
+    "key, value",
+    [
+        ("mu", float("nan")),
+        ("mu", float("inf")),
+        ("distance_threshold", float("inf")),
+        ("confidence_threshold", -1.0),
+        ("confidence_threshold", float("inf")),
+        ("anchor_count", 7),
+        ("frobnicate", 1),
+    ],
 )
 def test_load_config_overrides_pass_the_schema(key, value):
     with pytest.raises(ConfigError, match=f"key '{key}'"):

@@ -264,3 +264,24 @@ def test_load_rejects_tampered_counts(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="stored counts disagree with the score table"):
         load_report(path)
+
+
+@pytest.mark.parametrize(
+    "summary, message",
+    [
+        ("2,1,1,1,abc,0.9999,-3", "summary ratios abc,0.9999,-3 do not match the counts"),
+        ("2,1,1,1,0.5000,0.5000,0.4999", "summary ratios .* do not match the counts"),
+        ("2,1,1,1,0.5,0.5000,0.5000", "summary ratios .* do not match the counts"),
+        ("0,0,0,0,0.0000,0.0000,0.0000", "k3 must be at least 1"),
+    ],
+)
+def test_load_checks_summary_ratio_cells(tmp_path, summary, message):
+    rep = EvalReport([[1, 1, 1], [0, 0, 0]])
+    path = tmp_path / "report.csv"
+    save_report(path, rep)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "2,1,1,1,0.5000,0.5000,0.5000"
+    lines[1] = summary
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"report\.csv:2: {message}"):
+        load_report(path)

@@ -7,6 +7,7 @@ import pytest
 
 from graspfield import (
     DataError,
+    Grasp,
     GraspFieldWarning,
     OrthoCamera,
     PointCloud,
@@ -16,7 +17,9 @@ from graspfield import (
     sample_candidates,
     score_grasp,
 )
-from graspfield.synthetic import plane_grid, sphere_cloud
+from graspfield import sampling
+from graspfield.geometry import _cross3, canonical_orientation, unit
+from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
 
 class TestSampleCandidates:
@@ -86,6 +89,12 @@ class TestSampleCandidates:
             sample_candidates(PointCloud(box.points), gripper, 5, seed=0)
         with pytest.raises(DataError, match="empty"):
             sample_candidates(PointCloud(np.zeros((0, 3))), gripper, 5, seed=0)
+        for bad in (0.0, -0.005, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="ray_tol must be a finite positive number"):
+                sample_candidates(box, gripper, 5, seed=0, ray_tol=bad)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match="mu must be a finite positive number"):
+                sample_candidates(box, gripper, 5, seed=0, mu=bad)
 
 
 class TestBuildPositiveSet:
@@ -127,6 +136,188 @@ class TestBuildPositiveSet:
     def test_negative_request_rejected(self, box, gripper):
         with pytest.raises(DataError, match="per_object"):
             build_positive_set(box, gripper, per_object=-1)
+        with pytest.raises(DataError, match="ray_tol"):
+            build_positive_set(box, gripper, per_object=5, tol=float("nan"))
+
+
+# The first-written sampler, kept as the reference: numpy-array cone
+# draws and a hit test over the whole cloud on every attempt.
+
+
+def _reference_perpendicular(v):
+    axis = np.zeros(3)
+    axis[np.argmin(np.abs(v))] = 1.0
+    return unit(_cross3(v, axis))
+
+
+def _reference_sample_cone(rng, axis, half_angle):
+    u, w = rng.random(2)
+    cos_psi = 1.0 - u * (1.0 - math.cos(half_angle))
+    sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
+    phi = 2.0 * math.pi * w
+    e1 = _reference_perpendicular(axis)
+    e2 = _cross3(axis, e1)
+    return axis * cos_psi + (e1 * math.cos(phi) + e2 * math.sin(phi)) * sin_psi
+
+
+def _reference_candidates(obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone=_reference_sample_cone):
+    rng = np.random.default_rng(seed)
+    pts, nrm = obj.points, obj.normals
+    half_angle = math.atan(mu)
+    cos_half = math.cos(half_angle)
+    out = []
+    for _ in range(sampling.ATTEMPT_FACTOR * count):
+        if len(out) >= count:
+            break
+        i = int(rng.integers(len(pts)))
+        direction = cone(rng, -nrm[i], half_angle)
+        rel = pts - pts[i]
+        t = rel @ direction
+        perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
+        hits = np.nonzero((t > ray_tol) & (perp_sq <= ray_tol * ray_tol))[0]
+        if hits.size == 0:
+            continue
+        j = hits[np.argmax(t[hits])]
+        span = pts[j] - pts[i]
+        width = float(np.linalg.norm(span))
+        if width > gripper.max_opening:
+            continue
+        r = canonical_orientation(span / width)
+        if abs(float(r @ nrm[i])) < cos_half:
+            continue
+        theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
+        out.append(Grasp((pts[i] + pts[j]) / 2.0, r, theta))
+    return out
+
+
+def _assert_same_grasps(got, want):
+    assert len(got) == len(want) > 0
+    for g, h in zip(got, want):
+        assert np.array_equal(g.center, h.center)
+        assert np.array_equal(g.orientation, h.orientation)
+        assert g.angle == h.angle
+        assert g.score == h.score
+
+
+def _zero_smallest(direction):
+    """The direction with its smallest component set to exactly zero."""
+    direction = direction.copy()
+    direction[np.argmin(np.abs(direction))] = 0.0
+    return direction
+
+
+@pytest.fixture(scope="module")
+def scene():
+    """A table plane with a box and a cylinder on it: above the crossover,
+    with plane points whose rays leave the bounding box at once."""
+    plane = plane_grid(0.25, 0.004)
+    box, cyl = box_cloud(), cylinder_cloud()
+    points = np.concatenate([plane.points, box.points + (0.1, 0.0, 0.015), cyl.points + (-0.08, 0.06, 0.04)])
+    normals = np.concatenate([plane.normals, box.normals, cyl.normals])
+    cloud = PointCloud(points, normals=normals)
+    assert len(cloud) >= sampling.RAY_INDEX_MIN_POINTS
+    return cloud
+
+
+class TestRayIndex:
+    """The KD-tree only proposes; the candidates match the whole-cloud scan."""
+
+    def test_sample_cone_bit_equal_to_reference(self):
+        gen = np.random.default_rng(5)
+        axes = [unit(v) for v in gen.normal(size=(40, 3))]
+        for k in range(3):  # axis-aligned
+            e = np.zeros(3)
+            e[k] = 1.0
+            axes.append(e)
+        ties = ((1, 1, 0), (1, -1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (-1, 1, -1), (2, 2, 1), (1, 2, 2), (2, 1, 2))
+        axes += [unit(np.array(v, dtype=float)) for v in ties]  # ties in |v|
+        axes += [-a for a in axes]  # negated, with signed zeros
+        axes += [a * (1.0 + 5e-7) for a in axes[:10]]  # unit within the cloud tolerance
+        half_angles = [math.atan(mu) for mu in (0.6, 1e-3, 0.15, 5.0)]
+        draws = 100_000
+        new_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got, want = np.empty((draws, 3)), np.empty((draws, 3))
+        for n in range(draws):
+            axis = axes[n % len(axes)]
+            half = half_angles[n % len(half_angles)]
+            got[n] = sampling._sample_cone(new_rng, axis.tolist(), half)
+            want[n] = _reference_sample_cone(ref_rng, axis, half)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_candidates_match_whole_cloud_scan(self, scene, gripper, monkeypatch):
+        calls = []
+        near_ray = sampling._RayIndex.near_ray
+        monkeypatch.setattr(sampling._RayIndex, "near_ray", lambda *a: calls.append(1) or near_ray(*a))
+        for seed in (3, 4):
+            want = _reference_candidates(scene, gripper, 80, seed)
+            _assert_same_grasps(sample_candidates(scene, gripper, 80, seed=seed), want)
+        assert calls  # the tree path ran
+
+    def test_candidates_match_with_zero_direction_components(self, scene, gripper, monkeypatch):
+        cone = sampling._sample_cone
+        monkeypatch.setattr(sampling, "_sample_cone", lambda *a: _zero_smallest(cone(*a)))
+        want = _reference_candidates(scene, gripper, 60, 5, cone=lambda *a: _zero_smallest(_reference_sample_cone(*a)))
+        _assert_same_grasps(sample_candidates(scene, gripper, 60, seed=5), want)
+
+    def test_small_clouds_scan_every_point(self, box):
+        assert len(box) < sampling.RAY_INDEX_MIN_POINTS
+        assert sampling._ray_index(box.points, 0.005) is None
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_superset_holds_every_hit(self, scene, offset):
+        pts = scene.points + offset
+        tol = 0.005
+        index = sampling._RayIndex(pts, tol)
+        rng = np.random.default_rng(8)
+        directions = [unit(v) for v in rng.normal(size=(150, 3))]
+        for k in range(3):
+            for sign in (1.0, -1.0):
+                e = np.zeros(3)
+                e[k] = sign
+                directions.append(e)
+        directions += [_zero_smallest(d) for d in directions[:50]]
+        directions += [d * scale for d in directions[:60] for scale in (1.0 - 1e-6, 1.0 + 1e-6)]
+        for n, direction in enumerate(directions):
+            i = int(rng.integers(len(pts)))
+            near = index.near_ray(pts[i], direction)
+            assert np.all(np.diff(near) >= 0)
+            rel = pts - pts[i]
+            t = rel @ direction
+            perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
+            hits = np.nonzero((t > tol) & (perp_sq <= tol * tol))[0]
+            assert np.isin(hits, near).all(), n
+
+    @pytest.mark.parametrize("length", [1.0, 1.0 - 1e-6, 1.0 + 1e-6])
+    def test_superset_holds_hits_at_the_cover_limit(self, length):
+        # Points densely along the ray, just inside the widest offset the
+        # exact test accepts for a direction of this length: those midway
+        # between two ball centres are the farthest a hit can be from all.
+        tol = 0.005
+        s = np.arange(2 * tol, 0.6, tol / 100)
+        w = (1.0 - 1e-9) * np.sqrt(tol * tol + s * s * (length * length - 1.0))
+        pts = np.concatenate([[[0.0, 0.0, 0.0]], np.column_stack([s, w, np.zeros_like(s)])])
+        direction = np.array([length, 0.0, 0.0])
+        rel = pts - pts[0]
+        t = rel @ direction
+        perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
+        hits = np.nonzero((t > tol) & (perp_sq <= tol * tol))[0]
+        assert len(hits) == len(s)
+        near = sampling._RayIndex(pts, tol).near_ray(pts[0], direction)
+        assert np.isin(hits, near).all()
+
+    def test_build_positive_set_same_with_shared_tree(self, scene, gripper, monkeypatch):
+        shared = build_positive_set(scene, gripper, per_object=8, seed=2)
+        sample = sampling._sample
+
+        def own_index(obj, gripper, count, seed, mu, ray_tol, index):
+            assert index is not None
+            return sample(obj, gripper, count, seed, mu, ray_tol, sampling._ray_index(obj.points, ray_tol))
+
+        monkeypatch.setattr(sampling, "_sample", own_index)
+        _assert_same_grasps(shared, build_positive_set(scene, gripper, per_object=8, seed=2))
+        monkeypatch.setattr(sampling, "_sample", lambda *a: sample(*a[:-1], None))  # whole-cloud scan
+        _assert_same_grasps(shared, build_positive_set(scene, gripper, per_object=8, seed=2))
 
 
 class TestOrthoCamera:
