@@ -16,6 +16,19 @@ test computes each row's bits as the whole-cloud scan does, and the
 sorted superset keeps ties going to the lowest index, so the candidates
 are the same either way. Smaller clouds scan every point, because there
 the per-ray tree queries cost more than the scan they save.
+
+The scan path also remembers dead origins. An accepted candidate's
+partner lies within the jaw opening of the origin, on a line within the
+friction cone of the origin's normal. The first failed attempt from an
+origin checks whether any point does; if none does, no draw from that
+origin can ever yield a candidate. Later attempts there still make the
+cone draw, so the random stream and the candidates stay the same, but
+skip the cast, and once every origin is dead the sampler gives up. An
+object wider than the jaws then costs one cast per origin, not the whole
+attempt budget. The tree path keeps no such memo: on scene-sized clouds
+origins rarely repeat, and the check, a ball of radius ``max_opening``
+holding about a thousand points of a table plane, costs more than the
+casts it saves.
 """
 
 from __future__ import annotations
@@ -91,6 +104,43 @@ class _RayIndex:
         return np.sort(np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp))
 
 
+class _DeadOrigins:
+    """Scan-path memo of the origins that can never yield a candidate.
+
+    Every accepted pair passes :func:`_closing_line`: its partner ``j``
+    has ``0 < |p_j - p_i| <= max_opening`` and
+    ``|(p_j - p_i) . n_i| >= cos(atan mu) |p_j - p_i|``. An origin with no
+    such point within a relative slack of 1e-6, far above the rounding of
+    either test, is dead; the slack can only keep an origin alive. Built
+    once per object, gripper and ``mu``, and shared by every batch.
+    """
+
+    def __init__(self, obj: PointCloud, max_opening: float, mu: float):
+        self.points = obj.points
+        self.normals = obj.normals
+        self.reach = max_opening * (1.0 + 1e-6)
+        self.cos_limit = math.cos(math.atan(mu)) - 1e-6
+        self.checked = [False] * len(obj)
+        self.dead = [False] * len(obj)
+        self.live = len(obj)  # origins not proven dead
+
+    def alive(self, i: int) -> bool:
+        """Whether any point can be origin ``i``'s partner."""
+        rel = self.points - self.points[i]
+        dist = np.sqrt(np.einsum("ni,ni->n", rel, rel))
+        along = np.abs(rel @ self.normals[i])
+        return bool(np.any((dist > 0.0) & (dist <= self.reach) & (along >= self.cos_limit * dist)))
+
+    def failed(self, i: int) -> None:
+        """Record a failed attempt from origin ``i``: the first one checks it."""
+        if self.checked[i]:
+            return
+        self.checked[i] = True
+        if not self.alive(i):
+            self.dead[i] = True
+            self.live -= 1
+
+
 def _perpendicular(v: tuple[float, float, float]) -> tuple[float, float, float]:
     """Any unit vector perpendicular to v: v cross the axis of its smallest
     component, lowest index on ties. Float arithmetic as ``_cross3``; the
@@ -156,19 +206,56 @@ def sample_candidates(
     whose realized closing line leaves the friction cone. Clouds of
     :data:`RAY_INDEX_MIN_POINTS` points or more get a KD-tree that only
     narrows the points the exact test runs on; the candidates are the
-    same as from a whole-cloud scan. Deterministic given the seed; raises
-    :class:`UngraspableError` when 100x``count`` attempts yield nothing.
+    same as from a whole-cloud scan. Smaller clouds skip the cast from
+    origins proven dead (no point within the opening and the friction
+    cone); the candidates are the same as without the memo.
+    Deterministic given the seed; raises :class:`UngraspableError` when
+    100x``count`` attempts yield nothing, or sooner once every origin of
+    a scanned cloud is dead.
     """
     if count <= 0:
         raise DataError("count must be positive")
     _check_sampler_inputs(obj, mu, ray_tol)
-    return _sample(obj, gripper, count, seed, mu, ray_tol, _ray_index(obj.points, ray_tol))
+    return _sample(obj, gripper, count, seed, mu, ray_tol, _sampler_state(obj, gripper, mu, ray_tol))
 
 
-def _ray_index(points: np.ndarray, tol: float) -> _RayIndex | None:
-    """The ray index for scene-sized clouds; ``None`` (scan every point)
-    below :data:`RAY_INDEX_MIN_POINTS`."""
-    return _RayIndex(points, tol) if len(points) >= RAY_INDEX_MIN_POINTS else None
+def _sampler_state(obj: PointCloud, gripper: GripperModel, mu: float, tol: float) -> _RayIndex | _DeadOrigins:
+    """The per-object state every batch shares: the ray index for
+    scene-sized clouds, the dead-origin memo (scan every point) below
+    :data:`RAY_INDEX_MIN_POINTS`."""
+    if len(obj) >= RAY_INDEX_MIN_POINTS:
+        return _RayIndex(obj.points, tol)
+    return _DeadOrigins(obj, gripper.max_opening, mu)
+
+
+def _cast(pts: np.ndarray, i: int, direction: np.ndarray, tol: float, index: _RayIndex | None) -> int | None:
+    """The exit contact of the ray from ``pts[i]``: the farthest point
+    within ``tol`` of it, lowest index on ties; ``None`` when none is
+    ahead. ``index`` narrows the points tested (``None`` scans all)."""
+    # The superset always holds the origin i. A one-row product rounds
+    # differently from the whole-cloud one, but that row is the origin
+    # itself (t = 0), which never hits.
+    near = None if index is None else index.near_ray(pts[i], direction)
+    rel = (pts if near is None else pts[near]) - pts[i]
+    t = rel @ direction
+    perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
+    hits = np.nonzero((t > tol) & (perp_sq <= tol * tol))[0]
+    if hits.size == 0:
+        return None
+    j = int(hits[np.argmax(t[hits])])
+    return j if near is None else int(near[j])
+
+
+def _closing_line(pts: np.ndarray, nrm: np.ndarray, i: int, j: int, max_opening: float, cos_half: float):
+    """The canonical closing line of contacts ``i`` and ``j``, or ``None``
+    when they are wider than the jaws or the line leaves the friction
+    cone of the origin's normal."""
+    span = pts[j] - pts[i]
+    width = float(np.linalg.norm(span))
+    if width > max_opening:
+        return None
+    r = canonical_orientation(span / width)  # fingertip line is headless
+    return r if abs(float(r @ nrm[i])) >= cos_half else None
 
 
 def _sample(
@@ -178,44 +265,33 @@ def _sample(
     seed,
     mu: float,
     ray_tol: float,
-    index: _RayIndex | None,
+    state: _RayIndex | _DeadOrigins,
 ) -> list[Grasp]:
     """The attempt loop of :func:`sample_candidates` on checked inputs,
-    with the object's ray index (``None`` scans every point)."""
+    with the object's state from :func:`_sampler_state`."""
     rng = np.random.default_rng(seed)
     pts = obj.points
     nrm = obj.normals
     half_angle = math.atan(mu)
     cos_half = math.cos(half_angle)
+    index = state if isinstance(state, _RayIndex) else None
+    memo = state if isinstance(state, _DeadOrigins) else None
 
     out: list[Grasp] = []
     for _ in range(ATTEMPT_FACTOR * count):
-        if len(out) >= count:
+        if len(out) >= count or (memo is not None and memo.live == 0):
             break
         i = int(rng.integers(len(pts)))
+        if memo is not None and memo.dead[i]:
+            rng.random(2)  # the cone draw, so the stream stays the same
+            continue
         direction = _sample_cone(rng, (-nrm[i]).tolist(), half_angle)
-
-        # The superset always holds the origin i. A one-row product rounds
-        # differently from the whole-cloud one, but that row is the origin
-        # itself (t = 0), which never hits.
-        near = None if index is None else index.near_ray(pts[i], direction)
-        rel = (pts if near is None else pts[near]) - pts[i]
-        t = rel @ direction
-        perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
-        hits = np.nonzero((t > ray_tol) & (perp_sq <= ray_tol * ray_tol))[0]
-        if hits.size == 0:
+        j = _cast(pts, i, direction, ray_tol, index)
+        r = None if j is None else _closing_line(pts, nrm, i, j, gripper.max_opening, cos_half)
+        if r is None:
+            if memo is not None:
+                memo.failed(i)
             continue
-        j = hits[np.argmax(t[hits])]
-        if near is not None:
-            j = near[j]
-
-        span = pts[j] - pts[i]
-        width = float(np.linalg.norm(span))
-        if width > gripper.max_opening:
-            continue
-        r = canonical_orientation(span / width)  # fingertip line is headless
-        if abs(float(r @ nrm[i])) < cos_half:
-            continue  # realized closing line left the friction cone
         theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
         out.append(Grasp((pts[i] + pts[j]) / 2.0, r, theta))
 
@@ -235,18 +311,22 @@ def build_positive_set(
     """Sample and score candidates, keeping the first ``per_object`` grasps
     whose combined quality score is 1.
 
-    Every returned grasp re-scores to 1 against the same object. When the
-    attempt budget (100x``per_object`` scored candidates) runs out first, a
+    Every returned grasp re-scores to 1 against the same object. The
+    budget is 100x``per_object`` requested candidates; each sampler batch
+    makes 100 attempts per candidate it is asked for. When the budget runs
+    out first, or a batch after the first yields no candidate, a
     :class:`GraspFieldWarning` reports the shortfall and the partial set is
-    returned. The object's ray index is built once and shared by every
-    sampler batch.
+    returned. :class:`UngraspableError` means the first batch yielded no
+    candidate. The object's ray index, or below
+    :data:`RAY_INDEX_MIN_POINTS` its dead-origin memo, is built once and
+    shared by every batch, so an origin proven dead stays dead.
     """
     if per_object < 0:
         raise DataError("per_object must be >= 0")
     if per_object == 0:
         return []
     _check_sampler_inputs(obj, mu, tol)
-    index = _ray_index(obj.points, tol)
+    state = _sampler_state(obj, gripper, mu, tol)
     budget = ATTEMPT_FACTOR * per_object
     chunk = max(32, per_object)
     positives: list[Grasp] = []
@@ -254,8 +334,13 @@ def build_positive_set(
     batch = 0
     while len(positives) < per_object and drawn < budget:
         want = min(chunk, budget - drawn)
-        candidates = _sample(obj, gripper, want, derive_seed(seed, batch), mu, tol, index)
-        drawn += want  # budget counts attempts handed to the sampler
+        try:
+            candidates = _sample(obj, gripper, want, derive_seed(seed, batch), mu, tol, state)
+        except UngraspableError:
+            if batch == 0:
+                raise
+            break  # earlier batches yielded candidates: end with the shortfall
+        drawn += want  # budget counts requested candidates, not attempts
         batch += 1
         start = 0  # slices no longer than the shortfall: nothing past the last positive is scored
         while start < len(candidates) and len(positives) < per_object:

@@ -4,8 +4,8 @@ hand-verified grasps that the physics tests reuse."""
 import numpy as np
 import pytest
 
-from graspfield import Grasp, GripperModel
-from graspfield.synthetic import box_cloud, sphere_cloud
+from graspfield import Grasp, GripperModel, PointCloud
+from graspfield.synthetic import box_cloud, plane_grid, sphere_cloud
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,17 @@ def box():
 def small_sphere():
     """Sphere that fits between the jaws (diameter 0.07 < opening 0.08)."""
     return sphere_cloud(radius=0.035, count=4000)
+
+
+def dead_plane_scene():
+    """A coarse box resting on a table plane, 3920 points: below the ray
+    index crossover, so the sampler scans. Plane points more than about
+    2 cm from the box have no partner within the opening and the friction
+    cone, so they can never yield a candidate."""
+    plane = plane_grid(0.1, 0.004)
+    box = box_cloud(spacing=0.003)
+    points = np.concatenate([plane.points, box.points + (0.0, 0.0, 0.015)])
+    return PointCloud(points, normals=np.concatenate([plane.normals, box.normals]))
 
 
 @pytest.fixture

@@ -11,17 +11,21 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
-from graspfield import cli
+from graspfield import GraspFieldWarning, cli
 from graspfield.config import Config
 from graspfield.dataset import generate_dataset
 from graspfield.fileio import save_cloud_text, save_grasps, save_pose
 from graspfield.geometry import Grasp, RigidTransform
 from graspfield.metrics import load_report
-from graspfield.synthetic import box_cloud, cylinder_cloud
+from graspfield.synthetic import box_cloud, cylinder_cloud, sphere_cloud
+
+from conftest import dead_plane_scene
 
 MANIFEST_SHA256 = "d2a4e3f71fd667ba75823fc3b9f9949251278eff81d11c6eb3ee1d35767d5e07"
 REPORT_SHA256 = "57fd6bf40c0b25d6cf1a58139752f75e03be639cf801203afcd1dd3cace7c0c2"
+SCAN_MANIFEST_SHA256 = "2243cad0a4b3573033ff30a75ddbea874f4666eaf7bbe5f841f0cf3888011261"
 EVAL_GRASPS = 300
 
 
@@ -63,6 +67,25 @@ def test_dataset_manifest_digest(tmp_path):
         verify=True,
     )
     assert _sha256(manifest) == MANIFEST_SHA256
+
+
+def test_scan_path_manifest_digest(tmp_path):
+    # every cloud here is below the ray index crossover: a graspable box,
+    # a sphere wider than the jaws and a scene of mostly hopeless origins
+    with pytest.warns(GraspFieldWarning, match="only 14 of 20 positive grasps"):
+        manifest = generate_dataset(
+            [("box", box_cloud()), ("wide_sphere", sphere_cloud()), ("scene", dead_plane_scene())],
+            tmp_path,
+            Config(),
+            seed=0,
+            views_per_object=2,
+            positives_per_object=20,
+            verify=True,
+        )
+    text = manifest.read_text()
+    assert "skipped wide_sphere" in text
+    assert "object box" in text and "object scene" in text
+    assert _sha256(manifest) == SCAN_MANIFEST_SHA256
 
 
 def test_eval_report_digest(tmp_path):

@@ -1,6 +1,7 @@
 """Candidate sampling, positive-set building, and single-view rendering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from graspfield import (
     DataError,
     Grasp,
     GraspFieldWarning,
+    GripperModel,
     OrthoCamera,
     PointCloud,
     UngraspableError,
@@ -18,8 +20,22 @@ from graspfield import (
     score_grasp,
 )
 from graspfield import sampling
-from graspfield.geometry import _cross3, canonical_orientation, unit
+from graspfield.geometry import RigidTransform, _cross3, canonical_orientation, unit
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
+
+from conftest import dead_plane_scene
+
+UNGRASPABLE = "^object not graspable at this gripper scale$"
+
+
+def _blocked_pair(offset=(0.0, 0.0, 0.0)):
+    """A graspable pair plus a blocker on the closing axis: the blocker
+    sits inside the finger sweep for every roll angle, and its sideways
+    normal sinks any pair that contacts it directly."""
+    return PointCloud(
+        np.array([[0, 0, 0.02], [0, 0, -0.02], [0, 0, 0.045]]) + offset,
+        normals=[[0, 0, 1], [0, 0, -1], [1, 0, 0]],
+    )
 
 
 class TestSampleCandidates:
@@ -121,17 +137,38 @@ class TestBuildPositiveSet:
         assert build_positive_set(box, gripper, per_object=0) == []
 
     def test_shortfall_warns_and_returns_partial(self, gripper):
-        # graspable pair plus a blocker on the closing axis: the blocker
-        # sits inside the finger sweep for every roll angle, and its
-        # sideways normal sinks any pair that contacts it directly
-        cloud = PointCloud(
-            [[0, 0, 0.02], [0, 0, -0.02], [0, 0, 0.045]],
-            normals=[[0, 0, 1], [0, 0, -1], [1, 0, 0]],
-        )
+        cloud = _blocked_pair()
         assert len(sample_candidates(cloud, gripper, 10, seed=0)) == 10
         with pytest.warns(GraspFieldWarning, match="positive grasps"):
             got = build_positive_set(cloud, gripper, per_object=5, seed=0)
         assert got == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_late_empty_batch_warns_and_returns_partial(self, gripper, monkeypatch, seed):
+        # a plane whose origins never hit, far from the blocked pair: the
+        # first batch draws the pair (its candidate scores 0), the second
+        # draws only plane origins
+        plane = plane_grid(0.1, 0.004)
+        pair = _blocked_pair((0.3, 0.3, 0.0))
+        cloud = PointCloud(
+            np.concatenate([plane.points, pair.points]), normals=np.concatenate([plane.normals, pair.normals])
+        )
+        yields = []
+        sample = sampling._sample
+
+        def spy(*a):
+            try:
+                out = sample(*a)
+            except UngraspableError:
+                yields.append(0)
+                raise
+            yields.append(len(out))
+            return out
+
+        monkeypatch.setattr(sampling, "_sample", spy)
+        with pytest.warns(GraspFieldWarning, match="only 0 of 1 positive grasps"):
+            assert build_positive_set(cloud, gripper, per_object=1, seed=seed) == []
+        assert yields == [1, 0]
 
     def test_negative_request_rejected(self, box, gripper):
         with pytest.raises(DataError, match="per_object"):
@@ -160,7 +197,11 @@ def _reference_sample_cone(rng, axis, half_angle):
     return axis * cos_psi + (e1 * math.cos(phi) + e2 * math.sin(phi)) * sin_psi
 
 
-def _reference_candidates(obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone=_reference_sample_cone):
+def _reference_candidates(
+    obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone=_reference_sample_cone, drawn=None, accepted=None
+):
+    """The candidates; ``drawn`` and ``accepted`` collect the origin of
+    every attempt and of every candidate."""
     rng = np.random.default_rng(seed)
     pts, nrm = obj.points, obj.normals
     half_angle = math.atan(mu)
@@ -170,6 +211,8 @@ def _reference_candidates(obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone
         if len(out) >= count:
             break
         i = int(rng.integers(len(pts)))
+        if drawn is not None:
+            drawn.append(i)
         direction = cone(rng, -nrm[i], half_angle)
         rel = pts - pts[i]
         t = rel @ direction
@@ -187,7 +230,25 @@ def _reference_candidates(obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone
             continue
         theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
         out.append(Grasp((pts[i] + pts[j]) / 2.0, r, theta))
+        if accepted is not None:
+            accepted.append(i)
     return out
+
+
+def _reference_sample(obj, gripper, count, seed, mu, ray_tol, state):
+    """``sampling._sample`` with the reference loop in place of the attempt loop."""
+    out = _reference_candidates(obj, gripper, count, seed, mu, ray_tol)
+    if not out:
+        raise UngraspableError("object not graspable at this gripper scale")
+    return out
+
+
+def _positive_set(*args, **kwargs):
+    """``build_positive_set`` and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = build_positive_set(*args, **kwargs)
+    return got, [str(w.message) for w in caught]
 
 
 def _assert_same_grasps(got, want):
@@ -260,9 +321,10 @@ class TestRayIndex:
         want = _reference_candidates(scene, gripper, 60, 5, cone=lambda *a: _zero_smallest(_reference_sample_cone(*a)))
         _assert_same_grasps(sample_candidates(scene, gripper, 60, seed=5), want)
 
-    def test_small_clouds_scan_every_point(self, box):
+    def test_small_clouds_scan_every_point(self, box, scene, gripper):
         assert len(box) < sampling.RAY_INDEX_MIN_POINTS
-        assert sampling._ray_index(box.points, 0.005) is None
+        assert isinstance(sampling._sampler_state(box, gripper, 0.6, 0.005), sampling._DeadOrigins)
+        assert isinstance(sampling._sampler_state(scene, gripper, 0.6, 0.005), sampling._RayIndex)
 
     @pytest.mark.parametrize("offset", [0.0, 1000.0])
     def test_superset_holds_every_hit(self, scene, offset):
@@ -310,14 +372,149 @@ class TestRayIndex:
         shared = build_positive_set(scene, gripper, per_object=8, seed=2)
         sample = sampling._sample
 
-        def own_index(obj, gripper, count, seed, mu, ray_tol, index):
-            assert index is not None
-            return sample(obj, gripper, count, seed, mu, ray_tol, sampling._ray_index(obj.points, ray_tol))
+        def own_index(obj, gripper, count, seed, mu, ray_tol, state):
+            assert isinstance(state, sampling._RayIndex)
+            return sample(obj, gripper, count, seed, mu, ray_tol, sampling._sampler_state(obj, gripper, mu, ray_tol))
+
+        def scan(obj, gripper, count, seed, mu, ray_tol, state):
+            return sample(obj, gripper, count, seed, mu, ray_tol, sampling._DeadOrigins(obj, gripper.max_opening, mu))
 
         monkeypatch.setattr(sampling, "_sample", own_index)
         _assert_same_grasps(shared, build_positive_set(scene, gripper, per_object=8, seed=2))
-        monkeypatch.setattr(sampling, "_sample", lambda *a: sample(*a[:-1], None))  # whole-cloud scan
+        monkeypatch.setattr(sampling, "_sample", scan)  # whole-cloud scan
         _assert_same_grasps(shared, build_positive_set(scene, gripper, per_object=8, seed=2))
+
+
+def _perturbed(obj, seed):
+    """The cloud under a seeded rigid pose, its normals scaled just inside
+    the 1e-6 unit-length tolerance, alternately longer and shorter."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.linalg.det(q))
+    moved = RigidTransform(q, rng.uniform(-0.1, 0.1, size=3)).apply_cloud(obj)
+    scale = np.where(np.arange(len(obj)) % 2 == 0, 1.0 + 0.999e-6, 1.0 - 0.999e-6)
+    return moved.with_normals(moved.normals * scale[:, None])
+
+
+@pytest.fixture(scope="module")
+def small_scene():
+    cloud = dead_plane_scene()
+    assert len(cloud) < sampling.RAY_INDEX_MIN_POINTS
+    return cloud
+
+
+class TestDeadOrigins:
+    """Below the crossover the sampler skips origins proven dead; the
+    candidates and the error match the reference loop."""
+
+    @pytest.fixture
+    def casts(self, monkeypatch):
+        origins = []
+        cast = sampling._cast
+        monkeypatch.setattr(sampling, "_cast", lambda pts, i, *a: origins.append(i) or cast(pts, i, *a))
+        return origins
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_wide_sphere_casts_each_origin_once(self, gripper, casts, seed):
+        wide = sphere_cloud()
+        drawn = []
+        assert _reference_candidates(wide, gripper, 50, seed, drawn=drawn) == []
+        with pytest.raises(UngraspableError, match=UNGRASPABLE):
+            sample_candidates(wide, gripper, 50, seed=seed)
+        # the same origins in the same order, each cast on its first draw only
+        assert casts == list(dict.fromkeys(drawn))[: len(casts)]
+        assert len(casts) < len(drawn)
+
+    def test_wide_sphere_stops_once_every_origin_is_dead(self, gripper, casts):
+        wide = sphere_cloud(count=300)
+        rng = np.random.default_rng(0)  # the sampler draws from this generator itself
+        with pytest.raises(UngraspableError, match=UNGRASPABLE):
+            sample_candidates(wide, gripper, 400, seed=rng)
+        assert sorted(casts) == list(range(len(wide)))
+        # every attempt draws an origin and a cone; the last one drew the
+        # last origin still unseen, far short of 40k attempts
+        replay, seen, attempts = np.random.default_rng(0), set(), 0
+        while len(seen) < len(wide):
+            seen.add(int(replay.integers(len(wide))))
+            replay.random(2)
+            attempts += 1
+        assert attempts < 400 * sampling.ATTEMPT_FACTOR
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tight_box_raises_as_reference(self, box, casts, seed):
+        tight = GripperModel(max_opening=0.01)
+        drawn = []
+        assert _reference_candidates(box, tight, 10, seed, drawn=drawn) == []
+        with pytest.raises(UngraspableError, match=UNGRASPABLE):
+            sample_candidates(box, tight, 10, seed=seed)
+        assert len(casts) < len(drawn)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_small_scene_candidates_match_reference(self, small_scene, gripper, casts, seed):
+        drawn = []
+        want = _reference_candidates(small_scene, gripper, 60, seed, drawn=drawn)
+        _assert_same_grasps(sample_candidates(small_scene, gripper, 60, seed=seed), want)
+        assert len(casts) < len(drawn)  # dead plane origins were skipped
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_build_positive_set_matches_reference(self, box, small_scene, gripper, monkeypatch, casts, seed):
+        tight = GripperModel(max_opening=0.01)
+        got = _positive_set(small_scene, gripper, per_object=6, seed=seed)
+        errors = []
+        for obj, grip in ((sphere_cloud(), gripper), (box, tight)):
+            with pytest.raises(UngraspableError, match=UNGRASPABLE) as exc:
+                build_positive_set(obj, grip, per_object=5, seed=seed)
+            errors.append(str(exc.value))
+        assert casts
+        monkeypatch.setattr(sampling, "_sample", _reference_sample)
+        want = _positive_set(small_scene, gripper, per_object=6, seed=seed)
+        _assert_same_grasps(got[0], want[0])
+        assert got[1] == want[1]  # the same shortfall warning, if any
+        for (obj, grip), error in zip(((sphere_cloud(), gripper), (box, tight)), errors):
+            with pytest.raises(UngraspableError) as exc:
+                build_positive_set(obj, grip, per_object=5, seed=seed)
+            assert str(exc.value) == error
+
+    def test_boundary_pairs(self):
+        # a lone partner at the jaw opening on the friction cone's edge, on
+        # either side of the surface (the closing line is headless):
+        # whenever the attempt's own checks accept the pair, the origin is
+        # alive; a partner just past either limit leaves it dead
+        rng = np.random.default_rng(3)
+        accepted = 0
+        for n in range(1500):
+            mu, opening = (0.2, 0.6, 1.2)[n % 3], (0.01, 0.08)[n % 2]
+            normal = unit(rng.normal(size=3)) * (1.0 + rng.choice((-0.999e-6, 0.0, 0.999e-6)))
+            side = unit(_cross3(normal, rng.normal(size=3)))
+            for past_angle, past_width in ((0.0, 0.0), (3e-5, 0.0), (0.0, 3e-6)):
+                angle = math.atan(mu) + past_angle
+                line = rng.choice((-1.0, 1.0)) * math.cos(angle) * unit(normal) + math.sin(angle) * side
+                origin = rng.uniform(-0.2, 0.2, size=3)
+                pts = np.array([origin, origin + opening * (1.0 + past_width) * line])
+                memo = sampling._DeadOrigins(PointCloud(pts, normals=[normal, side]), opening, mu)
+                if past_angle or past_width:
+                    assert not memo.alive(0), n
+                elif sampling._closing_line(pts, np.array([normal]), 0, 1, opening, math.cos(math.atan(mu))) is not None:
+                    assert memo.alive(0), n
+                    accepted += 1
+        assert accepted > 100
+
+    def test_every_accepted_origin_is_alive(self):
+        # the objects-mixed shapes under a pose, normals just off unit
+        shapes = [box_cloud(), cylinder_cloud(), sphere_cloud(radius=0.035), sphere_cloud()]
+        accepted_any = dead_any = 0
+        for n, shape in enumerate(shapes):
+            obj = _perturbed(shape, n)
+            for mu in (0.2, 0.6, 1.2):
+                for opening in (0.01, 0.08):
+                    accepted = []
+                    _reference_candidates(obj, GripperModel(max_opening=opening), 10, n, mu=mu, accepted=accepted)
+                    memo = sampling._DeadOrigins(obj, opening, mu)
+                    assert all(memo.alive(i) for i in accepted), (n, mu, opening)
+                    accepted_any += len(accepted)
+                    dead_any += sum(not memo.alive(i) for i in range(0, len(obj), 50))
+        assert accepted_any and dead_any  # neither side is vacuous
 
 
 class TestOrthoCamera:
