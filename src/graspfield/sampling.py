@@ -315,9 +315,9 @@ def build_positive_set(
     budget is 100x``per_object`` requested candidates; each sampler batch
     makes 100 attempts per candidate it is asked for. When the budget runs
     out first, or a batch after the first yields no candidate, a
-    :class:`GraspFieldWarning` reports the shortfall and the partial set is
-    returned. :class:`UngraspableError` means the first batch yielded no
-    candidate. The object's ray index, or below
+    :class:`GraspFieldWarning` reports the shortfall and names which of the
+    two ended it, and the partial set is returned. :class:`UngraspableError`
+    means the first batch yielded no candidate. The object's ray index, or below
     :data:`RAY_INDEX_MIN_POINTS` its dead-origin memo, is built once and
     shared by every batch, so an origin proven dead stays dead.
     """
@@ -332,6 +332,7 @@ def build_positive_set(
     positives: list[Grasp] = []
     drawn = 0
     batch = 0
+    cause = "within the attempt budget"
     while len(positives) < per_object and drawn < budget:
         want = min(chunk, budget - drawn)
         try:
@@ -339,7 +340,9 @@ def build_positive_set(
         except UngraspableError:
             if batch == 0:
                 raise
-            break  # earlier batches yielded candidates: end with the shortfall
+            # earlier batches yielded candidates: end with the shortfall
+            cause = f"before sampler batch {batch + 1} yielded no candidate ({drawn} of {budget} budgeted drawn)"
+            break
         drawn += want  # budget counts requested candidates, not attempts
         batch += 1
         start = 0  # slices no longer than the shortfall: nothing past the last positive is scored
@@ -351,7 +354,7 @@ def build_positive_set(
                     positives.append(g.with_scores(sa, sc))
     if len(positives) < per_object:
         warnings.warn(
-            f"only {len(positives)} of {per_object} positive grasps found within the attempt budget",
+            f"only {len(positives)} of {per_object} positive grasps found {cause}",
             GraspFieldWarning,
             stacklevel=2,
         )

@@ -1,6 +1,7 @@
 """Geometric core: value types, the grasp frame, canonical transforms,
 and rigid motion of grasps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from graspfield import (
     to_grasp_frame,
     transform_grasp,
 )
-from graspfield.geometry import _cross3
+from graspfield.geometry import WORLD_UP, _cross3, _rotation, grasp_columns, local_coords
 from graspfield.synthetic import plane_grid, sphere_cloud
 
 from conftest import random_unit
@@ -409,6 +410,55 @@ class TestCanonicalTransform:
             d0 = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=-1)
             d1 = np.linalg.norm(local.points[:, None] - local.points[None], axis=-1)
             assert np.abs(d0 - d1).max() < 1e-9
+
+
+class TestLocalCoords:
+    @staticmethod
+    def permutation_frames():
+        """The 24 proper rotations that permute and sign-flip the axes."""
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                r = np.zeros((3, 3))
+                r[[0, 1, 2], list(perm)] = signs
+                if np.linalg.det(r) > 0.0:
+                    yield r
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 3150, 20000])
+    def test_columns_equal_row_product_bit_for_bit(self, n):
+        # column i of R^T (cols - origin) is row i of (points - origin) @ R,
+        # signed zeros included: contacts are decided by grasp-frame ties
+        rng = np.random.default_rng(n)
+        points = rng.normal(size=(n, 3)) * 0.05
+        if n % 2:
+            points = np.round(points, 3)
+        rotations = [grasp_frame(random_grasp(rng)).rotation for _ in range(6 if n < 100 else 2)]
+        rotations += list(self.permutation_frames())[:: 1 if n < 100 else 6]
+        work = grasp_columns(points)
+        for r in rotations:
+            origin = np.round(rng.normal(size=3) * 0.05, 3)
+            want = (points - origin) @ r
+            idx, local = local_coords(work, origin, r)
+            assert np.array_equal(idx, np.arange(n))
+            assert local.shape == (3, n) and local.flags.c_contiguous
+            assert np.array_equal(local.T, want)
+            assert np.array_equal(np.signbit(local.T), np.signbit(want))
+
+    def test_slab_is_closed_and_ascending(self):
+        points = np.array([[0.0, 0.0, 0.5], [1.0, 2.0, -0.5], [0.0, 0.0, 0.5000001], [3.0, 0.0, 0.0]])
+        idx, local = local_coords(grasp_columns(points), np.zeros(3), np.eye(3), 0.5)
+        assert np.array_equal(idx, [0, 1, 3])
+        assert np.array_equal(local, points[idx].T)
+
+    def test_empty_cloud(self):
+        idx, local = local_coords(grasp_columns(np.zeros((0, 3))), np.zeros(3), np.eye(3), 0.1)
+        assert idx.size == 0 and local.shape == (3, 0)
+
+    def test_rotation_is_the_frame(self):
+        rng = np.random.default_rng(77)
+        for g in [random_grasp(rng) for _ in range(200)] + [Grasp((0, 0, 0), (0, 0, 1), 0.3)]:
+            r = _rotation(g, WORLD_UP)
+            assert r.flags.c_contiguous
+            assert np.array_equal(r, grasp_frame(g).rotation)
 
 
 class TestPointsInBox:

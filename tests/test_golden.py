@@ -72,7 +72,7 @@ def test_dataset_manifest_digest(tmp_path):
 def test_scan_path_manifest_digest(tmp_path):
     # every cloud here is below the ray index crossover: a graspable box,
     # a sphere wider than the jaws and a scene of mostly hopeless origins
-    with pytest.warns(GraspFieldWarning, match="only 14 of 20 positive grasps"):
+    with pytest.warns(GraspFieldWarning, match="only 14 of 20 positive grasps found within the attempt budget"):
         manifest = generate_dataset(
             [("box", box_cloud()), ("wide_sphere", sphere_cloud()), ("scene", dead_plane_scene())],
             tmp_path,

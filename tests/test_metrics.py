@@ -159,6 +159,24 @@ def test_evaluate_mu_passthrough(box, gripper):
     assert loose.scores[0, 0] == 1
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"mu": 0.0}, "mu must be a finite positive number"),
+        ({"mu": -0.5}, "mu must be a finite positive number"),
+        ({"mu": float("nan")}, "mu must be a finite positive number"),
+        ({"mu": float("inf")}, "mu must be a finite positive number"),
+        ({"tol": -1e-3}, "tol must be a finite non-negative number"),
+        ({"tol": float("nan")}, "tol must be a finite non-negative number"),
+        ({"tol": float("inf")}, "tol must be a finite non-negative number"),
+    ],
+)
+def test_evaluate_rejects_bad_mu_and_tol(box, gripper, kwargs, match):
+    predicted = [Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)]
+    with pytest.raises(DataError, match=match):
+        evaluate(predicted, RigidTransform.identity(), box, gripper, **kwargs)
+
+
 # ----------------------------------------------------------- compare_reports
 
 

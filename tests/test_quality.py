@@ -20,7 +20,8 @@ from graspfield import (
     score_grasp,
     transform_grasp,
 )
-from graspfield.geometry import GraspFrame
+from graspfield import geometry
+from graspfield.geometry import GraspFrame, GripperModel
 from graspfield.quality import score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
@@ -250,8 +251,10 @@ class TestAntipodalScore:
             assert antipodal_score(pair, mu) == antipodal_score(moved, mu)
 
     def test_bad_mu(self):
-        with pytest.raises(DataError, match="mu"):
-            antipodal_score(contact_pair_along_y(0.0), mu=0.0)
+        # nan and inf used to pass every contact pair
+        for mu in (0.0, -0.6, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DataError, match="mu must be a finite positive number"):
+                antipodal_score(contact_pair_along_y(0.0), mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +482,118 @@ class TestScoreGrasps:
     def test_requires_normals(self, box, gripper, z_grasp):
         with pytest.raises(DataError, match="normals"):
             score_grasps(PointCloud(box.points), [z_grasp], gripper)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.6, float("nan"), float("inf")])
+    def test_bad_mu(self, box, gripper, z_grasp, mu):
+        # nan and inf used to pass the antipodal test on every grasp
+        with pytest.raises(DataError, match="mu must be a finite positive number"):
+            score_grasps(box, [z_grasp], gripper, mu=mu)
+        with pytest.raises(DataError, match="mu must be a finite positive number"):
+            score_grasps(box, [], gripper, mu=mu)
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), float("-inf")])
+    def test_bad_tol(self, box, gripper, z_grasp, tol):
+        # nan used to score every grasp antipodal 0, inf to sweep without bound
+        with pytest.raises(DataError, match="tol must be a finite non-negative number"):
+            score_grasps(box, [z_grasp], gripper, tol=tol)
+        with pytest.raises(DataError, match="tol must be a finite non-negative number"):
+            find_contacts(box, z_grasp, gripper, tol=tol)
+
+    def test_zero_tol_is_valid(self, box, gripper, z_grasp):
+        assert score_grasps(box, [z_grasp], gripper, tol=0.0).shape == (1, 3)
+        assert find_contacts(box, z_grasp, gripper, tol=0.0) is not None
+
+    def test_skewed_rotation_raises(self, box, gripper, z_grasp, monkeypatch):
+        # the kernel builds no GraspFrame: the stacked check must still
+        # catch a frame that is not orthonormal and right-handed
+        rotation = geometry._rotation
+
+        def skewed(g, up):
+            r = rotation(g, up).copy()
+            r[:, 0] = (r[:, 0] + 1e-6 * r[:, 1]) / np.linalg.norm(r[:, 0] + 1e-6 * r[:, 1])
+            return r
+
+        monkeypatch.setattr(geometry, "_rotation", skewed)
+        with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
+            score_grasps(box, [z_grasp], gripper)
+        with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
+            score_grasps(box, [Grasp((0, 0, 0), (0, 1, 0), 0.2)] * 3, gripper)
+
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (lambda r: r * np.array([1.0 + 2e-9, 1.0, 1.0]), "x_axis must be unit length"),
+            (lambda r: r * np.array([1.0, 1.0, -1.0]), "frame must be right-handed"),
+        ],
+        ids=["long-x", "left-handed"],
+    )
+    def test_bad_rotation_messages(self, box, gripper, z_grasp, monkeypatch, breakage, message):
+        rotation = geometry._rotation
+        monkeypatch.setattr(geometry, "_rotation", lambda g, up: breakage(rotation(g, up)))
+        with pytest.raises(DataError, match=message):
+            score_grasps(box, [z_grasp], gripper)
+
+    def test_duplicates_on_the_closing_plane_make_no_contacts(self, gripper):
+        # both jaws reach the same (lowest-index) copy first: no pair
+        cloud = PointCloud([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], normals=[[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        grasp = Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
+        assert np.array_equal(score_grasps(cloud, [grasp], gripper), [[0, 1, 0]])
+
+    @pytest.mark.parametrize("tol", [0.0, 0.005])
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_tiny_clouds_on_the_box_faces(self, gripper, tol, size):
+        # 1-8 points drawn from the sweep and collision box faces, with
+        # duplicates: x = -L/2, y = +-W/2, z = +-H/2 (+-tol), all exact in
+        # the frame of grasps along +-y at the origin
+        hl, hw, hh = gripper.finger_length / 2, gripper.max_opening / 2, gripper.finger_height / 2
+        rng = np.random.default_rng(100 * size + int(1000 * tol))
+        xs = (-hl, -hl - tol, 0.0, hl, 0.01)
+        ys = (-hw, hw, 0.0, 0.02, -0.02, hw + 0.005)
+        zs = (-hh, hh, -hh - tol, hh + tol, 0.0, 0.004)
+        normals = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.6, -0.8), (1.0, 0.0, 0.0)]
+        grasps = [Grasp((0, 0, 0), (0, sign, 0), angle) for sign in (1.0, -1.0) for angle in (0.0, math.pi / 2)]
+        for _ in range(40):
+            pts = [(rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(size)]
+            if size > 1:
+                pts[-1] = pts[0]  # a duplicate, tied on every coordinate
+            cloud = PointCloud(pts, normals=[normals[i] for i in rng.integers(len(normals), size=size)])
+            table = score_grasps(cloud, grasps, gripper, tol=tol)
+            assert np.array_equal(table, [reference_scores(cloud, g, gripper, tol=tol) for g in grasps])
+
+    def test_ties_take_the_lowest_index(self, gripper):
+        # three copies of the extreme point on each side: only the first
+        # copies' normals are antipodal, so a later copy flips the score
+        tilted = (0.8, 0.6, 0.0)
+        pts = [(0.0, 0.03, 0.0)] * 3 + [(0.0, -0.03, 0.0)] * 3
+        for good_a, good_b in ((0, 0), (1, 0), (0, 2)):
+            normals = [tilted] * 6
+            normals[good_a], normals[3 + good_b] = (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)
+            cloud = PointCloud(pts, normals=normals)
+            grasp = Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
+            want = reference_scores(cloud, grasp, gripper)
+            assert want[0] == int(good_a == 0 and good_b == 0)
+            assert np.array_equal(score_grasps(cloud, [grasp], gripper), [want])
+
+    def test_collision_boxes_beyond_the_finger_height(self, box, gripper):
+        # a palm taller than the fingers: its points lie outside the sweep
+        # slab |z| <= H/2 + tol, and the shared slab must still reach them
+        class TallPalm(GripperModel):
+            def collision_boxes(self):
+                boxes = super().collision_boxes()
+                lo, hi = boxes[2]
+                return boxes[:2] + [(lo - (0, 0, 0.02), hi + (0, 0, 0.02))]
+
+        palm = TallPalm()
+        # grasp-frame x is -world x for the first grasp, +world x for the second
+        grasps = [Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0), Grasp((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), 0.0)]
+        depth = gripper.finger_length / 2 + gripper.base_depth / 2
+        for x in (depth, -depth):
+            for z in (0.02, -0.025, 0.0201):  # inside the palm only
+                cloud = PointCloud([(x, 0.01, z)], normals=[(1.0, 0.0, 0.0)])
+                want = [reference_scores(cloud, g, palm) for g in grasps]
+                assert [w[1] for w in want] == ([0, 1] if x > 0 else [1, 0])
+                assert np.array_equal(score_grasps(cloud, grasps, palm), want)
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            near = [random_grasp(rng) for _ in range(40)]
+            assert np.array_equal(score_grasps(box, near, palm), [reference_scores(box, g, palm) for g in near])

@@ -166,9 +166,13 @@ class TestBuildPositiveSet:
             return out
 
         monkeypatch.setattr(sampling, "_sample", spy)
-        with pytest.warns(GraspFieldWarning, match="only 0 of 1 positive grasps"):
+        with pytest.warns(GraspFieldWarning, match="only 0 of 1 positive grasps") as caught:
             assert build_positive_set(cloud, gripper, per_object=1, seed=seed) == []
         assert yields == [1, 0]
+        (message,) = [str(w.message) for w in caught]
+        assert message == (
+            "only 0 of 1 positive grasps found before sampler batch 2 yielded no candidate (32 of 100 budgeted drawn)"
+        )
 
     def test_negative_request_rejected(self, box, gripper):
         with pytest.raises(DataError, match="per_object"):
