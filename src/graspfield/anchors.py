@@ -25,7 +25,7 @@ import numpy as np
 
 from .confidence import DEFAULT_DISTANCE_THRESHOLD
 from .errors import DataError, GraspFieldWarning
-from .geometry import Grasp, PointCloud, canonical_orientation, nearest_center
+from .geometry import Grasp, PointCloud, _nearest, canonical_orientation
 from .losses import _weighted_loss
 from .region import extract_regions
 
@@ -222,10 +222,11 @@ def build_proposal_targets(
     if not positives:
         raise DataError("no positive grasps")
     regions = extract_regions(cloud, field, k1, radius, size, seed)
+    centers = np.array([g.center for g in positives])
     out: list[tuple[int, ProposalTarget]] = []
     for reg in regions:
         p_a = cloud.points[reg.center_index]
-        gi, dist = nearest_center(positives, p_a)
+        gi, dist = _nearest(centers, p_a)
         if dist >= match_distance:
             continue  # labels did not come from these grasps; nothing to regress
         out.append((reg.center_index, encode_proposal(p_a, positives[gi], anchors, scale)))

@@ -39,7 +39,7 @@ from .fileio import (
     save_proposal_targets,
     save_refine_targets,
 )
-from .geometry import Grasp, canonical_orientation, nearest_center
+from .geometry import Grasp, _nearest, canonical_orientation
 from .metrics import evaluate, load_report, save_report
 from .refine import build_refinement_targets, decode_refinement
 from .sampling import build_positive_set
@@ -102,8 +102,9 @@ def _grasp_mismatch(a, b) -> bool:
 def _verify_decoded(decoded, grasps, what: str) -> None:
     """Check that each decoded target is the grasp nearest its reference
     center; ``decoded`` yields (row index, reference center, grasp)."""
+    centers = np.array([g.center for g in grasps]).reshape(-1, 3)
     for index, center, grasp in decoded:
-        if _grasp_mismatch(grasp, grasps[nearest_center(grasps, center)[0]]):
+        if _grasp_mismatch(grasp, grasps[_nearest(centers, center)[0]]):
             raise VerificationError(f"{what} {index} does not decode to its grasp")
 
 

@@ -258,13 +258,21 @@ def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> 
         verify_stored_grasps(obj_cloud, grasps, gripper, config.mu, where=f"{name}: ")
         for view_rel, targets_rel in view_checks:
             view = load_cloud(out_dir / view_rel)
+            # the targets before the first bad index are scored in one call,
+            # so a failing score still wins over a later bad index
+            indices, decoded, out_of_range = [], [], None
             for point_index, cls, res_c, res_o, res_a in load_proposal_targets(out_dir / targets_rel):
                 if not 0 <= point_index < len(view):
-                    raise VerificationError(f"{targets_rel}: point index {point_index} out of range")
-                decoded = decode_proposal(
-                    view.points[point_index], cls, res_c, res_o, res_a, anchors, gripper.scale
+                    out_of_range = point_index
+                    break
+                indices.append(point_index)
+                decoded.append(
+                    decode_proposal(view.points[point_index], cls, res_c, res_o, res_a, anchors, gripper.scale)
                 )
-                if score_grasps(obj_cloud, [decoded], gripper, mu=config.mu)[0, 2] != 1:
-                    raise VerificationError(
-                        f"{targets_rel}: decoded target at point {point_index} does not re-score to 1"
-                    )
+            failed = np.flatnonzero(score_grasps(obj_cloud, decoded, gripper, mu=config.mu)[:, 2] != 1)
+            if failed.size:
+                raise VerificationError(
+                    f"{targets_rel}: decoded target at point {indices[failed[0]]} does not re-score to 1"
+                )
+            if out_of_range is not None:
+                raise VerificationError(f"{targets_rel}: point index {out_of_range} out of range")

@@ -15,8 +15,17 @@ import numpy as np
 
 from .errors import DataError
 from .fileio import _read_table, _write_table
-from .geometry import Grasp, GripperModel, PointCloud, RigidTransform, transform_grasp
-from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
+from .geometry import (
+    WORLD_UP,
+    Grasp,
+    GripperModel,
+    PointCloud,
+    RigidTransform,
+    _check_rotations,
+    _rotations,
+    transform_grasps,
+)
+from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _score_frames
 
 REPORT_HEADER = "k3,kT,kT_a,kT_c,vgr,vagr,vcgr"
 SCORE_HEADER = "index,sa,sc,sg"
@@ -91,12 +100,15 @@ def evaluate(
 
     ``object_pose`` maps world coordinates into the object frame; every
     grasp is transformed by it and re-scored against the object cloud
-    (which must carry normals).
+    (which must carry normals). The moved poses stay arrays: no
+    per-prediction ``Grasp`` or ``GraspFrame`` is built.
     """
     if not predicted:
         raise DataError("no grasps to evaluate")
-    moved = (transform_grasp(g, object_pose) for g in predicted)
-    return summarize_scores(score_grasps(obj, moved, gripper, mu=mu, tol=tol))
+    centers, orientations, angles = transform_grasps(predicted, object_pose)
+    rotations = _rotations(orientations, angles, WORLD_UP)
+    _check_rotations(rotations)
+    return summarize_scores(_score_frames(obj, centers, rotations, gripper, mu, tol))
 
 
 def compare_reports(named_reports: list[tuple[str, EvalReport]]) -> str:

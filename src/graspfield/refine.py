@@ -27,10 +27,10 @@ from .geometry import (
     GripperModel,
     PointCloud,
     _grasp_rotations,
+    _nearest,
     grasp_columns,
     grasp_frame,
     local_coords,
-    nearest_center,
 )
 from .losses import _weighted_loss
 
@@ -75,7 +75,7 @@ def select_refinable(
     work = grasp_columns(cloud.points)
     keep = [
         i
-        for i, (center, r) in enumerate(_grasp_rotations(proposals))
+        for i, (center, r) in enumerate(zip(*_grasp_rotations(proposals)))
         if np.count_nonzero(_closing_box(work, center, r, gripper)[2]) > min_points
     ]
     return np.array(keep, dtype=np.int64)
@@ -162,10 +162,11 @@ def build_refinement_targets(
     grasp center, label it, and encode residuals for the positives."""
     if not positives:
         raise DataError("no positive grasps")
+    centers = np.array([g.center for g in positives])
     targets: list[RefineTarget] = []
     for i in select_refinable(proposals, cloud, gripper, min_points):
         proposal = proposals[i]
-        gi, _ = nearest_center(positives, proposal.center)
+        gi, _ = _nearest(centers, proposal.center)
         gt = positives[gi]
         if refinement_label(proposal, gt) == 1:
             targets.append(encode_refinement(proposal, gt, scale, proposal_index=int(i)))

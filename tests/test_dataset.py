@@ -210,6 +210,28 @@ def test_verify_catches_tampered_target_index(box, tmp_path):
         dataset._verify_dataset(out, checks, FAST, build_anchors(8), FAST.gripper())
 
 
+@pytest.mark.parametrize("later", ["residual", "index"])
+def test_verify_names_the_first_failing_target(box, tmp_path, later):
+    # a view's targets are scored in one call; the error still names the
+    # first failing row, before a later bad residual or bad index
+    out = tmp_path / "ds"
+    fast_dataset([("box", box)], out)
+    targets = out / "box" / "targets_0.csv"
+    lines = targets.read_text().splitlines()
+    assert len(lines) >= 4
+    first, second = lines[2].split(","), lines[3].split(",")
+    first[2:5] = ["40.0", "40.0", "40.0"]
+    if later == "residual":
+        second[2:5] = ["-40.0", "40.0", "40.0"]
+    else:
+        second[0] = "999999"
+    lines[2], lines[3] = ",".join(first), ",".join(second)
+    targets.write_text("\n".join(lines) + "\n")
+    checks = [("box", box, [("box/view_0.csv", "box/targets_0.csv")])]
+    with pytest.raises(VerificationError, match=f"decoded target at point {first[0]} does not re-score to 1$"):
+        dataset._verify_dataset(out, checks, FAST, build_anchors(8), FAST.gripper())
+
+
 def test_ungraspable_object_skipped(box, tmp_path):
     # a 0.12 m sphere cannot fit between 0.08 m jaws
     boulder = sphere_cloud(radius=0.06, count=2000)

@@ -25,7 +25,18 @@ from graspfield import (
     to_grasp_frame,
     transform_grasp,
 )
-from graspfield.geometry import WORLD_UP, _cross3, _rotation, grasp_columns, local_coords
+from graspfield.geometry import (
+    WORLD_UP,
+    _cross3,
+    _horizontal_reference,
+    _nearest,
+    _rotations,
+    grasp_columns,
+    local_coords,
+    transform_grasps,
+    unit,
+)
+from graspfield import geometry
 from graspfield.synthetic import plane_grid, sphere_cloud
 
 from conftest import random_unit
@@ -455,8 +466,10 @@ class TestLocalCoords:
 
     def test_rotation_is_the_frame(self):
         rng = np.random.default_rng(77)
-        for g in [random_grasp(rng) for _ in range(200)] + [Grasp((0, 0, 0), (0, 0, 1), 0.3)]:
-            r = _rotation(g, WORLD_UP)
+        grasps = [random_grasp(rng) for _ in range(200)] + [Grasp((0, 0, 0), (0, 0, 1), 0.3)]
+        stack = _rotations(np.array([g.orientation for g in grasps]), np.array([g.angle for g in grasps]), WORLD_UP)
+        assert stack.shape == (len(grasps), 3, 3) and stack.flags.c_contiguous
+        for g, r in zip(grasps, stack):
             assert r.flags.c_contiguous
             assert np.array_equal(r, grasp_frame(g).rotation)
 
@@ -571,7 +584,175 @@ class TestTransformGrasp:
             assert np.abs(f_once.x_axis - f_twice.x_axis).max() < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# Stacked frames and rigid motions against the single-grasp reference
+# ---------------------------------------------------------------------------
+
+def reference_rotation(g, up):
+    """The single-grasp frame builder the stacked one replaced, kept as the
+    reference: one grasp at a time, 1-D norms and dots."""
+    y = g.orientation
+    xp = _horizontal_reference(y, up)
+    ct, st = np.cos(g.angle), np.sin(g.angle)
+    x = xp * ct + _cross3(y, xp) * st  # Rodrigues with y . xp = 0
+    x = x / np.linalg.norm(x)
+    z = _cross3(x, y)
+    return np.column_stack([x, y, z / np.linalg.norm(z)])
+
+
+def reference_transform_grasp(g, transform, up=WORLD_UP, seen=None):
+    """The single-grasp rigid motion the stacked one replaced (reference);
+    ``seen`` counts the rows that take the jaw-symmetry flip."""
+    up = unit(np.asarray(up, dtype=np.float64))
+    r = reference_rotation(g, up)
+    frame = GraspFrame(g.center, r[:, 0], r[:, 1], r[:, 2])
+    center = transform.apply_points(g.center)
+    x_new = transform.apply_vectors(frame.x_axis)
+    y_new = transform.apply_vectors(frame.y_axis)
+
+    xp = _horizontal_reference(y_new, up)
+    theta = float(np.arctan2(_cross3(xp, x_new) @ y_new, xp @ x_new))
+    if abs(theta) > np.pi / 2:
+        y_new = -y_new
+        theta = np.pi - theta
+        if theta > np.pi:
+            theta -= 2.0 * np.pi
+        if seen is not None:
+            seen["flip"] += 1
+    theta = float(np.clip(theta, -np.pi / 2, np.pi / 2))
+    return Grasp(center, y_new, theta)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def grid_grasps():
+    """Axis-aligned and diagonal closing lines on a 2 mm grid, with angles
+    on the pi/8 grid, signed zeros and the range ends."""
+    lines = [
+        p
+        for p in itertools.product((-1.0, -0.0, 0.0, 0.5, 1.0), repeat=3)
+        if any(abs(c) > 0.0 for c in p)
+    ]
+    angles = [-math.pi / 2, -3 * math.pi / 8, -math.pi / 4, -0.0, 0.0, math.pi / 8, math.pi / 3, math.pi / 2]
+    rng = np.random.default_rng(5)
+    return [
+        Grasp(np.round(rng.uniform(-0.1, 0.1, 3) / 0.002) * 0.002, line, angle)
+        for line in lines
+        for angle in angles
+    ]
+
+
+def vertical_grasps():
+    """Exactly and nearly vertical closing lines: within 1e-6 of up they
+    take the horizontal reference's fallback, just beyond it they do not."""
+    out = []
+    for sign in (1.0, -1.0):
+        for lean in (0.0, -0.0, 1e-12, 1e-9, 3e-7, 9.99e-7, 1e-6, 1.01e-6, 1e-5):
+            for direction in ((lean, 0.0), (0.0, lean), (-lean, lean), (lean, -0.0)):
+                for theta in (-math.pi / 2, -1.2, -0.0, 0.4, math.pi / 2):
+                    out.append(Grasp((0.01, -0.02, 0.03), (*direction, sign), theta))
+    return out
+
+
+def turns():
+    """Rigid motions that keep, flip and reverse closing lines: the
+    identity, quarter and half turns about each axis, and random ones."""
+    rng = np.random.default_rng(31)
+    out = [RigidTransform.identity()]
+    for axis in range(3):
+        for quarter in (1, 2):
+            c, s = [(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][quarter - 1]
+            i, j = [(1, 2), (2, 0), (0, 1)][axis]
+            r = np.eye(3)
+            r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
+            out.append(RigidTransform(r, np.round(rng.normal(size=3) * 0.1, 3)))
+    out += [RigidTransform(random_rotation(rng), rng.normal(size=3) * 0.2) for _ in range(3)]
+    return out
+
+
+class TestStackedFrames:
+    @staticmethod
+    def stack(grasps, up=WORLD_UP):
+        orientations = np.array([g.orientation for g in grasps]).reshape(-1, 3)
+        return _rotations(orientations, np.array([g.angle for g in grasps]), up)
+
+    @pytest.mark.parametrize("name", ["random", "grid", "vertical"])
+    def test_rotations_bit_equal_to_reference(self, name):
+        grasps = {
+            "random": lambda: [random_grasp(np.random.default_rng(i)) for i in range(2000)],
+            "grid": grid_grasps,
+            "vertical": vertical_grasps,
+        }[name]()
+        stack = self.stack(grasps)
+        assert stack.flags.c_contiguous
+        for g, r in zip(grasps, stack):
+            assert_bits_equal(r, reference_rotation(g, WORLD_UP))
+
+    def test_custom_up_fallback_rows(self):
+        up = np.array([1.0, 0.0, 0.0])
+        grasps = [
+            Grasp((0, 0, 0), (sign, lean, 0.0), theta)
+            for sign in (1.0, -1.0)
+            for lean in (0.0, 1e-8, 2e-6)
+            for theta in (-1.0, 0.5)
+        ]
+        for g, r in zip(grasps, self.stack(grasps, up)):
+            assert_bits_equal(r, reference_rotation(g, up))
+
+    def test_empty_batch(self):
+        assert self.stack([]).shape == (0, 3, 3)
+        centers, orientations, angles = transform_grasps([], RigidTransform.identity())
+        assert centers.shape == (0, 3) and orientations.shape == (0, 3) and angles.shape == (0,)
+
+    @pytest.mark.parametrize("name", ["random", "grid", "vertical"])
+    def test_transform_grasps_bit_equal_to_reference(self, name):
+        rng = np.random.default_rng(8)
+        grasps = {
+            "random": lambda: [random_grasp(rng) for _ in range(300)],
+            "grid": grid_grasps,
+            "vertical": vertical_grasps,
+        }[name]()
+        seen = {"flip": 0}
+        at_bounds = 0
+        for t in turns():
+            centers, orientations, angles = transform_grasps(grasps, t)
+            for i, (g, c, o, a) in enumerate(zip(grasps, centers, orientations, angles)):
+                want = reference_transform_grasp(g, t, seen=seen)
+                assert_bits_equal(c, want.center)
+                assert_bits_equal(o, want.orientation)
+                assert_bits_equal(a, want.angle)
+                if i % 7 == 0:  # the one-grasp wrapper, on a sample
+                    got = transform_grasp(g, t)
+                    assert_bits_equal(got.orientation, want.orientation)
+                    assert_bits_equal(got.angle, want.angle)
+            at_bounds += int((np.abs(angles) == np.pi / 2).sum())
+        # the flip runs, and angles land exactly on the clip's bounds
+        assert seen["flip"] > 0
+        assert at_bounds > 0 or name == "random"
+
+    def test_checks_keep_their_messages(self, monkeypatch):
+        g = Grasp((0, 0, 0), (0, 1, 0), 0.2)
+        rotations = _rotations
+        monkeypatch.setattr(geometry, "_rotations", lambda *a: rotations(*a) * np.array([1.0, 1.0, -1.0]))
+        with pytest.raises(DataError, match="frame must be right-handed"):
+            transform_grasps([g], RigidTransform.identity())
+
+
 class TestNearestCenter:
+    def test_prebuilt_centers_match(self):
+        rng = np.random.default_rng(9)
+        grasps = [random_grasp(rng) for _ in range(50)]
+        centers = np.array([g.center for g in grasps])
+        for point in rng.uniform(-0.1, 0.1, size=(100, 3)):
+            assert _nearest(centers, point) == nearest_center(grasps, point)
+        with pytest.raises(DataError, match="empty grasp list"):
+            _nearest(np.zeros((0, 3)), (0, 0, 0))
+
     def test_basic(self):
         grasps = [
             Grasp((0, 0, 0), (1, 0, 0), 0.0),

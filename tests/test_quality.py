@@ -20,8 +20,9 @@ from graspfield import (
     score_grasp,
     transform_grasp,
 )
-from graspfield import geometry
+from graspfield import geometry, metrics
 from graspfield.geometry import GraspFrame, GripperModel
+from graspfield.metrics import evaluate
 from graspfield.quality import score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
@@ -506,18 +507,27 @@ class TestScoreGrasps:
     def test_skewed_rotation_raises(self, box, gripper, z_grasp, monkeypatch):
         # the kernel builds no GraspFrame: the stacked check must still
         # catch a frame that is not orthonormal and right-handed
-        rotation = geometry._rotation
+        rotations = geometry._rotations
 
-        def skewed(g, up):
-            r = rotation(g, up).copy()
-            r[:, 0] = (r[:, 0] + 1e-6 * r[:, 1]) / np.linalg.norm(r[:, 0] + 1e-6 * r[:, 1])
+        def skewed(orientations, angles, up):
+            r = rotations(orientations, angles, up).copy()
+            x = r[:, :, 0] + 1e-6 * r[:, :, 1]
+            r[:, :, 0] = x / np.linalg.norm(x, axis=1, keepdims=True)
             return r
 
-        monkeypatch.setattr(geometry, "_rotation", skewed)
+        monkeypatch.setattr(geometry, "_rotations", skewed)
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
             score_grasps(box, [z_grasp], gripper)
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
             score_grasps(box, [Grasp((0, 0, 0), (0, 1, 0), 0.2)] * 3, gripper)
+        # evaluate checks the frames before the motion (in transform_grasps)
+        # and, with only the moved frames skewed, the frames it scores
+        with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
+            evaluate([z_grasp] * 2, RigidTransform.identity(), box, gripper)
+        monkeypatch.setattr(geometry, "_rotations", rotations)
+        monkeypatch.setattr(metrics, "_rotations", skewed)
+        with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
+            evaluate([z_grasp] * 2, RigidTransform.identity(), box, gripper)
 
     @pytest.mark.parametrize(
         "breakage, message",
@@ -528,10 +538,18 @@ class TestScoreGrasps:
         ids=["long-x", "left-handed"],
     )
     def test_bad_rotation_messages(self, box, gripper, z_grasp, monkeypatch, breakage, message):
-        rotation = geometry._rotation
-        monkeypatch.setattr(geometry, "_rotation", lambda g, up: breakage(rotation(g, up)))
+        rotations = geometry._rotations
+
+        def broken(*args):
+            return breakage(rotations(*args))
+
+        monkeypatch.setattr(geometry, "_rotations", broken)
         with pytest.raises(DataError, match=message):
             score_grasps(box, [z_grasp], gripper)
+        monkeypatch.setattr(geometry, "_rotations", rotations)
+        monkeypatch.setattr(metrics, "_rotations", broken)
+        with pytest.raises(DataError, match=message):
+            evaluate([z_grasp], RigidTransform.identity(), box, gripper)
 
     def test_duplicates_on_the_closing_plane_make_no_contacts(self, gripper):
         # both jaws reach the same (lowest-index) copy first: no pair
