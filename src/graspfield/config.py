@@ -48,14 +48,6 @@ _SCHEMA = {
     "region_radius": (float, _positive, "> 0"),
     "subsample_size": (int, _at_least_one, ">= 1"),
     "min_closing_points": (int, _non_negative, ">= 0"),
-    "proposal_weight_class": (float, _non_negative, ">= 0"),
-    "proposal_weight_center": (float, _non_negative, ">= 0"),
-    "proposal_weight_orientation": (float, _non_negative, ">= 0"),
-    "proposal_weight_angle": (float, _non_negative, ">= 0"),
-    "refine_weight_class": (float, _non_negative, ">= 0"),
-    "refine_weight_center": (float, _non_negative, ">= 0"),
-    "refine_weight_orientation": (float, _non_negative, ">= 0"),
-    "refine_weight_angle": (float, _non_negative, ">= 0"),
 }
 
 
@@ -77,14 +69,6 @@ class Config:
     region_radius: float | None = None  # None: half the max gripper dimension
     subsample_size: int = 20000
     min_closing_points: int = 50
-    proposal_weight_class: float = 0.2
-    proposal_weight_center: float = 10.0
-    proposal_weight_orientation: float = 5.0
-    proposal_weight_angle: float = 1.0
-    refine_weight_class: float = 1.0
-    refine_weight_center: float = 1.0
-    refine_weight_orientation: float = 1.0
-    refine_weight_angle: float = 1.0
 
     def gripper(self) -> GripperModel:
         return GripperModel(

@@ -338,19 +338,9 @@ class GraspFrame:
     z_axis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _as_array(self.origin, (3,), "origin"))
-        axes = []
-        for name in ("x_axis", "y_axis", "z_axis"):
-            a = _as_array(getattr(self, name), (3,), name)
-            if abs(np.linalg.norm(a) - 1.0) > _ORTHO_TOL:
-                raise DataError(f"{name} must be unit length")
-            object.__setattr__(self, name, a)
-            axes.append(a)
-        x, y, z = axes
-        if max(abs(x @ y), abs(y @ z), abs(x @ z)) > _ORTHO_TOL:
-            raise DataError("frame axes must be mutually orthogonal")
-        if np.abs(_cross3(x, y) - z).max() > _ORTHO_TOL:
-            raise DataError("frame must be right-handed (x cross y = z)")
+        for name in ("origin", "x_axis", "y_axis", "z_axis"):
+            object.__setattr__(self, name, _as_array(getattr(self, name), (3,), name))
+        _check_rotations(self.rotation[None])
 
     @property
     def rotation(self) -> np.ndarray:
@@ -523,8 +513,9 @@ def _rotations(orientations: np.ndarray, angles: np.ndarray, up: np.ndarray) -> 
 
 
 def _check_rotations(rotations: np.ndarray) -> None:
-    """:class:`GraspFrame`'s checks, with its tolerance and messages, on a
-    (G, 3, 3) stack of rotations whose columns are the frame axes."""
+    """The checks of :class:`GraspFrame` (finite unit axes, mutually
+    orthogonal within 1e-9, x cross y = z) on a (G, 3, 3) stack of
+    rotations whose columns are the frame axes."""
     axes = np.moveaxis(rotations, 2, 0)  # (3, G, 3): x, y, z per grasp
     for name, a in zip(("x_axis", "y_axis", "z_axis"), axes):
         if not np.isfinite(a).all():

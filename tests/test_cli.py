@@ -291,6 +291,20 @@ def test_usage_errors_exit_one(ws, capsys):
     assert "usage" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key",
+    [f"{head}_weight_{part}" for head in ("proposal", "refine")
+     for part in ("class", "center", "orientation", "angle")],
+)
+def test_removed_loss_weight_keys_exit_two(ws, tmp_path, capsys, key):
+    # no command computes a loss, so the loss weights are not config keys
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text(f"{key} = 1.0\n")
+    rc = cli.main(["sample-grasps", "--object", str(ws / "box.csv"), "--config", str(cfg)])
+    assert rc == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_data_errors_exit_two(ws, tmp_path, capsys):
     rc = cli.main(["sample-grasps", "--object", str(tmp_path / "missing.csv")])
     assert rc == 2

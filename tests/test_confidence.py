@@ -49,6 +49,12 @@ class TestConfidenceField:
         assert field.values[0] == 0.0
         assert field.labels[0] == 0
 
+    def test_center_one_ulp_inside_contributes(self):
+        inside = np.nextafter(0.02, 0.0)
+        cloud = PointCloud([[0.0, 0.0, 0.0]])
+        field = confidence_field(cloud, grasps_at([(inside, 0, 0)]))
+        assert field.values[0] == 1.0 - inside / 0.02 > 0.0
+
     def test_coincident_center_contributes_one(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         field = confidence_field(cloud, grasps_at([(0.0, 0.0, 0.0)]))
@@ -79,6 +85,16 @@ class TestConfidenceField:
             assert np.abs(field.values - expect).max() < 1e-12
             assert np.array_equal(field.labels, (expect > 0.6).astype(int))
 
+    def test_dense_clouds_equal_double_loop_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        for trial in range(3):  # 400 points span more than one ball query block
+            pts = rng.uniform(-0.015, 0.015, size=(400, 3))
+            centers = rng.uniform(-0.015, 0.015, size=(int(rng.integers(80, 160)), 3))
+            near = np.linalg.norm(pts[:, None] - centers[None], axis=2) < 0.02
+            assert near.sum(axis=1).min() >= 9
+            field = confidence_field(PointCloud(pts), grasps_at(centers))
+            assert np.array_equal(field.values, brute_confidence(pts, centers, 0.02))
+
     def test_custom_thresholds(self):
         rng = np.random.default_rng(32)
         pts = rng.uniform(-0.05, 0.05, size=(50, 3))
@@ -107,6 +123,23 @@ class TestConfidenceField:
             ConfidenceField(np.array([1.0]), np.array([0]), 0.6, 0.02)
         with pytest.raises(DataError, match="finite"):
             ConfidenceField(np.array([-0.5]), np.array([0]), 0.6, 0.02)
+
+    @pytest.mark.parametrize(
+        "d_th, c_t, name",
+        [
+            (math.nan, 0.6, "distance_threshold"),
+            (math.inf, 0.6, "distance_threshold"),
+            (0.02, math.nan, "confidence_threshold"),
+            (0.02, math.inf, "confidence_threshold"),
+        ],
+    )
+    def test_non_finite_thresholds_rejected(self, box, d_th, c_t, name):
+        rng = np.random.default_rng(37)
+        positives = grasps_at(box.points[rng.choice(len(box), size=50, replace=False)])
+        with pytest.raises(DataError, match=name):
+            confidence_field(box, positives, distance_threshold=d_th, confidence_threshold=c_t)
+        with pytest.raises(DataError, match=name):
+            ConfidenceField(np.zeros(len(box)), np.zeros(len(box), dtype=int), c_t, d_th)
 
 
 class TestSegmentPositive:

@@ -23,9 +23,9 @@ from graspfield.synthetic import box_cloud, cylinder_cloud, sphere_cloud
 
 from conftest import dead_plane_scene
 
-MANIFEST_SHA256 = "d2a4e3f71fd667ba75823fc3b9f9949251278eff81d11c6eb3ee1d35767d5e07"
+MANIFEST_SHA256 = "7c9e3b3df8f9a1d607ef5e375262925df201b56b17a0f3630c748428bbb11332"
 REPORT_SHA256 = "57fd6bf40c0b25d6cf1a58139752f75e03be639cf801203afcd1dd3cace7c0c2"
-SCAN_MANIFEST_SHA256 = "2243cad0a4b3573033ff30a75ddbea874f4666eaf7bbe5f841f0cf3888011261"
+SCAN_MANIFEST_SHA256 = "2884b257597a86edd5bb7b8012afcafb98f6e8cf8104f81562e94e9d00658cb6"
 EVAL_GRASPS = 300
 
 
