@@ -8,6 +8,7 @@ purpose must update the digests and say why in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from conftest import dead_plane_scene
 MANIFEST_SHA256 = "7c9e3b3df8f9a1d607ef5e375262925df201b56b17a0f3630c748428bbb11332"
 REPORT_SHA256 = "57fd6bf40c0b25d6cf1a58139752f75e03be639cf801203afcd1dd3cace7c0c2"
 SCAN_MANIFEST_SHA256 = "2884b257597a86edd5bb7b8012afcafb98f6e8cf8104f81562e94e9d00658cb6"
+REFINE_SHA256 = "cf65c15298da6f197110d5006e619dfa9a669281ca2a8891822ab5a9708e2fca"
 EVAL_GRASPS = 300
 
 
@@ -54,6 +56,21 @@ def _eval_inputs(root):
     )
     save_cloud_text(root / "box.csv", box_cloud())
     save_pose(root / "pose.txt", pose)
+    return to_world
+
+
+def _refine_inputs(root):
+    """The eval inputs plus the box seen in the world and a fixed reference
+    set: axis-aligned box grasps on a grid, three angles each."""
+    to_world = _eval_inputs(root)
+    save_cloud_text(root / "view.csv", to_world.apply_cloud(box_cloud()))
+    reference = []
+    for axis in range(3):
+        for u, v in itertools.product((-0.015, 0.0, 0.015), repeat=2):
+            center = np.insert(np.array([u, v]), axis, 0.0)
+            for angle in (-1.0, 0.0, 1.0):
+                reference.append(Grasp(to_world.apply_points(center), to_world.apply_vectors(np.eye(3)[axis]), angle))
+    save_grasps(root / "reference.csv", reference)
 
 
 def test_dataset_manifest_digest(tmp_path):
@@ -104,3 +121,25 @@ def test_eval_report_digest(tmp_path):
     # a pin is only informative when both tests pass and fail somewhere
     assert 0 < report.kT_a < report.k3 and 0 < report.kT_c < report.k3
     assert _sha256(tmp_path / "report.csv") == REPORT_SHA256
+
+
+def test_refine_targets_digest(tmp_path):
+    _refine_inputs(tmp_path)
+    rc = cli.main(
+        [
+            "refine-targets",
+            "--cloud", str(tmp_path / "view.csv"),
+            "--proposals", str(tmp_path / "pred.csv"),
+            "--grasps", str(tmp_path / "reference.csv"),
+            "--min-points", "800",
+            "--out-dir", str(tmp_path),
+            "--verify",
+        ]
+    )
+    assert rc == 0
+    rows = [row.split(",") for row in (tmp_path / "rn_targets.csv").read_text().splitlines()[1:]]
+    # some proposals are dropped and both labels occur, so the pin covers
+    # selection, matching and encoding
+    assert 0 < len(rows) < EVAL_GRASPS
+    assert {row[1] for row in rows} == {"0", "1"}
+    assert _sha256(tmp_path / "rn_targets.csv") == REFINE_SHA256
