@@ -1,191 +1,83 @@
 """Region-based grasp detection pipeline: geometry, physics scoring,
 candidate sampling, confidence labeling, region extraction, target
 codecs, and evaluation metrics for parallel-jaw grasping on point clouds.
+
+The names below are the ones the demos, the command line and the README
+use, plus the core types and errors; everything else is reached through
+its module (``graspfield.fileio``, ``graspfield.region``, ...).
 """
 
-from .anchors import (
-    PROPOSAL_WEIGHTS,
-    AnchorSet,
-    ProposalTarget,
-    build_anchors,
-    build_proposal_targets,
-    decode_proposal,
-    encode_proposal,
-    nearest_anchor,
-    proposal_loss,
-)
-from .confidence import (
-    DEFAULT_CONFIDENCE_THRESHOLD,
-    DEFAULT_DISTANCE_THRESHOLD,
-    ConfidenceField,
-    confidence_field,
-    segment_positive,
-    segmentation_loss,
-)
+from .anchors import build_anchors, build_proposal_targets, decode_proposal, encode_proposal, nearest_anchor, proposal_loss
+from .confidence import confidence_field, segmentation_loss
 from .config import Config, load_config
-from .dataset import generate_dataset, ring_camera, subsample_cloud
-from .errors import (
-    ConfigError,
-    DataError,
-    GraspFieldError,
-    GraspFieldWarning,
-    UngraspableError,
-    VerificationError,
-)
-from .fileio import (
-    load_cloud,
-    load_grasps,
-    load_labels,
-    load_pose,
-    load_proposal_targets,
-    load_refine_targets,
-    save_cloud_binary,
-    save_cloud_text,
-    save_grasps,
-    save_labels,
-    save_pose,
-    save_proposal_targets,
-    save_refine_targets,
-)
+from .dataset import generate_dataset
+from .errors import ConfigError, DataError, GraspFieldError, GraspFieldWarning, UngraspableError, VerificationError
+from .fileio import load_cloud, load_grasps, save_cloud_binary, save_cloud_text, save_grasps
 from .geometry import (
     Grasp,
-    GraspFrame,
+    GraspSet,
     GripperModel,
     PointCloud,
     RigidTransform,
-    canonical_orientation,
-    derive_seed,
-    estimate_normals,
-    from_grasp_frame,
     grasp_frame,
     nearest_center,
-    points_in_box,
-    to_grasp_frame,
     transform_grasp,
+    transform_grasps,
 )
-from .losses import cross_entropy, smooth_l1
-from .metrics import (
-    EvalReport,
-    compare_reports,
-    evaluate,
-    load_report,
-    save_report,
-    summarize_scores,
-)
-from .quality import (
-    DEFAULT_CONTACT_TOL,
-    DEFAULT_MU,
-    ContactPair,
-    antipodal_score,
-    collision_score,
-    find_contacts,
-    score_grasp,
-)
-from .refine import (
-    REFINE_WEIGHTS,
-    RefineTarget,
-    build_refinement_targets,
-    closing_area,
-    decode_refinement,
-    encode_refinement,
-    refinement_label,
-    refinement_loss,
-    select_refinable,
-)
-from .region import GraspRegion, ball_query, extract_regions, farthest_point_sampling
-from .sampling import OrthoCamera, build_positive_set, render_single_view, sample_candidates
-from .synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
+from .metrics import compare_reports, evaluate
+from .quality import find_contacts, score_grasp, score_grasps
+from .refine import build_refinement_targets, closing_area, decode_refinement, refinement_label, select_refinable
+from .region import extract_regions
+from .sampling import build_positive_set, sample_candidates
+from .synthetic import box_cloud, sphere_cloud
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet",
     "Config",
-    "ConfidenceField",
     "ConfigError",
-    "ContactPair",
     "DataError",
-    "DEFAULT_CONFIDENCE_THRESHOLD",
-    "DEFAULT_CONTACT_TOL",
-    "DEFAULT_DISTANCE_THRESHOLD",
-    "DEFAULT_MU",
-    "EvalReport",
     "Grasp",
     "GraspFieldError",
     "GraspFieldWarning",
-    "GraspFrame",
-    "GraspRegion",
+    "GraspSet",
     "GripperModel",
-    "OrthoCamera",
     "PointCloud",
-    "PROPOSAL_WEIGHTS",
-    "ProposalTarget",
-    "REFINE_WEIGHTS",
-    "RefineTarget",
     "RigidTransform",
     "UngraspableError",
     "VerificationError",
-    "antipodal_score",
-    "ball_query",
     "box_cloud",
     "build_anchors",
     "build_positive_set",
     "build_proposal_targets",
     "build_refinement_targets",
-    "canonical_orientation",
     "closing_area",
-    "collision_score",
     "compare_reports",
     "confidence_field",
-    "cross_entropy",
-    "cylinder_cloud",
     "decode_proposal",
     "decode_refinement",
-    "derive_seed",
     "encode_proposal",
-    "encode_refinement",
-    "estimate_normals",
     "evaluate",
     "extract_regions",
-    "farthest_point_sampling",
     "find_contacts",
-    "from_grasp_frame",
     "generate_dataset",
     "grasp_frame",
     "load_cloud",
     "load_config",
     "load_grasps",
-    "load_labels",
-    "load_pose",
-    "load_proposal_targets",
-    "load_refine_targets",
-    "load_report",
     "nearest_anchor",
     "nearest_center",
-    "plane_grid",
-    "points_in_box",
     "proposal_loss",
     "refinement_label",
-    "refinement_loss",
-    "render_single_view",
-    "ring_camera",
     "sample_candidates",
     "save_cloud_binary",
     "save_cloud_text",
     "save_grasps",
-    "save_labels",
-    "save_pose",
-    "save_proposal_targets",
-    "save_refine_targets",
-    "save_report",
     "score_grasp",
-    "segment_positive",
+    "score_grasps",
     "segmentation_loss",
     "select_refinable",
-    "smooth_l1",
     "sphere_cloud",
-    "subsample_cloud",
-    "summarize_scores",
-    "to_grasp_frame",
     "transform_grasp",
+    "transform_grasps",
 ]

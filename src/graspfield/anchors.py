@@ -25,7 +25,7 @@ import numpy as np
 
 from .confidence import DEFAULT_DISTANCE_THRESHOLD
 from .errors import DataError, GraspFieldWarning
-from .geometry import Grasp, PointCloud, _nearest, canonical_orientation
+from .geometry import Grasp, GraspSet, PointCloud, _nearest_centers, canonical_orientation
 from .losses import _weighted_loss
 from .region import extract_regions
 
@@ -203,7 +203,7 @@ def decode_proposal(
 def build_proposal_targets(
     cloud: PointCloud,
     field,
-    positives: list[Grasp],
+    positives,
     anchors: AnchorSet,
     scale: float,
     k1: int,
@@ -214,23 +214,23 @@ def build_proposal_targets(
 ) -> list[tuple[int, ProposalTarget]]:
     """Region extraction plus target encoding for one labeled cloud.
 
-    Each region center is matched to the nearest positive grasp center;
-    the match must lie strictly within ``match_distance`` (points labeled
-    from these grasps always satisfy that) or the region is dropped.
-    Returns (point index, target) pairs in region order.
+    Each region center is matched to the nearest positive grasp center
+    (one batched match over ``positives``, a ``GraspSet`` or a list of
+    grasps); the match must lie strictly within ``match_distance``
+    (points labeled from these grasps always satisfy that) or the region
+    is dropped. Returns (point index, target) pairs in region order.
     """
-    if not positives:
+    positives = GraspSet.of(positives)
+    if not len(positives):
         raise DataError("no positive grasps")
-    regions = extract_regions(cloud, field, k1, radius, size, seed)
-    centers = np.array([g.center for g in positives])
-    out: list[tuple[int, ProposalTarget]] = []
-    for reg in regions:
-        p_a = cloud.points[reg.center_index]
-        gi, dist = _nearest(centers, p_a)
-        if dist >= match_distance:
-            continue  # labels did not come from these grasps; nothing to regress
-        out.append((reg.center_index, encode_proposal(p_a, positives[gi], anchors, scale)))
-    return out
+    index = [reg.center_index for reg in extract_regions(cloud, field, k1, radius, size, seed)]
+    nearest, dist = _nearest_centers(positives.centers, cloud.points[index])
+    # a region whose match is too far was not labeled from these grasps: nothing to regress
+    return [
+        (i, encode_proposal(cloud.points[i], positives[gi], anchors, scale))
+        for i, gi, d in zip(index, nearest, dist)
+        if d < match_distance
+    ]
 
 
 def proposal_loss(

@@ -39,7 +39,7 @@ from .fileio import (
     save_proposal_targets,
     save_refine_targets,
 )
-from .geometry import Grasp, _nearest, canonical_orientation
+from .geometry import GraspSet, _nearest_centers
 from .metrics import evaluate, load_report, save_report
 from .refine import build_refinement_targets, decode_refinement
 from .sampling import build_positive_set
@@ -87,25 +87,32 @@ def _out_path(args, default_name: str) -> Path:
     return out
 
 
-def _grasp_mismatch(a, b) -> bool:
-    """True when two grasps differ beyond the round-trip tolerance; the
-    orientation is a headless axis, so it is compared by the shorter chord
-    to ``b`` or ``-b``."""
-    chord = min(np.linalg.norm(a.orientation - b.orientation), np.linalg.norm(a.orientation + b.orientation))
+def _grasp_mismatch(a: GraspSet, b: GraspSet) -> np.ndarray:
+    """Per row pair of two equal-length sets, True when the grasps differ
+    beyond the round-trip tolerance; the orientation is a headless axis,
+    so it is compared by the shorter chord to ``b`` or ``-b``."""
+    chord = np.minimum(
+        np.linalg.norm(a.orientations - b.orientations, axis=1),
+        np.linalg.norm(a.orientations + b.orientations, axis=1),
+    )
     return (
-        np.linalg.norm(a.center - b.center) >= _ROUND_TRIP_TOL
-        or chord >= _ROUND_TRIP_TOL
-        or abs(a.angle - b.angle) >= _ROUND_TRIP_TOL
+        (np.linalg.norm(a.centers - b.centers, axis=1) >= _ROUND_TRIP_TOL)
+        | (chord >= _ROUND_TRIP_TOL)
+        | (np.abs(a.angles - b.angles) >= _ROUND_TRIP_TOL)
     )
 
 
-def _verify_decoded(decoded, grasps, what: str) -> None:
+def _verify_decoded(decoded, grasps: GraspSet, what: str) -> None:
     """Check that each decoded target is the grasp nearest its reference
-    center; ``decoded`` yields (row index, reference center, grasp)."""
-    centers = np.array([g.center for g in grasps]).reshape(-1, 3)
-    for index, center, grasp in decoded:
-        if _grasp_mismatch(grasp, grasps[_nearest(centers, center)[0]]):
-            raise VerificationError(f"{what} {index} does not decode to its grasp")
+    center, matched in one batch; ``decoded`` yields (row index,
+    reference center, grasp)."""
+    rows = list(decoded)
+    if not rows:
+        return
+    indices, centers, found = zip(*rows)
+    bad = _grasp_mismatch(GraspSet.of(found), grasps[_nearest_centers(grasps.centers, centers)[0]])
+    if bad.any():
+        raise VerificationError(f"{what} {indices[int(np.argmax(bad))]} does not decode to its grasp")
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +176,13 @@ def _cmd_make_targets(args) -> int:
     save_proposal_targets(out, targets)
     print(f"wrote {len(targets)} targets to {out}")
     if args.verify:
-        # targets encode the sign-canonical orientation of their grasp
-        encoded = [Grasp(g.center, canonical_orientation(g.orientation), g.angle) for g in positives]
+        # targets encode the sign-canonical orientation of their grasp,
+        # which the headless comparison of _grasp_mismatch accepts
         decoded = (
             (i, view.points[i], decode_proposal(view.points[i], cls, *res, anchors, gripper.scale))
             for i, cls, *res in load_proposal_targets(out)
         )
-        _verify_decoded(decoded, encoded, "target at point")
+        _verify_decoded(decoded, positives, "target at point")
         print(f"verify: {len(targets)} targets decode to their grasps")
     return 0
 
@@ -195,7 +202,7 @@ def _cmd_refine_targets(args) -> int:
     print(f"wrote {len(targets)} refinement targets ({n_pos} positive) to {out}")
     if args.verify:
         decoded = (
-            (i, proposals[i].center, decode_refinement(proposals[i], *res, gripper.scale))
+            (i, proposals.centers[i], decode_refinement(proposals[i], *res, gripper.scale))
             for i, label, *res in load_refine_targets(out)
             if label
         )

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError
-from .geometry import Grasp, PointCloud
+from .geometry import GraspSet, PointCloud
 from .losses import cross_entropy
 
 DEFAULT_DISTANCE_THRESHOLD = 0.02
@@ -30,8 +30,8 @@ _BLOCK = 256
 def _check_thresholds(distance_threshold: float, confidence_threshold: float) -> None:
     if not (math.isfinite(distance_threshold) and distance_threshold > 0.0):
         raise DataError("distance_threshold must be finite and positive")
-    if not math.isfinite(confidence_threshold):
-        raise DataError("confidence_threshold must be finite")
+    if not (math.isfinite(confidence_threshold) and confidence_threshold >= 0.0):
+        raise DataError("confidence_threshold must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,12 @@ class ConfidenceField:
 
 def confidence_field(
     cloud: PointCloud,
-    positives: list[Grasp],
+    positives,
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
 ) -> ConfidenceField:
-    """Accumulate c_pc over the positive grasp set and binarize.
+    """Accumulate c_pc over the positive grasp set (a ``GraspSet`` or a
+    list of grasps) and binarize.
 
     Per point: starting from 0.0, add 1 - dis/d_th for each grasp center
     with dis < d_th, in ascending grasp order, where dis is the 1-D
@@ -79,8 +80,8 @@ def confidence_field(
     """
     _check_thresholds(distance_threshold, confidence_threshold)
     values = np.zeros(len(cloud), dtype=np.float64)
-    if positives:
-        centers = np.stack([g.center for g in positives])
+    centers = GraspSet.of(positives).centers
+    if len(centers):
         tree = cKDTree(centers)
         reach = distance_threshold * (1.0 + 1e-9)
         for start in range(0, len(cloud), _BLOCK):

@@ -38,7 +38,7 @@ from .fileio import (
     save_labels,
     save_proposal_targets,
 )
-from .geometry import PointCloud, derive_seed, estimate_normals
+from .geometry import GraspSet, PointCloud, derive_seed, estimate_normals
 from .quality import score_grasps
 from .sampling import OrthoCamera, build_positive_set, render_single_view
 
@@ -244,11 +244,14 @@ def generate_dataset(
 
 
 def verify_stored_grasps(obj: PointCloud, grasps, gripper, mu: float, where: str = "") -> None:
-    """Re-score stored positives; raise VerificationError naming the first
-    grasp whose stored or recomputed scores are not (1, 1, 1)."""
-    for i, (g, row) in enumerate(zip(grasps, score_grasps(obj, grasps, gripper, mu=mu))):
-        if row[2] != 1 or (g.score_antipodal, g.score_collision, g.score) != (1, 1, 1):
-            raise VerificationError(f"{where}stored grasp {i} does not re-score to 1")
+    """Re-score stored positives (a ``GraspSet`` or a list of grasps);
+    raise VerificationError naming the first grasp whose stored or
+    recomputed scores are not (1, 1, 1)."""
+    grasps = GraspSet.of(grasps)
+    stored = np.zeros((len(grasps), 3)) if grasps.scores is None else grasps.scores
+    bad = (score_grasps(obj, grasps, gripper, mu=mu)[:, 2] != 1) | (stored != 1).any(axis=1)
+    if bad.any():
+        raise VerificationError(f"{where}stored grasp {int(np.argmax(bad))} does not re-score to 1")
 
 
 def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> None:

@@ -21,8 +21,9 @@ Point-cloud binary format
     packed little-endian float32 records, one point per record.
 
 Grasp table
-    Header ``px,py,pz,rx,ry,rz,theta,sa,sc,sg``; score columns are -1 for
-    unscored grasps.
+    Header ``px,py,pz,rx,ry,rz,theta,sa,sc,sg``; the three score columns
+    are all -1 for an unscored grasp, and a table is scored on every row
+    or on none. It loads as one :class:`~.geometry.GraspSet`.
 
 Pose file
     12 whitespace- or comma-separated numbers: the row-major 3x4 matrix
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .geometry import Grasp, PointCloud, RigidTransform
+from .geometry import GraspSet, PointCloud, RigidTransform
 
 MAGIC = b"GFPC0001" + b"\x00" * 8
 _FLAG_COLORS = 0x01
@@ -63,9 +64,10 @@ def _write_table(path, header: str | None, rows) -> None:
     Path(path).write_text("".join(f"{line}\n" for line in lines))
 
 
-def _read_table(path, header: str | None, width: int | None, parse, what: str = "table") -> list:
+def _read_table(path, header: str | None, width: int | None, parse, what: str = "table", lines=None) -> list:
     """Rows of a text table, each parsed from its comma-separated cells by
-    ``parse(cells)``.
+    ``parse(cells)``; the line number of each row is appended to
+    ``lines`` when it is given.
 
     Text after ``#`` and blank lines are skipped. With ``header`` the
     first line must equal it; with ``width`` every row must have exactly
@@ -92,6 +94,8 @@ def _read_table(path, header: str | None, width: int | None, parse, what: str = 
             rows.append(parse(cells))
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if lines is not None:
+            lines.append(lineno)
     if expect is not None:
         raise DataError(f"{path}: malformed {what} file: missing {what} header '{header}'")
     return rows
@@ -204,21 +208,29 @@ def load_cloud(path) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 def save_grasps(path, grasps) -> None:
-    def line(g: Grasp) -> str:
-        scores = [-1 if s is None else s for s in (g.score_antipodal, g.score_collision, g.score)]
-        return ",".join([_fmt(v) for v in (*g.center, *g.orientation, g.angle)] + [str(s) for s in scores])
-
-    _write_table(path, GRASP_HEADER, map(line, grasps))
-
-
-def _grasp_row(cells) -> Grasp:
-    vals = [float(c) for c in cells[:7]]
-    sa, sc, sg = (None if s == -1 else s for s in map(int, cells[7:]))
-    return Grasp(vals[0:3], vals[3:6], vals[6], score_antipodal=sa, score_collision=sc, score=sg)
+    """Write a :class:`~.geometry.GraspSet` or a list of grasps."""
+    grasps = GraspSet.of(grasps)
+    scores = np.full((len(grasps), 3), -1) if grasps.scores is None else grasps.scores
+    values = np.hstack([grasps.centers, grasps.orientations, grasps.angles[:, None]]).tolist()
+    rows = (",".join(map(repr, row)) + ",{},{},{}".format(*s) for row, s in zip(values, scores.tolist()))
+    _write_table(path, GRASP_HEADER, rows)
 
 
-def load_grasps(path) -> list[Grasp]:
-    return _read_table(path, GRASP_HEADER, 10, _grasp_row, "grasp")
+def _grasp_row(cells) -> list[float]:
+    """The ten cells as floats, a score cell of -1 as NaN (missing)."""
+    return [float(c) for c in cells[:7]] + [math.nan if s == -1 else s for s in map(int, cells[7:])]
+
+
+def load_grasps(path) -> GraspSet:
+    """Read a grasp table as one set, every row checked as ``Grasp`` checks
+    it; a row that fails raises ``DataError`` naming ``path:line``."""
+    lines = []
+    table = np.array(_read_table(path, GRASP_HEADER, 10, _grasp_row, "grasp", lines), dtype=np.float64)
+    table = table.reshape(len(lines), 10)
+    try:
+        return GraspSet(table[:, 0:3], table[:, 3:6], table[:, 6], table[:, 7:])
+    except DataError as exc:
+        raise DataError(f"{path}:{lines[exc.row]}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

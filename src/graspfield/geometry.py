@@ -42,11 +42,15 @@ The jaw symmetry (r, theta) ~ (-r, pi - theta) maps the frame to
 (X, -Y, -Z) and leaves the gripper solid unchanged; :func:`transform_grasps`
 uses it to keep theta inside [-pi/2, pi/2] after a rigid motion.
 
-Frames are built for a whole set of grasps at once (:func:`_rotations`,
-the one frame builder; :func:`grasp_frame` and :func:`transform_grasp`
-are its one-grasp wrappers), and every row is bit-equal to building that
-grasp's frame on its own, signed zeros included, because ties in the
-grasp frame decide contacts. Two rules keep it so (numpy 2.4.6, OpenBLAS
+Every pipeline stage holds its grasps as one :class:`GraspSet`: centers,
+unit orientations, angles and scores as arrays, checked once with
+:class:`Grasp`'s rules and messages; ``grasps[i]`` is one ``Grasp`` with
+the stored bits. Frames are built for a whole set at once
+(:meth:`GraspSet.rotations` over :func:`_rotations`, the one frame
+builder), and every row is bit-equal to :func:`grasp_frame` of that grasp
+alone, signed zeros included, because ties in the grasp frame decide
+contacts. :func:`grasp_frame` and :func:`transform_grasp` are one-grasp
+conveniences for code outside the pipeline. Two rules keep it so (numpy 2.4.6, OpenBLAS
 0.3.31):
 
 * every norm and dot product of rows is ``np.vecdot``, which runs the
@@ -205,8 +209,9 @@ class Grasp:
     """A parallel-jaw grasp: center, unit orientation, approach angle, and
     optional binary quality scores (antipodal, collision-free, combined).
 
-    The orientation is normalized at construction. The combined score, when
-    all three are present, must equal min(antipodal, collision).
+    The orientation is normalized at construction. The scores are all
+    three or none, and the combined one must equal min(antipodal,
+    collision). The checks are those of :class:`GraspSet`, on one row.
     """
 
     center: np.ndarray
@@ -217,46 +222,195 @@ class Grasp:
     score: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_array(self.center, (3,), "center"))
-        ori = np.array(self.orientation, dtype=np.float64, copy=True)
-        if ori.shape != (3,) or not np.isfinite(ori).all():
+        center = np.array(self.center, dtype=np.float64)
+        if center.shape != (3,):
+            raise DataError(f"center: expected shape (3,), got {center.shape}")
+        ori = np.array(self.orientation, dtype=np.float64)
+        if ori.shape != (3,):
             raise DataError("orientation must be a finite 3-vector")
-        norm = np.linalg.norm(ori)
-        if norm <= 0.0:
-            raise DataError("orientation must have positive length")
-        ori = ori / norm
-        ori.setflags(write=False)
-        object.__setattr__(self, "orientation", ori)
-        theta = float(self.angle)
-        if not np.isfinite(theta) or not (-np.pi / 2 <= theta <= np.pi / 2):
-            raise DataError(f"angle must lie in [-pi/2, pi/2], got {theta}")
-        object.__setattr__(self, "angle", theta)
-        for name in ("score_antipodal", "score_collision", "score"):
-            v = getattr(self, name)
-            if v is not None:
-                v = int(v)
-                if v not in (0, 1):
-                    raise DataError(f"{name} must be 0 or 1, got {v}")
-                object.__setattr__(self, name, v)
-        if (
-            self.score is not None
-            and self.score_antipodal is not None
-            and self.score_collision is not None
-            and self.score != min(self.score_antipodal, self.score_collision)
-        ):
-            raise DataError("score must equal min(antipodal, collision)")
+        angle = float(self.angle)
+        scores = (self.score_antipodal, self.score_collision, self.score)
+        table = None
+        if scores != (None, None, None):
+            scores = tuple(None if v is None else int(v) for v in scores)
+            table = np.array([[np.nan if v is None else v for v in scores]], dtype=np.float64)
+        units, _ = _check_rows(center[None], ori[None], np.array([angle]), table)
+        center.setflags(write=False)
+        units.setflags(write=False)
+        for name, value in zip(_GRASP_FIELDS, (center, units[0], angle, *scores)):
+            object.__setattr__(self, name, value)
 
     @property
     def scored(self) -> bool:
         return self.score is not None
 
-    def with_scores(self, antipodal: int, collision: int) -> "Grasp":
-        return replace(
-            self,
-            score_antipodal=int(antipodal),
-            score_collision=int(collision),
-            score=min(int(antipodal), int(collision)),
+
+_GRASP_FIELDS = ("center", "orientation", "angle", "score_antipodal", "score_collision", "score")
+
+
+def _row_error(row: int, message: str) -> DataError:
+    """A ``DataError`` that names the row it is about in ``row``, so a
+    file reader can turn it into ``path:line``."""
+    exc = DataError(message)
+    exc.row = row
+    return exc
+
+
+def _check_rows(centers, orientations, angles, scores) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one validation pass of :class:`Grasp` and :class:`GraspSet` on
+    (G, 3) centers, (G, 3) orientations, (G,) angles and a (G, 3) float
+    score table (NaN for a missing score) or ``None``.
+
+    Returns the unit orientations, each row divided once by its length
+    (:func:`_norms`, bit-equal to the 1-D ``np.linalg.norm``), and the
+    int64 score table, ``None`` when no row is scored. The first row that
+    fails raises :func:`_row_error` with :func:`_row_problem`'s message.
+    A unit orientation more than 1e-9 off unit length (a tiny or huge
+    input whose squares left the float range) is rejected, not rescaled.
+    """
+    with np.errstate(all="ignore"):
+        norms = _norms(orientations)[:, 0]
+        units = orientations / norms[:, None]
+        unit_ok = np.abs(_norms(units)[:, 0] - 1.0) <= _ORTHO_TOL  # False for non-finite or zero input
+    ok = unit_ok & np.logical_and.reduce(np.isfinite(centers), axis=1) & (np.abs(angles) <= np.pi / 2)
+    if scores is not None:
+        unscored = np.logical_and.reduce(np.isnan(scores), axis=1)
+        binary = np.logical_and.reduce((scores == 0.0) | (scores == 1.0), axis=1)
+        ok &= unscored | (binary & (scores[:, 2] == np.minimum(scores[:, 0], scores[:, 1])))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        row = (centers[i], orientations[i], norms[i], unit_ok[i], angles[i])
+        raise _row_error(i, _row_problem(*row, None if scores is None else scores[i]))
+    if scores is None or unscored.all():
+        return units, None
+    if unscored.any():
+        raise _row_error(int(np.argmax(unscored != unscored[0])), "grasps of a set must be all scored or all unscored")
+    return units, scores.astype(np.int64)
+
+
+def _row_problem(center, orientation, norm, unit_ok, angle, scores) -> str:
+    """Why one row failed :func:`_check_rows`: its first failed check, in
+    :class:`Grasp`'s order and with its message."""
+    if not np.isfinite(center).all():
+        return "center: contains non-finite values"
+    if not np.isfinite(orientation).all():
+        return "orientation must be a finite 3-vector"
+    if not norm > 0.0:
+        return "orientation must have positive length"
+    if not unit_ok:
+        return "orientation must normalize to unit length (tolerance 1e-9)"
+    if not -np.pi / 2 <= angle <= np.pi / 2:
+        return f"angle must lie in [-pi/2, pi/2], got {float(angle)}"
+    for name, v in zip(("score_antipodal", "score_collision", "score"), scores):
+        if v not in (0.0, 1.0) and not np.isnan(v):
+            return f"{name} must be 0 or 1, got {v:g}"
+    if np.isnan(scores).any():
+        return "scores must be all three or none"
+    return "score must equal min(antipodal, collision)"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+def _rows(x, width: int | None, name: str) -> np.ndarray:
+    """A float64 copy of ``x`` as (G, width) rows, or (G,) without ``width``."""
+    a = np.array(x, dtype=np.float64)
+    if a.size == 0:
+        a = a.reshape((0,) if width is None else (0, width))
+    if a.shape != ((len(a),) if width is None else (len(a), width)):
+        raise DataError(f"{name} must have shape (G{'' if width is None else f', {width}'}), got {a.shape}")
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class GraspSet:
+    """G grasps as arrays: (G, 3) centers, (G, 3) unit orientations, (G,)
+    angles, and a (G, 3) int64 table of (antipodal, collision, combined)
+    scores, or ``None`` for an unscored set. The arrays are read-only.
+
+    Construction runs :class:`Grasp`'s checks on every row at once, with
+    its messages (a ``DataError`` about one row names it in ``row``),
+    and divides each orientation once by its length, bit-equal to
+    ``Grasp``. A score table may mark a missing score with NaN; the rows
+    must then be all scored or all unscored. :meth:`of` stacks grasps
+    that are already built, without normalizing them again.
+
+    ``s[i]`` is grasp i as a :class:`Grasp` holding the stored bits;
+    ``s[mask]``, ``s[indices]`` and ``s[a:b]`` are sub-sets.
+    """
+
+    centers: np.ndarray
+    orientations: np.ndarray
+    angles: np.ndarray
+    scores: np.ndarray | None = None
+
+    def __post_init__(self):
+        centers = _rows(self.centers, 3, "centers")
+        orientations = _rows(self.orientations, 3, "orientations")
+        angles = _rows(self.angles, None, "angles")
+        scores = None if self.scores is None else _rows(self.scores, 3, "scores")
+        if not len(centers) == len(orientations) == len(angles) == len(centers if scores is None else scores):
+            raise DataError("grasp set arrays must have one row per grasp")
+        orientations, scores = _check_rows(centers, orientations, angles, scores)
+        _set_arrays(self, centers, orientations, angles, scores)
+
+    @classmethod
+    def _stored(cls, centers, orientations, angles, scores=None) -> "GraspSet":
+        """A set of rows that already passed the checks, kept bit for bit."""
+        out = object.__new__(cls)
+        _set_arrays(out, centers, orientations, angles, scores)
+        return out
+
+    @classmethod
+    def of(cls, grasps) -> "GraspSet":
+        """A set as is, or an iterable of :class:`Grasp` stacked once."""
+        if isinstance(grasps, GraspSet):
+            return grasps
+        grasps = list(grasps)
+        scored = [g.scored for g in grasps]
+        if any(scored) and not all(scored):
+            raise _row_error(scored.index(not scored[0]), "grasps of a set must be all scored or all unscored")
+        return cls._stored(
+            np.array([g.center for g in grasps], dtype=np.float64).reshape(-1, 3),
+            np.array([g.orientation for g in grasps], dtype=np.float64).reshape(-1, 3),
+            np.array([g.angle for g in grasps], dtype=np.float64),
+            np.array([(g.score_antipodal, g.score_collision, g.score) for g in grasps], dtype=np.int64)
+            if grasps and all(scored)
+            else None,
         )
+
+    def __len__(self) -> int:
+        return len(self.angles)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            g = object.__new__(Grasp)
+            scores = (None,) * 3 if self.scores is None else map(int, self.scores[index])
+            values = (self.centers[index], self.orientations[index], float(self.angles[index]), *scores)
+            for name, value in zip(_GRASP_FIELDS, values):
+                object.__setattr__(g, name, value)
+            return g
+        scores = None if self.scores is None else self.scores[index]
+        return GraspSet._stored(self.centers[index], self.orientations[index], self.angles[index], scores)
+
+    def rotations(self, up=WORLD_UP) -> np.ndarray:
+        """(G, 3, 3) world-from-grasp rotations (:func:`_rotations`) for a
+        unit ``up``, checked once as a stack with :class:`GraspFrame`'s
+        tolerance and messages."""
+        rotations = _rotations(self.orientations, self.angles, up)
+        _check_rotations(rotations)
+        return rotations
+
+
+def _set_arrays(s: GraspSet, centers, orientations, angles, scores) -> None:
+    for name, a in zip(("centers", "orientations", "angles", "scores"), (centers, orientations, angles, scores)):
+        object.__setattr__(s, name, None if a is None else _frozen(a))
 
 
 @dataclass(frozen=True)
@@ -530,25 +684,6 @@ def _check_rotations(rotations: np.ndarray) -> None:
         raise DataError("frame must be right-handed (x cross y = z)")
 
 
-def _grasp_arrays(grasps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, 3) centers, (G, 3) orientations and (G,) angles of an iterable
-    of grasps (read once)."""
-    grasps = list(grasps)
-    centers = np.array([g.center for g in grasps], dtype=np.float64).reshape(-1, 3)
-    orientations = np.array([g.orientation for g in grasps], dtype=np.float64).reshape(-1, 3)
-    return centers, orientations, np.array([g.angle for g in grasps], dtype=np.float64)
-
-
-def _grasp_rotations(grasps) -> tuple[np.ndarray, np.ndarray]:
-    """(G, 3) centers and (G, 3, 3) :func:`_rotations` with the world up
-    of an iterable of grasps, the rotations checked once as a stack, so
-    no per-grasp :class:`GraspFrame` is built."""
-    centers, orientations, angles = _grasp_arrays(grasps)
-    rotations = _rotations(orientations, angles, WORLD_UP)
-    _check_rotations(rotations)
-    return centers, rotations
-
-
 def grasp_frame(g: Grasp, up=WORLD_UP) -> GraspFrame:
     """Build the grasp coordinate frame of ``g``.
 
@@ -600,56 +735,21 @@ def local_coords(
     return idx, local.take(idx, axis=1)
 
 
-def to_grasp_frame(cloud: PointCloud, frame: GraspFrame) -> PointCloud:
-    """Re-express a cloud in the grasp frame: p -> R^T (p - origin)."""
-    r = frame.rotation
-    _, local = local_coords(grasp_columns(cloud.points), frame.origin, r)
-    return PointCloud(
-        np.ascontiguousarray(local.T),
-        cloud.colors,
-        None if cloud.normals is None else cloud.normals @ r,
-        "grasp",
-    )
-
-
-def from_grasp_frame(cloud: PointCloud, frame: GraspFrame, frame_tag: str = "world") -> PointCloud:
-    """Inverse of :func:`to_grasp_frame`."""
-    r = frame.rotation
-    return PointCloud(
-        cloud.points @ r.T + frame.origin,
-        cloud.colors,
-        None if cloud.normals is None else cloud.normals @ r.T,
-        frame_tag,
-    )
-
-
-def points_in_box(cloud: PointCloud, frame: GraspFrame, half_extents) -> np.ndarray:
-    """Indices (ascending) of points inside the axis-aligned box
-    |x| <= hx, |y| <= hy, |z| <= hz in the grasp frame."""
-    hx, hy, hz = _as_array(half_extents, (3,), "half_extents")
-    if min(hx, hy, hz) <= 0.0:
-        raise DataError("half_extents must be positive")
-    idx, (x, y, _) = local_coords(grasp_columns(cloud.points), frame.origin, frame.rotation, hz)
-    return idx[(np.abs(x) <= hx) & (np.abs(y) <= hy)]
-
-
 def _apply_rows(rows: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     """``v @ rotation.T`` for every row v of a C-contiguous (G, 3) array,
     bit for bit (see the module docstring)."""
     return np.matmul(rows[:, None, :], rotation.T)[:, 0]
 
 
-def _moved_frames(grasps, transform: RigidTransform, up) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moved_frames(grasps: GraspSet, transform: RigidTransform, up) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers, closing axes and angles of grasps after a rigid motion;
     the frames before it pass :class:`GraspFrame`'s checks. The axes are
     not yet normalized: normalizing twice changes the last bit of about a
     third of them, so each caller normalizes once, as ``Grasp`` does."""
     up = unit(np.asarray(up, dtype=np.float64))
-    centers, orientations, angles = _grasp_arrays(grasps)
-    rotations = _rotations(orientations, angles, up)
-    _check_rotations(rotations)
+    rotations = grasps.rotations(up)
     r, t = transform.rotation, transform.translation
-    centers = _apply_rows(centers, r) + t
+    centers = _apply_rows(grasps.centers, r) + t
     x_new = _apply_rows(np.ascontiguousarray(rotations[:, :, 0]), r)
     y_new = _apply_rows(np.ascontiguousarray(rotations[:, :, 1]), r)
 
@@ -662,48 +762,48 @@ def _moved_frames(grasps, transform: RigidTransform, up) -> tuple[np.ndarray, np
     return centers, y_new, np.clip(theta, -np.pi / 2, np.pi / 2)
 
 
-def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Move G grasps by a rigid transform, keeping each physical gripper
-    pose: (G, 3) centers, (G, 3) unit orientations and (G,) angles, each
-    row bit-equal to :func:`transform_grasp` of that grasp.
+def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> GraspSet:
+    """Move a set of grasps by a rigid transform, keeping each physical
+    gripper pose; row i is bit-equal to :func:`transform_grasp` of grasp
+    i. Scores are dropped: they refer to an object in the old frame.
 
     The full frame is rotated, then (center, orientation, angle) are read
     back; when the recovered angle leaves [-pi/2, pi/2] the jaw symmetry
-    (r, theta) ~ (-r, pi - theta) restores it. The results pass
-    :class:`Grasp`'s checks, with its messages.
+    (r, theta) ~ (-r, pi - theta) restores it. :class:`GraspSet` checks
+    the result and normalizes each orientation once.
     """
-    centers, y, angles = _moved_frames(grasps, transform, up)
-    if not np.isfinite(centers).all():
-        raise DataError("center: contains non-finite values")
-    if not np.isfinite(y).all():
-        raise DataError("orientation must be a finite 3-vector")
-    norms = _norms(y)
-    if (norms <= 0.0).any():
-        raise DataError("orientation must have positive length")
-    bad = ~((-np.pi / 2 <= angles) & (angles <= np.pi / 2))
-    if bad.any():
-        raise DataError(f"angle must lie in [-pi/2, pi/2], got {angles[bad][0]}")
-    return centers, y / norms, angles
+    return GraspSet(*_moved_frames(GraspSet.of(grasps), transform, up))
 
 
 def transform_grasp(g: Grasp, transform: RigidTransform, up=WORLD_UP) -> Grasp:
-    """Move one grasp by a rigid transform (see :func:`transform_grasps`).
-    Scores are dropped: they refer to an object expressed in the old
-    frame."""
-    (center,), (y,), (theta,) = _moved_frames([g], transform, up)
-    return Grasp(center, y, theta)
+    """Move one grasp by a rigid transform (see :func:`transform_grasps`)."""
+    return transform_grasps([g], transform, up)[0]
 
 
-def _nearest(centers: np.ndarray, point) -> tuple[int, float]:
+_NEAREST_BLOCK = 1 << 14  # query rows times centers per distance block
+
+
+def _nearest_centers(centers: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
     """Index and distance of the row of a (G, 3) center array closest to
-    ``point``; callers that query many points build the array once."""
+    each of M points, lowest index on ties. Each distance is
+    ``np.linalg.norm(centers - point, axis=1)`` of that point, bit for
+    bit; the points are matched in blocks of at most
+    :data:`_NEAREST_BLOCK` pairs."""
     if not len(centers):
         raise DataError("empty grasp list")
-    d = np.linalg.norm(centers - np.asarray(point, dtype=np.float64), axis=1)
-    i = int(np.argmin(d))
-    return i, float(d[i])
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    index = np.empty(len(points), dtype=np.intp)
+    dist = np.empty(len(points))
+    step = max(1, _NEAREST_BLOCK // len(centers))
+    for start in range(0, len(points), step):
+        d = np.linalg.norm(centers - points[start : start + step, None, :], axis=2)
+        index[start : start + step] = i = np.argmin(d, axis=1)
+        dist[start : start + step] = d[np.arange(len(i)), i]
+    return index, dist
 
 
 def nearest_center(grasps, point) -> tuple[int, float]:
-    """Index and distance of the grasp whose center is closest to ``point``."""
-    return _nearest(np.array([g.center for g in grasps]).reshape(-1, 3), point)
+    """Index and distance of the grasp whose center is closest to ``point``
+    (lowest index on ties)."""
+    (i,), (d,) = _nearest_centers(GraspSet.of(grasps).centers, point)
+    return int(i), float(d)

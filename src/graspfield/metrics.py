@@ -15,17 +15,8 @@ import numpy as np
 
 from .errors import DataError
 from .fileio import _read_table, _write_table
-from .geometry import (
-    WORLD_UP,
-    Grasp,
-    GripperModel,
-    PointCloud,
-    RigidTransform,
-    _check_rotations,
-    _rotations,
-    transform_grasps,
-)
-from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _score_frames
+from .geometry import GripperModel, PointCloud, RigidTransform, transform_grasps
+from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
 
 REPORT_HEADER = "k3,kT,kT_a,kT_c,vgr,vagr,vcgr"
 SCORE_HEADER = "index,sa,sc,sg"
@@ -89,26 +80,23 @@ def summarize_scores(scores) -> EvalReport:
 
 
 def evaluate(
-    predicted: list[Grasp],
+    predicted,
     object_pose: RigidTransform,
     obj: PointCloud,
     gripper: GripperModel,
     mu: float = DEFAULT_MU,
     tol: float = DEFAULT_CONTACT_TOL,
 ) -> EvalReport:
-    """Score a predicted grasp set against an object model.
+    """Score a predicted grasp set (a ``GraspSet`` or a list of grasps)
+    against an object model.
 
-    ``object_pose`` maps world coordinates into the object frame; every
-    grasp is transformed by it and re-scored against the object cloud
-    (which must carry normals). The moved poses stay arrays: no
-    per-prediction ``Grasp`` or ``GraspFrame`` is built.
+    ``object_pose`` maps world coordinates into the object frame; the set
+    is moved by it (:func:`~.geometry.transform_grasps`) and re-scored
+    against the object cloud, which must carry normals.
     """
-    if not predicted:
+    if not len(predicted):
         raise DataError("no grasps to evaluate")
-    centers, orientations, angles = transform_grasps(predicted, object_pose)
-    rotations = _rotations(orientations, angles, WORLD_UP)
-    _check_rotations(rotations)
-    return summarize_scores(_score_frames(obj, centers, rotations, gripper, mu, tol))
+    return summarize_scores(score_grasps(obj, transform_grasps(predicted, object_pose), gripper, mu, tol))
 
 
 def compare_reports(named_reports: list[tuple[str, EvalReport]]) -> str:

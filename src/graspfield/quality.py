@@ -6,12 +6,13 @@ gripper solids; the open region between the fingers never collides. The
 antipodal test needs both contact forces inside their friction cones,
 folding the normal sign away; jaws that sweep no points score 0.
 
-:func:`score_grasps` is the one scoring kernel; :func:`find_contacts`,
-:func:`collision_score` and :func:`score_grasp` wrap it, and
-``metrics.evaluate`` enters it with arrays of moved poses through
-:func:`_score_frames`. Per call it makes one column copy of the cloud
+:func:`score_grasps` is the one scoring kernel: it takes a
+:class:`~.geometry.GraspSet` (a list of ``Grasp`` is stacked once) and
+every stage scores through it, ``metrics.evaluate`` on the moved set.
+:func:`find_contacts` and :func:`score_grasp` are one-grasp views of the
+same sweep. Per call it makes one column copy of the cloud
 (:func:`~.geometry.grasp_columns`); the grasp rotations are built as one
-stack (:func:`~.geometry._rotations`) and checked once, with
+stack (:meth:`~.geometry.GraspSet.rotations`) and checked once, with
 :class:`GraspFrame`'s tolerance and messages; no per-grasp ``Grasp``,
 ``GraspFrame`` or ``ContactPair`` is built. Per grasp it reads one slab
 of grasp-frame coordinates in column layout
@@ -40,12 +41,12 @@ rows differ from ``v @ R.T``, against 53-73% for ``V @ R.T``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
-from .geometry import Grasp, GripperModel, PointCloud, _grasp_rotations, grasp_columns, local_coords
+from .geometry import Grasp, GraspSet, GripperModel, PointCloud, grasp_columns, local_coords
 
 DEFAULT_MU = 0.6
 DEFAULT_CONTACT_TOL = 0.005
@@ -91,10 +92,10 @@ def _check_friction(mu: float | None = None, tol: float | None = None) -> None:
 
 def _sweep(obj: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper: GripperModel, tol: float):
     """Per checked grasp frame (center and rotation, see
-    :func:`~.geometry._grasp_rotations`), ``(y_axis, ia, ib,
-    collision_free)``: the jaw-sweep
-    contacts of :func:`find_contacts` (``ia = ib = -1`` when there are
-    none) and the collision test of :func:`collision_score`.
+    :meth:`~.geometry.GraspSet.rotations`), ``(y_axis, ia, ib,
+    collision_free)``: the jaw-sweep contacts of :func:`find_contacts`
+    (``ia = ib = -1`` when there are none) and the collision test, 1 iff
+    no point lies strictly inside a gripper solid.
 
     Both tests read one slab of grasp-frame coordinates
     (:func:`local_coords`), |z| <= max(H/2 + tol, the boxes' z extent),
@@ -151,30 +152,11 @@ def find_contacts(
     _check_friction(tol=tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
-    ((y, ia, ib, _),) = _sweep(obj, *_grasp_rotations([g]), gripper, tol)
+    one = GraspSet.of([g])
+    ((y, ia, ib, _),) = _sweep(obj, one.centers, one.rotations(), gripper, tol)
     if ia < 0:
         return None
     return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -y, y)
-
-
-def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
-    """1 iff both contact forces lie inside their friction cones.
-
-    The cone half-angle is arctan(mu); the contact angle alpha between the
-    surface normal and the force direction is folded into [0, pi/2] so the
-    test is insensitive to the normal's sign.
-    """
-    _check_friction(mu=mu)
-    return _antipodal(
-        ((contacts.normal_a, contacts.force_a), (contacts.normal_b, contacts.force_b)), math.atan(mu)
-    )
-
-
-def collision_score(obj: PointCloud, g: Grasp, gripper: GripperModel) -> int:
-    """1 iff no object point lies strictly inside any gripper solid (the
-    two open fingers and the base) placed at the grasp pose."""
-    ((_, _, _, free),) = _sweep(obj, *_grasp_rotations([g]), gripper, 0.0)
-    return free
 
 
 def score_grasps(
@@ -184,8 +166,8 @@ def score_grasps(
     mu: float = DEFAULT_MU,
     tol: float = DEFAULT_CONTACT_TOL,
 ) -> np.ndarray:
-    """(G, 3) int64 table of (antipodal, collision, combined) scores for
-    an iterable of G grasps (read once; only their frames are kept).
+    """(G, 3) int64 table of (antipodal, collision, combined) scores for a
+    :class:`~.geometry.GraspSet` or a list of G grasps.
 
     The combined score is min of the two components; unreachable grasps
     (no contacts) get antipodal score 0 rather than an error. Row i is
@@ -193,21 +175,14 @@ def score_grasps(
     :class:`ContactPair`'s checks (unit normals, distinct points) without
     building one; the forces are the frame's Y axis, unit within 1e-9.
     """
-    return _score_frames(obj, *_grasp_rotations(grasps), gripper, mu, tol)
-
-
-def _score_frames(
-    obj: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper: GripperModel, mu: float, tol: float
-) -> np.ndarray:
-    """:func:`score_grasps` on (G, 3) centers and (G, 3, 3) rotations that
-    passed :func:`~.geometry._check_rotations`, for callers that hold
-    grasp poses as arrays."""
+    grasps = GraspSet.of(grasps)
+    rotations = grasps.rotations()
     _check_friction(mu, tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
     points, normals, beta = obj.points, obj.normals, math.atan(mu)
     rows = []
-    for y, ia, ib, sc in _sweep(obj, centers, rotations, gripper, tol):
+    for y, ia, ib, sc in _sweep(obj, grasps.centers, rotations, gripper, tol):
         sa = 0
         if ia >= 0:
             for name, i in (("normal_a", ia), ("normal_b", ib)):
@@ -229,5 +204,5 @@ def score_grasp(
 ) -> Grasp:
     """Attach (antipodal, collision, combined) scores to one grasp; see
     :func:`score_grasps`."""
-    sa, sc, _ = score_grasps(obj, [g], gripper, mu=mu, tol=tol)[0]
-    return g.with_scores(sa, sc)
+    sa, sc, sg = score_grasps(obj, [g], gripper, mu=mu, tol=tol)[0].tolist()
+    return replace(g, score_antipodal=sa, score_collision=sc, score=sg)

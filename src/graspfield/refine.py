@@ -22,16 +22,7 @@ import numpy as np
 
 from .anchors import _decode_residuals, _encode_residuals, _residual_arrays
 from .errors import DataError
-from .geometry import (
-    Grasp,
-    GripperModel,
-    PointCloud,
-    _grasp_rotations,
-    _nearest,
-    grasp_columns,
-    grasp_frame,
-    local_coords,
-)
+from .geometry import Grasp, GraspSet, GripperModel, PointCloud, _nearest_centers, grasp_columns, grasp_frame, local_coords
 from .losses import _weighted_loss
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
@@ -63,22 +54,23 @@ def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np
 
 
 def select_refinable(
-    proposals: list[Grasp],
+    proposals,
     cloud: PointCloud,
     gripper: GripperModel,
     min_points: int = DEFAULT_MIN_CLOSING_POINTS,
 ) -> np.ndarray:
-    """Indices of proposals with strictly more than ``min_points`` points
-    in their closing area. Exactly ``min_points`` does not qualify."""
+    """Indices of proposals (a ``GraspSet`` or a list of grasps) with
+    strictly more than ``min_points`` points in their closing area.
+    Exactly ``min_points`` does not qualify."""
     if min_points < 0:
         raise DataError("min_points must be >= 0")
+    proposals = GraspSet.of(proposals)
     work = grasp_columns(cloud.points)
-    keep = [
-        i
-        for i, (center, r) in enumerate(zip(*_grasp_rotations(proposals)))
-        if np.count_nonzero(_closing_box(work, center, r, gripper)[2]) > min_points
+    counts = [
+        np.count_nonzero(_closing_box(work, center, r, gripper)[2])
+        for center, r in zip(proposals.centers, proposals.rotations())
     ]
-    return np.array(keep, dtype=np.int64)
+    return np.flatnonzero(np.array(counts, dtype=np.int64) > min_points)
 
 
 def refinement_label(proposal: Grasp, gt: Grasp) -> int:
@@ -87,13 +79,17 @@ def refinement_label(proposal: Grasp, gt: Grasp) -> int:
     Requires the orientation angle strictly under 2*pi/9 and the approach
     angle difference strictly under pi/3; symmetric in its arguments.
     """
-    dot = float(np.clip(proposal.orientation @ gt.orientation, -1.0, 1.0))
+    return int(_refinement_labels(proposal.orientation, proposal.angle, gt.orientation, gt.angle))
+
+
+def _refinement_labels(orientations, angles, gt_orientations, gt_angles) -> np.ndarray:
+    """:func:`refinement_label` of each row pair of proposals and ground
+    truths (one grasp each, or aligned arrays), as 0/1 int64; the dots are
+    ``np.vecdot``, bit-equal to ``a @ b``."""
+    dots = np.clip(np.vecdot(orientations, gt_orientations), -1.0, 1.0)
     # angle >= gate compared in cosine space: exact at the boundary
-    if dot <= _COS_ORIENTATION_GATE:
-        return 0
-    if abs(proposal.angle - gt.angle) >= ANGLE_GATE:
-        return 0
-    return 1
+    close = (dots > _COS_ORIENTATION_GATE) & (np.abs(np.subtract(angles, gt_angles)) < ANGLE_GATE)
+    return close.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -151,28 +147,33 @@ def decode_refinement(proposal: Grasp, res_center, res_orientation, res_angle: f
 
 
 def build_refinement_targets(
-    proposals: list[Grasp],
+    proposals,
     cloud: PointCloud,
-    positives: list[Grasp],
+    positives,
     gripper: GripperModel,
     scale: float,
     min_points: int = DEFAULT_MIN_CLOSING_POINTS,
 ) -> list[RefineTarget]:
     """Select refinable proposals, match each to the nearest positive
-    grasp center, label it, and encode residuals for the positives."""
-    if not positives:
+    grasp center in one batch, label it, and encode residuals for the
+    positives. Both sets may be a ``GraspSet`` or a list of grasps."""
+    positives = GraspSet.of(positives)
+    if not len(positives):
         raise DataError("no positive grasps")
-    centers = np.array([g.center for g in positives])
-    targets: list[RefineTarget] = []
-    for i in select_refinable(proposals, cloud, gripper, min_points):
-        proposal = proposals[i]
-        gi, _ = _nearest(centers, proposal.center)
-        gt = positives[gi]
-        if refinement_label(proposal, gt) == 1:
-            targets.append(encode_refinement(proposal, gt, scale, proposal_index=int(i)))
-        else:
-            targets.append(RefineTarget(proposal_index=int(i), label=0))
-    return targets
+    proposals = GraspSet.of(proposals)
+    selected = select_refinable(proposals, cloud, gripper, min_points)
+    chosen = proposals[selected]
+    gts = positives[_nearest_centers(positives.centers, chosen.centers)[0]]
+    labels = _refinement_labels(chosen.orientations, chosen.angles, gts.orientations, gts.angles)
+    res_center, res_orientation, res_angle = _encode_residuals(
+        (chosen.centers, chosen.orientations, chosen.angles), (gts.centers, gts.orientations, gts.angles), scale
+    )
+    return [
+        RefineTarget(int(i), 1, res_center[k], res_orientation[k], float(res_angle[k]))
+        if labels[k]
+        else RefineTarget(int(i), 0)
+        for k, i in enumerate(selected)
+    ]
 
 
 def refinement_loss(

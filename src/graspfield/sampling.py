@@ -42,7 +42,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError, GraspFieldWarning, UngraspableError
-from .geometry import Grasp, GripperModel, PointCloud, _as_array, canonical_orientation, derive_seed, unit
+from .geometry import GraspSet, GripperModel, PointCloud, _as_array, canonical_orientation, derive_seed, unit
 from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
 
 ATTEMPT_FACTOR = 100
@@ -196,7 +196,7 @@ def sample_candidates(
     seed,
     mu: float = DEFAULT_MU,
     ray_tol: float = DEFAULT_CONTACT_TOL,
-) -> list[Grasp]:
+) -> GraspSet:
     """Sample up to ``count`` unscored antipodal grasp candidates.
 
     Per attempt: pick a random surface point, sample a closing direction
@@ -266,7 +266,7 @@ def _sample(
     mu: float,
     ray_tol: float,
     state: _RayIndex | _DeadOrigins,
-) -> list[Grasp]:
+) -> GraspSet:
     """The attempt loop of :func:`sample_candidates` on checked inputs,
     with the object's state from :func:`_sampler_state`."""
     rng = np.random.default_rng(seed)
@@ -277,9 +277,9 @@ def _sample(
     index = state if isinstance(state, _RayIndex) else None
     memo = state if isinstance(state, _DeadOrigins) else None
 
-    out: list[Grasp] = []
+    centers, orientations, angles = [], [], []
     for _ in range(ATTEMPT_FACTOR * count):
-        if len(out) >= count or (memo is not None and memo.live == 0):
+        if len(angles) >= count or (memo is not None and memo.live == 0):
             break
         i = int(rng.integers(len(pts)))
         if memo is not None and memo.dead[i]:
@@ -292,12 +292,13 @@ def _sample(
             if memo is not None:
                 memo.failed(i)
             continue
-        theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
-        out.append(Grasp((pts[i] + pts[j]) / 2.0, r, theta))
+        centers.append((pts[i] + pts[j]) / 2.0)
+        orientations.append(r)
+        angles.append(float(rng.uniform(-math.pi / 2, math.pi / 2)))
 
-    if not out:
+    if not angles:
         raise UngraspableError("object not graspable at this gripper scale")
-    return out
+    return GraspSet(centers, orientations, angles)
 
 
 def build_positive_set(
@@ -307,9 +308,9 @@ def build_positive_set(
     per_object: int = 400,
     seed=0,
     tol: float = DEFAULT_CONTACT_TOL,
-) -> list[Grasp]:
+) -> GraspSet:
     """Sample and score candidates, keeping the first ``per_object`` grasps
-    whose combined quality score is 1.
+    whose combined quality score is 1, as one scored set.
 
     Every returned grasp re-scores to 1 against the same object. The
     budget is 100x``per_object`` requested candidates; each sampler batch
@@ -324,16 +325,17 @@ def build_positive_set(
     if per_object < 0:
         raise DataError("per_object must be >= 0")
     if per_object == 0:
-        return []
+        return GraspSet([], [], [])
     _check_sampler_inputs(obj, mu, tol)
     state = _sampler_state(obj, gripper, mu, tol)
     budget = ATTEMPT_FACTOR * per_object
     chunk = max(32, per_object)
-    positives: list[Grasp] = []
+    kept: list[tuple[GraspSet, np.ndarray]] = []  # (scored part, its score table), positives only
+    found = 0
     drawn = 0
     batch = 0
     cause = "within the attempt budget"
-    while len(positives) < per_object and drawn < budget:
+    while found < per_object and drawn < budget:
         want = min(chunk, budget - drawn)
         try:
             candidates = _sample(obj, gripper, want, derive_seed(seed, batch), mu, tol, state)
@@ -346,19 +348,27 @@ def build_positive_set(
         drawn += want  # budget counts requested candidates, not attempts
         batch += 1
         start = 0  # slices no longer than the shortfall: nothing past the last positive is scored
-        while start < len(candidates) and len(positives) < per_object:
-            part = candidates[start : start + per_object - len(positives)]
+        while start < len(candidates) and found < per_object:
+            part = candidates[start : start + per_object - found]
             start += len(part)
-            for g, (sa, sc, s) in zip(part, score_grasps(obj, part, gripper, mu=mu, tol=tol)):
-                if s == 1:
-                    positives.append(g.with_scores(sa, sc))
-    if len(positives) < per_object:
+            scores = score_grasps(obj, part, gripper, mu=mu, tol=tol)
+            positive = scores[:, 2] == 1
+            kept.append((part[positive], scores[positive]))
+            found += int(positive.sum())
+    if found < per_object:
         warnings.warn(
-            f"only {len(positives)} of {per_object} positive grasps found {cause}",
+            f"only {found} of {per_object} positive grasps found {cause}",
             GraspFieldWarning,
             stacklevel=2,
         )
-    return positives
+    # the constructor normalizes each orientation once more, and the
+    # pinned dataset digests hold that pass
+    return GraspSet(
+        np.concatenate([part.centers for part, _ in kept]),
+        np.concatenate([part.orientations for part, _ in kept]),
+        np.concatenate([part.angles for part, _ in kept]),
+        np.concatenate([scores for _, scores in kept]),
+    )
 
 
 @dataclass(frozen=True)

@@ -21,32 +21,28 @@ from graspfield import (
     RigidTransform,
     build_anchors,
     closing_area,
-    collision_score,
     confidence_field,
     decode_proposal,
     decode_refinement,
     encode_proposal,
-    encode_refinement,
     evaluate,
-    farthest_point_sampling,
-    from_grasp_frame,
     grasp_frame,
     refinement_label,
     segmentation_loss,
-    smooth_l1,
-    to_grasp_frame,
 )
 from graspfield import cli
 from graspfield.anchors import ProposalTarget, proposal_loss
 from graspfield.fileio import load_grasps, save_cloud_text
 from graspfield.geometry import canonical_orientation
+from graspfield.losses import smooth_l1
 from graspfield.metrics import summarize_scores
-from graspfield.quality import ContactPair, antipodal_score
-from graspfield.refine import RefineTarget, refinement_loss
+from graspfield.quality import ContactPair
+from graspfield.refine import RefineTarget, encode_refinement, refinement_loss
+from graspfield.region import farthest_point_sampling
 from graspfield.sampling import build_positive_set
 from graspfield.synthetic import box_cloud
 
-from conftest import random_unit
+from conftest import antipodal_score, collision_score, from_grasp_frame, random_unit, to_grasp_frame
 from test_geometry import angle_between
 from test_metrics import random_table
 from test_quality import oracle_antipodal

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from graspfield import (
-    AnchorSet,
     DataError,
     Grasp,
     GraspFieldWarning,
@@ -20,7 +19,7 @@ from graspfield import (
     nearest_anchor,
     proposal_loss,
 )
-from graspfield.anchors import PROPOSAL_WEIGHTS, ProposalTarget
+from graspfield.anchors import PROPOSAL_WEIGHTS, AnchorSet, ProposalTarget
 
 from conftest import random_unit
 from test_geometry import angle_between
@@ -241,7 +240,7 @@ class TestBuildProposalTargets:
 
     def test_unmatched_regions_dropped(self, box):
         # labels placed far from the only grasp center: nothing to regress
-        from graspfield import ConfidenceField
+        from graspfield.confidence import ConfidenceField
 
         far = Grasp(box.points[0] + (0.5, 0.5, 0.5), (0, 0, 1), 0.0)
         values = np.zeros(len(box))

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graspfield import Grasp, cli
+from graspfield import Grasp, GraspSet, cli
 from graspfield.fileio import (
     load_grasps,
     load_labels,
@@ -592,8 +592,12 @@ def test_grasp_mismatch_orientation_tolerance():
     # below 1.0, where acos jumps from 0 to 1.49e-8
     assert np.abs(ulp_off.orientation - a.orientation).max() <= 2 * np.spacing(1.0)
     assert abs(float(a.orientation @ ulp_off.orientation)) < 1.0
-    assert not cli._grasp_mismatch(a, ulp_off)
-    assert not cli._grasp_mismatch(a, Grasp(a.center, -a.orientation, a.angle))  # headless axis
-    assert cli._grasp_mismatch(a, Grasp(a.center, _rotated(a.orientation, 1e-6), a.angle))
-    assert cli._grasp_mismatch(a, Grasp(a.center + (1e-6, 0, 0), a.orientation, a.angle))
-    assert cli._grasp_mismatch(a, Grasp(a.center, a.orientation, a.angle + 1e-6))
+    others = [
+        ulp_off,
+        Grasp(a.center, -a.orientation, a.angle),  # headless axis
+        Grasp(a.center, _rotated(a.orientation, 1e-6), a.angle),
+        Grasp(a.center + (1e-6, 0, 0), a.orientation, a.angle),
+        Grasp(a.center, a.orientation, a.angle + 1e-6),
+    ]
+    mismatch = cli._grasp_mismatch(GraspSet.of([a] * len(others)), GraspSet.of(others))
+    assert mismatch.tolist() == [False, False, True, True, True]

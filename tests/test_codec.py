@@ -19,20 +19,18 @@ from graspfield import (
     DataError,
     Grasp,
     GraspFieldWarning,
-    ProposalTarget,
-    RefineTarget,
     build_anchors,
-    canonical_orientation,
     decode_proposal,
     decode_refinement,
     encode_proposal,
-    encode_refinement,
     nearest_anchor,
     proposal_loss,
     refinement_label,
-    refinement_loss,
 )
+from graspfield.anchors import ProposalTarget
+from graspfield.geometry import canonical_orientation
 from graspfield.losses import cross_entropy, smooth_l1
+from graspfield.refine import RefineTarget, encode_refinement, refinement_loss
 
 from conftest import random_unit
 

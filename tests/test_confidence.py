@@ -6,15 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from graspfield import (
-    ConfidenceField,
-    DataError,
-    Grasp,
-    PointCloud,
-    confidence_field,
-    segment_positive,
-    segmentation_loss,
-)
+from graspfield import DataError, Grasp, PointCloud, confidence_field, segmentation_loss
+from graspfield.confidence import ConfidenceField, segment_positive
 
 from conftest import random_unit
 
@@ -140,6 +133,17 @@ class TestConfidenceField:
             confidence_field(box, positives, distance_threshold=d_th, confidence_threshold=c_t)
         with pytest.raises(DataError, match=name):
             ConfidenceField(np.zeros(len(box)), np.zeros(len(box), dtype=int), c_t, d_th)
+
+    @pytest.mark.parametrize("c_t", [-1.0, -1e-300, -math.inf])
+    def test_negative_confidence_threshold_rejected(self, c_t):
+        # a negative threshold labels points no grasp is near as positive,
+        # which the config schema (confidence_threshold >= 0) never allows
+        cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(DataError, match="confidence_threshold must be finite and >= 0"):
+            confidence_field(cloud, [], 0.02, c_t)
+        with pytest.raises(DataError, match="confidence_threshold must be finite and >= 0"):
+            ConfidenceField(np.zeros(2), np.ones(2, dtype=int), c_t, 0.02)
+        assert confidence_field(cloud, [], 0.02, 0.0).labels.tolist() == [0, 0]
 
 
 class TestSegmentPositive:

@@ -186,7 +186,7 @@ def test_verify_catches_tampered_target_residual(box, tmp_path):
 
 
 def test_verify_stored_grasps(box, gripper, z_grasp):
-    good = z_grasp.with_scores(1, 1)
+    good = Grasp(z_grasp.center, z_grasp.orientation, z_grasp.angle, 1, 1, 1)
     verify_stored_grasps(box, [good, good], gripper, 0.6)
     off = Grasp((1.0, 0.0, 0.0), (0, 0, 1), 0.0, 1, 1, 1)
     with pytest.raises(VerificationError, match="^box: stored grasp 1 does not re-score to 1$"):

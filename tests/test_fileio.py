@@ -10,21 +10,14 @@ import pytest
 from graspfield import (
     DataError,
     Grasp,
+    GraspSet,
     PointCloud,
     RigidTransform,
     load_cloud,
     load_grasps,
-    load_labels,
-    load_pose,
-    load_proposal_targets,
-    load_refine_targets,
     save_cloud_binary,
     save_cloud_text,
     save_grasps,
-    save_labels,
-    save_pose,
-    save_proposal_targets,
-    save_refine_targets,
 )
 from graspfield.anchors import ProposalTarget
 from graspfield.fileio import (
@@ -34,6 +27,14 @@ from graspfield.fileio import (
     TARGET_HEADER,
     load_cloud_binary,
     load_cloud_text,
+    load_labels,
+    load_pose,
+    load_proposal_targets,
+    load_refine_targets,
+    save_labels,
+    save_pose,
+    save_proposal_targets,
+    save_refine_targets,
 )
 from graspfield.metrics import EvalReport, load_report, save_report
 from graspfield.refine import RefineTarget
@@ -167,21 +168,21 @@ class TestCloudBinary:
 # ---------------------------------------------------------------------------
 
 class TestGrasps:
-    def test_round_trip_exact(self, tmp_path):
+    @pytest.mark.parametrize("scored", [True, False])
+    def test_round_trip_exact(self, tmp_path, scored):
         rng = np.random.default_rng(3)
-        grasps = [
-            Grasp(
-                rng.normal(size=3) * 0.05,
-                random_unit(rng),
-                rng.uniform(-math.pi / 2, math.pi / 2),
-            ).with_scores(int(rng.integers(2)), int(rng.integers(2)))
-            for _ in range(20)
-        ]
-        grasps.append(Grasp((0, 0, 0.01), (0, 1, 0), 0.25))  # unscored
+        grasps = []
+        for _ in range(20):
+            sa, sc = (int(v) for v in rng.integers(2, size=2))
+            scores = (sa, sc, min(sa, sc)) if scored else ()
+            grasps.append(
+                Grasp(rng.normal(size=3) * 0.05, random_unit(rng), rng.uniform(-math.pi / 2, math.pi / 2), *scores)
+            )
         p = tmp_path / "g.csv"
         save_grasps(p, grasps)
         back = load_grasps(p)
         assert len(back) == len(grasps)
+        assert (back.scores is not None) == scored
         for a, b in zip(grasps, back):
             assert np.array_equal(a.center, b.center)
             assert np.array_equal(a.orientation, b.orientation)
@@ -367,7 +368,7 @@ class TestPose:
 # ---------------------------------------------------------------------------
 
 def _write_grasps(p):
-    save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.25).with_scores(1, 1)])
+    save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.25, 1, 1, 1)])
 
 
 def _write_labels(p):
@@ -441,6 +442,39 @@ def test_report_skips_comments(tmp_path):
     lines.insert(0, "# eval-vgr report")
     p.write_text("\n".join(lines) + "  # trailing note\n")
     assert np.array_equal(load_report(p).scores, rep.scores)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,0,0,1,0,0,0,-1,0,1", "scores must be all three or none"),
+        ("0,0,0,1,0,0,0,1,-1,-1", "scores must be all three or none"),
+        ("0,0,0,1e-160,1e-161,0,0.1,1,1,1", r"orientation must normalize to unit length \(tolerance 1e-9\)"),
+        ("0,0,0,1,0,0,0,-1,-1,-1", "grasps of a set must be all scored or all unscored"),
+        ("0,0,0,1,0,0,0,1,0,1", r"score must equal min\(antipodal, collision\)"),
+    ],
+    ids=["partial-sa-missing", "partial-sc-sg-missing", "tiny-orientation", "mixed", "inconsistent"],
+)
+def test_bad_grasp_row_names_path_and_line(tmp_path, row, message):
+    # before: a row ending -1,0,1 loaded as a grasp with combined score 1
+    # and collision score 0, and a tiny orientation loaded 6.4e-5 off
+    # unit length
+    p = tmp_path / "g.csv"
+    p.write_text(GRASP_HEADER + "\n0,0,0,0,1,0,0.5,1,1,1\n# note\n" + row + "\n")
+    with pytest.raises(DataError, match=rf"g\.csv:4: {message}$"):
+        load_grasps(p)
+
+
+def test_loaded_grasps_are_one_set(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text(GRASP_HEADER + "\n0,0,0,0,2,0,0.5,1,1,1\n1,2,3,1,1,0,-0.5,0,1,0\n")
+    grasps = load_grasps(p)
+    assert isinstance(grasps, GraspSet) and len(grasps) == 2
+    assert grasps.scores.tolist() == [[1, 1, 1], [0, 1, 0]]
+    assert grasps.orientations[0].tolist() == [0.0, 1.0, 0.0]
+    p.write_text(GRASP_HEADER + "\n")
+    empty = load_grasps(p)
+    assert len(empty) == 0 and empty.scores is None
 
 
 def test_grasp_validation_error_names_line(tmp_path):

@@ -10,26 +10,24 @@ import pytest
 from graspfield import (
     DataError,
     Grasp,
-    GraspFrame,
     GraspFieldWarning,
+    GraspSet,
     GripperModel,
     PointCloud,
     RigidTransform,
-    canonical_orientation,
-    derive_seed,
-    estimate_normals,
-    from_grasp_frame,
     grasp_frame,
     nearest_center,
-    points_in_box,
-    to_grasp_frame,
     transform_grasp,
 )
 from graspfield.geometry import (
     WORLD_UP,
+    GraspFrame,
+    canonical_orientation,
+    derive_seed,
+    estimate_normals,
     _cross3,
     _horizontal_reference,
-    _nearest,
+    _nearest_centers,
     _rotations,
     grasp_columns,
     local_coords,
@@ -39,7 +37,7 @@ from graspfield.geometry import (
 from graspfield import geometry
 from graspfield.synthetic import plane_grid, sphere_cloud
 
-from conftest import random_unit
+from conftest import from_grasp_frame, points_in_box, random_unit, to_grasp_frame
 
 
 def random_rotation(rng):
@@ -135,13 +133,146 @@ class TestGrasp:
     def test_score_consistency(self):
         with pytest.raises(DataError):
             Grasp((0, 0, 0), (1, 0, 0), 0.0, score_antipodal=1, score_collision=0, score=1)
-        g = Grasp((0, 0, 0), (1, 0, 0), 0.0).with_scores(1, 0)
+        g = Grasp((0, 0, 0), (1, 0, 0), 0.0, 1, 0, 0)
         assert (g.score_antipodal, g.score_collision, g.score) == (1, 0, 0)
         assert g.scored
 
     def test_score_values(self):
         with pytest.raises(DataError):
             Grasp((0, 0, 0), (1, 0, 0), 0.0, score=2)
+
+
+    @pytest.mark.parametrize(
+        "orientation", [(1e-160, 1e-161, 0.0), (1e200, 1e200, 0.0)], ids=["tiny", "huge"]
+    )
+    def test_orientation_off_unit_after_normalizing_rejected(self, orientation):
+        # the squares leave the float range: dividing by the norm does not
+        # give a unit vector, and scoring the grasp would fail later
+        with pytest.raises(DataError, match=r"orientation must normalize to unit length \(tolerance 1e-9\)"):
+            Grasp((0, 0, 0), orientation, 0.1)
+
+    def test_partial_scores_rejected(self):
+        for scores in ((None, 0, 1), (1, None, None), (1, 1, None)):
+            with pytest.raises(DataError, match="scores must be all three or none"):
+                Grasp((0, 0, 0), (1, 0, 0), 0.0, *scores)
+
+
+def random_rows(rng, count):
+    """Grasp rows as arrays: centers, orientations of random length with
+    every third one an ulp off unit length, angles on the closed range,
+    and consistent 0/1 scores."""
+    centers = rng.normal(size=(count, 3)) * 0.05
+    orientations = random_unit(rng, count) * rng.uniform(0.5, 2.0, size=(count, 1))
+    for k in range(0, count, 3):
+        unit_row = orientations[k] / np.linalg.norm(orientations[k])
+        unit_row[k % 3] = np.nextafter(unit_row[k % 3], np.inf)
+        orientations[k] = unit_row
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, size=count)
+    angles[:2] = (-math.pi / 2, math.pi / 2)
+    sa, sc = rng.integers(2, size=(2, count))
+    return centers, orientations, angles, np.stack([sa, sc, np.minimum(sa, sc)], axis=1)
+
+
+class TestGraspSet:
+    def test_rows_equal_grasps_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        centers, orientations, angles, scores = random_rows(rng, 600)
+        for table in (None, scores):
+            grasps = GraspSet(centers, orientations, angles, table)
+            assert len(grasps) == 600
+            for k in range(600):
+                row_scores = () if table is None else table[k]
+                want = Grasp(centers[k], orientations[k], angles[k], *row_scores)
+                got = grasps[k]
+                assert_bits_equal(grasps.orientations[k], want.orientation)
+                assert_bits_equal(got.center, want.center)
+                assert_bits_equal(got.orientation, want.orientation)
+                assert_bits_equal(got.angle, want.angle)
+                assert (got.score_antipodal, got.score_collision, got.score) == (
+                    want.score_antipodal,
+                    want.score_collision,
+                    want.score,
+                )
+
+    def test_indexing_keeps_the_stored_orientation(self):
+        rng = np.random.default_rng(32)
+        grasps = GraspSet(*random_rows(rng, 600))
+        renormalized = 0
+        for k, g in enumerate(grasps):
+            assert_bits_equal(g.orientation, grasps.orientations[k])
+            renormalized += not np.array_equal(Grasp(g.center, g.orientation, g.angle).orientation, g.orientation)
+        # a second normalization would change the last bit of many rows
+        assert renormalized > 100
+        again = GraspSet.of(list(grasps))
+        for name in ("centers", "orientations", "angles", "scores"):
+            assert_bits_equal(getattr(again, name), getattr(grasps, name))
+
+    def test_arrays_are_read_only_copies(self):
+        centers, orientations, angles, scores = random_rows(np.random.default_rng(33), 5)
+        grasps = GraspSet(centers, orientations, angles, scores)
+        centers[0] = 9.0
+        assert grasps.centers[0, 0] != 9.0
+        assert grasps.scores.dtype == np.int64
+        for a in (grasps.centers, grasps.orientations, grasps.angles, grasps.scores, grasps[0].center):
+            assert not a.flags.writeable
+
+    def test_subsets(self):
+        grasps = GraspSet(*random_rows(np.random.default_rng(34), 10))
+        for index in (slice(2, 7), np.array([4, 1, 1]), np.arange(10) % 3 == 0):
+            part = grasps[index]
+            assert isinstance(part, GraspSet)
+            assert_bits_equal(part.centers, grasps.centers[index])
+            assert_bits_equal(part.orientations, grasps.orientations[index])
+            assert_bits_equal(part.scores, grasps.scores[index])
+        assert len(grasps[np.zeros(10, dtype=bool)]) == 0
+
+    def test_empty(self):
+        for grasps in (GraspSet([], [], []), GraspSet.of([])):
+            assert len(grasps) == 0 and grasps.scores is None
+            assert grasps.centers.shape == (0, 3) and grasps.angles.shape == (0,)
+            assert grasps.rotations().shape == (0, 3, 3)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ((np.nan, 0, 0), (1, 0, 0), 0.0, None),
+            ((0, 0, 0), (np.inf, 0, 0), 0.0, None),
+            ((0, 0, 0), (0, 0, 0), 0.0, None),
+            ((0, 0, 0), (1e-160, 1e-161, 0), 0.1, None),
+            ((0, 0, 0), (1, 0, 0), 1.6, None),
+            ((0, 0, 0), (1, 0, 0), np.nan, None),
+            ((0, 0, 0), (1, 0, 0), 0.0, (2, 0, 0)),
+            ((0, 0, 0), (1, 0, 0), 0.0, (np.nan, 0, 1)),
+            ((0, 0, 0), (1, 0, 0), 0.0, (1, 0, 1)),
+            ((np.nan, 0, 0), (0, 0, 0), 9.0, (2, 0, 1)),  # the first failed check wins
+        ],
+    )
+    def test_bad_row_named_with_the_grasp_message(self, row):
+        center, orientation, angle, scores = row
+        with pytest.raises(DataError) as want:
+            Grasp(center, orientation, angle, *([None if np.isnan(v) else v for v in scores] if scores else ()))
+        good = ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0, (1, 1, 1))
+        rows = [good, good, row, good, row]
+        table = [r[3] or (np.nan,) * 3 for r in rows] if scores else None
+        with pytest.raises(DataError) as got:
+            GraspSet([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], table)
+        assert str(got.value) == str(want.value)
+        assert got.value.row == 2
+
+    def test_scored_and_unscored_rows_do_not_mix(self):
+        rows = ([(0, 0, 0)] * 3, [(1, 0, 0)] * 3, [0.0] * 3)
+        with pytest.raises(DataError, match="all scored or all unscored") as exc:
+            GraspSet(*rows, [(1, 1, 1), (1, 1, 1), (np.nan,) * 3])
+        assert exc.value.row == 2
+        with pytest.raises(DataError, match="all scored or all unscored") as exc:
+            GraspSet.of([Grasp((0, 0, 0), (1, 0, 0), 0.0), Grasp((0, 0, 0), (1, 0, 0), 0.0, 1, 1, 1)])
+        assert exc.value.row == 1
+
+    def test_shapes_checked(self):
+        with pytest.raises(DataError, match="centers must have shape"):
+            GraspSet([[0, 0]], [[1, 0, 0]], [0.0])
+        with pytest.raises(DataError, match="one row per grasp"):
+            GraspSet([[0, 0, 0]], [[1, 0, 0]], [0.0, 0.1])
 
 
 class TestGripperModel:
@@ -538,7 +669,7 @@ class TestTransformGrasp:
             assert -math.pi / 2 <= moved.angle <= math.pi / 2
 
     def test_drops_scores(self):
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0).with_scores(1, 1)
+        g = Grasp((0, 0, 0), (0, 1, 0), 0.0, 1, 1, 1)
         out = transform_grasp(g, RigidTransform.identity())
         assert not out.scored
 
@@ -706,8 +837,8 @@ class TestStackedFrames:
 
     def test_empty_batch(self):
         assert self.stack([]).shape == (0, 3, 3)
-        centers, orientations, angles = transform_grasps([], RigidTransform.identity())
-        assert centers.shape == (0, 3) and orientations.shape == (0, 3) and angles.shape == (0,)
+        moved = transform_grasps([], RigidTransform.identity())
+        assert moved.centers.shape == (0, 3) and moved.orientations.shape == (0, 3) and moved.angles.shape == (0,)
 
     @pytest.mark.parametrize("name", ["random", "grid", "vertical"])
     def test_transform_grasps_bit_equal_to_reference(self, name):
@@ -720,8 +851,9 @@ class TestStackedFrames:
         seen = {"flip": 0}
         at_bounds = 0
         for t in turns():
-            centers, orientations, angles = transform_grasps(grasps, t)
-            for i, (g, c, o, a) in enumerate(zip(grasps, centers, orientations, angles)):
+            moved = transform_grasps(grasps, t)
+            assert moved.scores is None
+            for i, (g, c, o, a) in enumerate(zip(grasps, moved.centers, moved.orientations, moved.angles)):
                 want = reference_transform_grasp(g, t, seen=seen)
                 assert_bits_equal(c, want.center)
                 assert_bits_equal(o, want.orientation)
@@ -730,7 +862,7 @@ class TestStackedFrames:
                     got = transform_grasp(g, t)
                     assert_bits_equal(got.orientation, want.orientation)
                     assert_bits_equal(got.angle, want.angle)
-            at_bounds += int((np.abs(angles) == np.pi / 2).sum())
+            at_bounds += int((np.abs(moved.angles) == np.pi / 2).sum())
         # the flip runs, and angles land exactly on the clip's bounds
         assert seen["flip"] > 0
         assert at_bounds > 0 or name == "random"
@@ -743,15 +875,36 @@ class TestStackedFrames:
             transform_grasps([g], RigidTransform.identity())
 
 
+def reference_nearest(centers, point):
+    """The per-point match the batched one replaced, kept as the reference:
+    row norms of ``centers - point`` and the first minimum."""
+    d = np.linalg.norm(centers - np.asarray(point, dtype=np.float64), axis=1)
+    i = int(np.argmin(d))
+    return i, d[i]
+
+
 class TestNearestCenter:
-    def test_prebuilt_centers_match(self):
+    @pytest.mark.parametrize("block", [1, 7 * 50, geometry._NEAREST_BLOCK])
+    def test_batched_match_bit_equal_to_reference(self, monkeypatch, block):
         rng = np.random.default_rng(9)
-        grasps = [random_grasp(rng) for _ in range(50)]
-        centers = np.array([g.center for g in grasps])
-        for point in rng.uniform(-0.1, 0.1, size=(100, 3)):
-            assert _nearest(centers, point) == nearest_center(grasps, point)
+        centers = np.round(rng.uniform(-0.1, 0.1, size=(50, 3)), 2)
+        centers[25:] = centers[:25]  # exact ties: the lower index must win
+        points = np.concatenate([rng.uniform(-0.1, 0.1, size=(300, 3)), np.round(rng.uniform(-0.1, 0.1, size=(300, 3)), 2)])
+        monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+        index, dist = _nearest_centers(centers, points)
+        assert index.shape == dist.shape == (len(points),)
+        for point, i, d in zip(points, index, dist):
+            want_i, want_d = reference_nearest(centers, point)
+            assert i == want_i < 25
+            assert_bits_equal(d, want_d)
+        grasps = [Grasp(c, (1, 0, 0), 0.0) for c in centers]
+        assert nearest_center(grasps, points[0]) == (index[0], dist[0])
+
+    def test_empty_centers(self):
         with pytest.raises(DataError, match="empty grasp list"):
-            _nearest(np.zeros((0, 3)), (0, 0, 0))
+            _nearest_centers(np.zeros((0, 3)), [(0, 0, 0)])
+        index, dist = _nearest_centers(np.zeros((2, 3)), np.zeros((0, 3)))
+        assert index.shape == dist.shape == (0,)
 
     def test_basic(self):
         grasps = [

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from graspfield import DataError, GraspFieldWarning, cross_entropy, smooth_l1
+from graspfield import DataError, GraspFieldWarning
+from graspfield.losses import cross_entropy, smooth_l1
 
 
 class TestSmoothL1:

@@ -7,27 +7,23 @@ import numpy as np
 import pytest
 
 from graspfield import (
-    ContactPair,
     DataError,
     Grasp,
     PointCloud,
     RigidTransform,
-    antipodal_score,
-    collision_score,
     find_contacts,
     grasp_frame,
-    points_in_box,
     score_grasp,
     transform_grasp,
 )
-from graspfield import geometry, metrics
+from graspfield import geometry
 from graspfield.geometry import GraspFrame, GripperModel
 from graspfield.metrics import evaluate
-from graspfield.quality import score_grasps
+from graspfield.quality import ContactPair, score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
-from conftest import random_unit
+from conftest import antipodal_score, collision_score, points_in_box, random_unit
 from test_geometry import random_grasp, random_rotation
 
 
@@ -432,6 +428,18 @@ def table_scene():
     )
 
 
+def _after_motion(build, broken):
+    """A frame builder for ``evaluate`` that builds the frames before the
+    motion with ``build`` and the moved frames it scores with ``broken``."""
+    calls = []
+
+    def rotations(*args):
+        calls.append(args)
+        return (build if len(calls) == 1 else broken)(*args)
+
+    return rotations
+
+
 class TestScoreGrasps:
     @pytest.mark.parametrize(
         "make, count",
@@ -447,7 +455,7 @@ class TestScoreGrasps:
         obj = make()
         candidates = sample_candidates(obj, gripper, count, seed=11)
         rng = np.random.default_rng(12)
-        grasps = candidates + [random_grasp(rng) for _ in range(20)]
+        grasps = list(candidates) + [random_grasp(rng) for _ in range(20)]
         table = score_grasps(obj, grasps, gripper)
         assert table.dtype == np.int64 and table.shape == (len(grasps), 3)
         looped = [score_grasp(obj, g, gripper) for g in grasps]
@@ -524,8 +532,7 @@ class TestScoreGrasps:
         # and, with only the moved frames skewed, the frames it scores
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
             evaluate([z_grasp] * 2, RigidTransform.identity(), box, gripper)
-        monkeypatch.setattr(geometry, "_rotations", rotations)
-        monkeypatch.setattr(metrics, "_rotations", skewed)
+        monkeypatch.setattr(geometry, "_rotations", _after_motion(rotations, skewed))
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
             evaluate([z_grasp] * 2, RigidTransform.identity(), box, gripper)
 
@@ -546,8 +553,7 @@ class TestScoreGrasps:
         monkeypatch.setattr(geometry, "_rotations", broken)
         with pytest.raises(DataError, match=message):
             score_grasps(box, [z_grasp], gripper)
-        monkeypatch.setattr(geometry, "_rotations", rotations)
-        monkeypatch.setattr(metrics, "_rotations", broken)
+        monkeypatch.setattr(geometry, "_rotations", _after_motion(rotations, broken))
         with pytest.raises(DataError, match=message):
             evaluate([z_grasp], RigidTransform.identity(), box, gripper)
 

@@ -14,10 +14,8 @@ from graspfield import (
     build_refinement_targets,
     closing_area,
     decode_refinement,
-    encode_refinement,
     grasp_frame,
     refinement_label,
-    refinement_loss,
     select_refinable,
 )
 from graspfield.refine import (
@@ -25,6 +23,8 @@ from graspfield.refine import (
     ORIENTATION_GATE,
     REFINE_WEIGHTS,
     RefineTarget,
+    encode_refinement,
+    refinement_loss,
 )
 
 from conftest import random_unit

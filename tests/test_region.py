@@ -4,15 +4,9 @@ the combined region extractor."""
 import numpy as np
 import pytest
 
-from graspfield import (
-    ConfidenceField,
-    DataError,
-    GraspRegion,
-    PointCloud,
-    ball_query,
-    extract_regions,
-    farthest_point_sampling,
-)
+from graspfield import DataError, PointCloud, extract_regions
+from graspfield.confidence import ConfidenceField
+from graspfield.region import GraspRegion, ball_query, farthest_point_sampling
 
 
 def assert_greedy_maxmin(points, subset, chosen):

@@ -10,17 +10,17 @@ from graspfield import (
     DataError,
     Grasp,
     GraspFieldWarning,
+    GraspSet,
     GripperModel,
-    OrthoCamera,
     PointCloud,
     UngraspableError,
     build_positive_set,
-    render_single_view,
     sample_candidates,
     score_grasp,
 )
 from graspfield import sampling
 from graspfield.geometry import RigidTransform, _cross3, canonical_orientation, unit
+from graspfield.sampling import OrthoCamera, render_single_view
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
 from conftest import dead_plane_scene
@@ -134,14 +134,14 @@ class TestBuildPositiveSet:
             assert g.angle == h.angle
 
     def test_zero_request(self, box, gripper):
-        assert build_positive_set(box, gripper, per_object=0) == []
+        assert len(build_positive_set(box, gripper, per_object=0)) == 0
 
     def test_shortfall_warns_and_returns_partial(self, gripper):
         cloud = _blocked_pair()
         assert len(sample_candidates(cloud, gripper, 10, seed=0)) == 10
         with pytest.warns(GraspFieldWarning, match="positive grasps"):
             got = build_positive_set(cloud, gripper, per_object=5, seed=0)
-        assert got == []
+        assert len(got) == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_late_empty_batch_warns_and_returns_partial(self, gripper, monkeypatch, seed):
@@ -167,7 +167,7 @@ class TestBuildPositiveSet:
 
         monkeypatch.setattr(sampling, "_sample", spy)
         with pytest.warns(GraspFieldWarning, match="only 0 of 1 positive grasps") as caught:
-            assert build_positive_set(cloud, gripper, per_object=1, seed=seed) == []
+            assert len(build_positive_set(cloud, gripper, per_object=1, seed=seed)) == 0
         assert yields == [1, 0]
         (message,) = [str(w.message) for w in caught]
         assert message == (
@@ -244,7 +244,7 @@ def _reference_sample(obj, gripper, count, seed, mu, ray_tol, state):
     out = _reference_candidates(obj, gripper, count, seed, mu, ray_tol)
     if not out:
         raise UngraspableError("object not graspable at this gripper scale")
-    return out
+    return GraspSet.of(out)
 
 
 def _positive_set(*args, **kwargs):
