@@ -2,28 +2,23 @@
 candidate sampling, confidence labeling, region extraction, target
 codecs, and evaluation metrics for parallel-jaw grasping on point clouds.
 
-The names below are the ones the demos, the command line and the README
-use, plus the core types and errors; everything else is reached through
-its module (``graspfield.fileio``, ``graspfield.region``, ...).
+The public names are the ones imported below: what the demos, the
+command line and the README use, plus the core types and errors. The
+rest is reached through its module (``graspfield.fileio``,
+``graspfield.region``, ...).
 """
 
-from .anchors import build_anchors, build_proposal_targets, decode_proposal, encode_proposal, nearest_anchor, proposal_loss
+from types import ModuleType as _ModuleType
+
+from .anchors import build_anchors, build_proposal_targets, decode_proposal, encode_proposal
+from .anchors import nearest_anchor, proposal_loss
 from .confidence import confidence_field, segmentation_loss
 from .config import Config, load_config
 from .dataset import generate_dataset
 from .errors import ConfigError, DataError, GraspFieldError, GraspFieldWarning, UngraspableError, VerificationError
 from .fileio import load_cloud, load_grasps, save_cloud_binary, save_cloud_text, save_grasps
-from .geometry import (
-    Grasp,
-    GraspSet,
-    GripperModel,
-    PointCloud,
-    RigidTransform,
-    grasp_frame,
-    nearest_center,
-    transform_grasp,
-    transform_grasps,
-)
+from .geometry import Grasp, GraspSet, GripperModel, PointCloud, RigidTransform, grasp_frame, nearest_center
+from .geometry import transform_grasp, transform_grasps
 from .metrics import compare_reports, evaluate
 from .quality import find_contacts, score_grasp, score_grasps
 from .refine import build_refinement_targets, closing_area, decode_refinement, refinement_label, select_refinable
@@ -33,51 +28,5 @@ from .synthetic import box_cloud, sphere_cloud
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Config",
-    "ConfigError",
-    "DataError",
-    "Grasp",
-    "GraspFieldError",
-    "GraspFieldWarning",
-    "GraspSet",
-    "GripperModel",
-    "PointCloud",
-    "RigidTransform",
-    "UngraspableError",
-    "VerificationError",
-    "box_cloud",
-    "build_anchors",
-    "build_positive_set",
-    "build_proposal_targets",
-    "build_refinement_targets",
-    "closing_area",
-    "compare_reports",
-    "confidence_field",
-    "decode_proposal",
-    "decode_refinement",
-    "encode_proposal",
-    "evaluate",
-    "extract_regions",
-    "find_contacts",
-    "generate_dataset",
-    "grasp_frame",
-    "load_cloud",
-    "load_config",
-    "load_grasps",
-    "nearest_anchor",
-    "nearest_center",
-    "proposal_loss",
-    "refinement_label",
-    "sample_candidates",
-    "save_cloud_binary",
-    "save_cloud_text",
-    "save_grasps",
-    "score_grasp",
-    "score_grasps",
-    "segmentation_loss",
-    "select_refinable",
-    "sphere_cloud",
-    "transform_grasp",
-    "transform_grasps",
-]
+# every name imported above, listed once; the submodules are not in it
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

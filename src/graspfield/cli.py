@@ -91,15 +91,11 @@ def _grasp_mismatch(a: GraspSet, b: GraspSet) -> np.ndarray:
     """Per row pair of two equal-length sets, True when the grasps differ
     beyond the round-trip tolerance; the orientation is a headless axis,
     so it is compared by the shorter chord to ``b`` or ``-b``."""
-    chord = np.minimum(
-        np.linalg.norm(a.orientations - b.orientations, axis=1),
-        np.linalg.norm(a.orientations + b.orientations, axis=1),
-    )
-    return (
-        (np.linalg.norm(a.centers - b.centers, axis=1) >= _ROUND_TRIP_TOL)
-        | (chord >= _ROUND_TRIP_TOL)
-        | (np.abs(a.angles - b.angles) >= _ROUND_TRIP_TOL)
-    )
+    def far(u, v):
+        return np.linalg.norm(u - v, axis=-1) >= _ROUND_TRIP_TOL
+
+    chord_far = far(a.orientations, b.orientations) & far(a.orientations, -b.orientations)
+    return far(a.centers, b.centers) | chord_far | (np.abs(a.angles - b.angles) >= _ROUND_TRIP_TOL)
 
 
 def _verify_decoded(decoded, grasps: GraspSet, what: str) -> None:
@@ -237,9 +233,7 @@ def _cmd_eval_vgr(args) -> int:
 
 def _cmd_generate_dataset(args) -> int:
     config = _config(args)
-    objects = []
-    for path in args.objects:
-        objects.append((Path(path).stem, load_cloud(path)))
+    objects = [(Path(path).stem, load_cloud(path)) for path in args.objects]
     manifest = generate_dataset(
         objects,
         args.out_dir,

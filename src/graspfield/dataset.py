@@ -261,21 +261,14 @@ def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> 
         verify_stored_grasps(obj_cloud, grasps, gripper, config.mu, where=f"{name}: ")
         for view_rel, targets_rel in view_checks:
             view = load_cloud(out_dir / view_rel)
+            rows = load_proposal_targets(out_dir / targets_rel)
             # the targets before the first bad index are scored in one call,
             # so a failing score still wins over a later bad index
-            indices, decoded, out_of_range = [], [], None
-            for point_index, cls, res_c, res_o, res_a in load_proposal_targets(out_dir / targets_rel):
-                if not 0 <= point_index < len(view):
-                    out_of_range = point_index
-                    break
-                indices.append(point_index)
-                decoded.append(
-                    decode_proposal(view.points[point_index], cls, res_c, res_o, res_a, anchors, gripper.scale)
-                )
+            good = next((k for k, row in enumerate(rows) if not 0 <= row[0] < len(view)), len(rows))
+            decoded = [decode_proposal(view.points[i], *row, anchors, gripper.scale) for i, *row in rows[:good]]
             failed = np.flatnonzero(score_grasps(obj_cloud, decoded, gripper, mu=config.mu)[:, 2] != 1)
             if failed.size:
-                raise VerificationError(
-                    f"{targets_rel}: decoded target at point {indices[failed[0]]} does not re-score to 1"
-                )
-            if out_of_range is not None:
-                raise VerificationError(f"{targets_rel}: point index {out_of_range} out of range")
+                point = rows[failed[0]][0]
+                raise VerificationError(f"{targets_rel}: decoded target at point {point} does not re-score to 1")
+            if good < len(rows):
+                raise VerificationError(f"{targets_rel}: point index {rows[good][0]} out of range")

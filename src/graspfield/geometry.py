@@ -42,16 +42,14 @@ The jaw symmetry (r, theta) ~ (-r, pi - theta) maps the frame to
 (X, -Y, -Z) and leaves the gripper solid unchanged; :func:`transform_grasps`
 uses it to keep theta inside [-pi/2, pi/2] after a rigid motion.
 
-Every pipeline stage holds its grasps as one :class:`GraspSet`: centers,
-unit orientations, angles and scores as arrays, checked once with
-:class:`Grasp`'s rules and messages; ``grasps[i]`` is one ``Grasp`` with
-the stored bits. Frames are built for a whole set at once
+Every pipeline stage holds its grasps as one :class:`GraspSet`, arrays
+checked once with :class:`Grasp`'s rules; ``grasps[i]`` is one ``Grasp``
+with the stored bits, and :func:`grasp_frame` and :func:`transform_grasp`
+are one-grasp conveniences. Frames are built for a whole set at once
 (:meth:`GraspSet.rotations` over :func:`_rotations`, the one frame
 builder), and every row is bit-equal to :func:`grasp_frame` of that grasp
 alone, signed zeros included, because ties in the grasp frame decide
-contacts. :func:`grasp_frame` and :func:`transform_grasp` are one-grasp
-conveniences for code outside the pipeline. Two rules keep it so (numpy 2.4.6, OpenBLAS
-0.3.31):
+contacts. Two rules keep it so (numpy 2.4.6, OpenBLAS 0.3.31):
 
 * every norm and dot product of rows is ``np.vecdot``, which runs the
   same BLAS ``ddot`` as a 1-D ``np.linalg.norm`` or ``a @ b`` and matched
@@ -207,12 +205,10 @@ class PointCloud:
 @dataclass(frozen=True)
 class Grasp:
     """A parallel-jaw grasp: center, unit orientation, approach angle, and
-    optional binary quality scores (antipodal, collision-free, combined).
-
-    The orientation is normalized at construction. The scores are all
-    three or none, and the combined one must equal min(antipodal,
-    collision). The checks are those of :class:`GraspSet`, on one row.
-    """
+    optional binary quality scores (antipodal, collision-free, combined),
+    checked as one row of a :class:`GraspSet` (the orientation is
+    normalized; the scores are all three or none, the combined one equal
+    to min(antipodal, collision))."""
 
     center: np.ndarray
     orientation: np.ndarray
@@ -230,15 +226,10 @@ class Grasp:
             raise DataError("orientation must be a finite 3-vector")
         angle = float(self.angle)
         scores = (self.score_antipodal, self.score_collision, self.score)
-        table = None
-        if scores != (None, None, None):
-            scores = tuple(None if v is None else int(v) for v in scores)
-            table = np.array([[np.nan if v is None else v for v in scores]], dtype=np.float64)
+        scores = tuple(None if v is None else int(v) for v in scores)
+        table = None if scores == (None,) * 3 else np.array([scores], dtype=np.float64)  # None is NaN
         units, _ = _check_rows(center[None], ori[None], np.array([angle]), table)
-        center.setflags(write=False)
-        units.setflags(write=False)
-        for name, value in zip(_GRASP_FIELDS, (center, units[0], angle, *scores)):
-            object.__setattr__(self, name, value)
+        _set_fields(self, _GRASP_FIELDS, (center, units[0], angle, *scores))
 
     @property
     def scored(self) -> bool:
@@ -246,11 +237,21 @@ class Grasp:
 
 
 _GRASP_FIELDS = ("center", "orientation", "angle", "score_antipodal", "score_collision", "score")
+_SET_FIELDS = ("centers", "orientations", "angles", "scores")
+
+
+def _set_fields(obj, names, values) -> None:
+    """Set the fields of a frozen instance, arrays made read-only."""
+    for name, value in zip(names, values):
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 def _row_error(row: int, message: str) -> DataError:
-    """A ``DataError`` that names the row it is about in ``row``, so a
-    file reader can turn it into ``path:line``."""
+    """A ``DataError`` naming its row in ``row``, which a file reader turns
+    into ``path:line``."""
     exc = DataError(message)
     exc.row = row
     return exc
@@ -258,16 +259,12 @@ def _row_error(row: int, message: str) -> DataError:
 
 def _check_rows(centers, orientations, angles, scores) -> tuple[np.ndarray, np.ndarray | None]:
     """The one validation pass of :class:`Grasp` and :class:`GraspSet` on
-    (G, 3) centers, (G, 3) orientations, (G,) angles and a (G, 3) float
-    score table (NaN for a missing score) or ``None``.
-
-    Returns the unit orientations, each row divided once by its length
-    (:func:`_norms`, bit-equal to the 1-D ``np.linalg.norm``), and the
-    int64 score table, ``None`` when no row is scored. The first row that
-    fails raises :func:`_row_error` with :func:`_row_problem`'s message.
-    A unit orientation more than 1e-9 off unit length (a tiny or huge
-    input whose squares left the float range) is rejected, not rescaled.
-    """
+    (G, 3) centers and orientations, (G,) angles and a (G, 3) float score
+    table (NaN for a missing score) or ``None``: the unit orientations,
+    each row divided once by its :func:`_norms` (the 1-D norm's bits), and
+    :func:`_score_table`. The first bad row raises with
+    :func:`_row_problem`'s message. An orientation whose squares leave the
+    float range normalizes off unit length: rejected, never rescaled."""
     with np.errstate(all="ignore"):
         norms = _norms(orientations)[:, 0]
         units = orientations / norms[:, None]
@@ -281,16 +278,11 @@ def _check_rows(centers, orientations, angles, scores) -> tuple[np.ndarray, np.n
         i = int(np.argmin(ok))
         row = (centers[i], orientations[i], norms[i], unit_ok[i], angles[i])
         raise _row_error(i, _row_problem(*row, None if scores is None else scores[i]))
-    if scores is None or unscored.all():
-        return units, None
-    if unscored.any():
-        raise _row_error(int(np.argmax(unscored != unscored[0])), "grasps of a set must be all scored or all unscored")
-    return units, scores.astype(np.int64)
+    return units, _score_table(scores)
 
 
 def _row_problem(center, orientation, norm, unit_ok, angle, scores) -> str:
-    """Why one row failed :func:`_check_rows`: its first failed check, in
-    :class:`Grasp`'s order and with its message."""
+    """The first check one row fails, in :class:`Grasp`'s order."""
     if not np.isfinite(center).all():
         return "center: contains non-finite values"
     if not np.isfinite(orientation).all():
@@ -301,7 +293,7 @@ def _row_problem(center, orientation, norm, unit_ok, angle, scores) -> str:
         return "orientation must normalize to unit length (tolerance 1e-9)"
     if not -np.pi / 2 <= angle <= np.pi / 2:
         return f"angle must lie in [-pi/2, pi/2], got {float(angle)}"
-    for name, v in zip(("score_antipodal", "score_collision", "score"), scores):
+    for name, v in zip(_GRASP_FIELDS[3:], scores):
         if v not in (0.0, 1.0) and not np.isnan(v):
             return f"{name} must be 0 or 1, got {v:g}"
     if np.isnan(scores).any():
@@ -309,37 +301,39 @@ def _row_problem(center, orientation, norm, unit_ok, angle, scores) -> str:
     return "score must equal min(antipodal, collision)"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+def _score_table(scores) -> np.ndarray | None:
+    """A (G, 3) score table of rows each all scored or all NaN, as int64;
+    ``None`` when no row is scored, and an error when only some are."""
+    unscored = np.isnan(scores[:, 0]) if scores is not None else None
+    if scores is None or unscored.all():
+        return None
+    if unscored.any():
+        first = int(np.argmax(unscored != unscored[0]))
+        raise _row_error(first, "grasps of a set must be all scored or all unscored")
+    return scores.astype(np.int64)
 
 
 def _rows(x, width: int | None, name: str) -> np.ndarray:
     """A float64 copy of ``x`` as (G, width) rows, or (G,) without ``width``."""
-    a = np.array(x, dtype=np.float64)
-    if a.size == 0:
-        a = a.reshape((0,) if width is None else (0, width))
-    if a.shape != ((len(a),) if width is None else (len(a), width)):
+    shape = (0,) if width is None else (0, width)
+    a = np.array(x, dtype=np.float64).reshape(shape) if np.size(x) == 0 else np.array(x, dtype=np.float64)
+    if a.ndim != len(shape) or a.shape[1:] != shape[1:]:
         raise DataError(f"{name} must have shape (G{'' if width is None else f', {width}'}), got {a.shape}")
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class GraspSet:
-    """G grasps as arrays: (G, 3) centers, (G, 3) unit orientations, (G,)
-    angles, and a (G, 3) int64 table of (antipodal, collision, combined)
-    scores, or ``None`` for an unscored set. The arrays are read-only.
+    """G grasps as read-only arrays: (G, 3) centers, (G, 3) unit
+    orientations, (G,) angles, and a (G, 3) int64 table of (antipodal,
+    collision, combined) scores, or ``None`` for an unscored set.
 
-    Construction runs :class:`Grasp`'s checks on every row at once, with
-    its messages (a ``DataError`` about one row names it in ``row``),
-    and divides each orientation once by its length, bit-equal to
-    ``Grasp``. A score table may mark a missing score with NaN; the rows
-    must then be all scored or all unscored. :meth:`of` stacks grasps
-    that are already built, without normalizing them again.
-
-    ``s[i]`` is grasp i as a :class:`Grasp` holding the stored bits;
-    ``s[mask]``, ``s[indices]`` and ``s[a:b]`` are sub-sets.
+    Construction checks every row as :class:`Grasp` does, with its
+    messages (the ``DataError`` names the row in ``row``), and divides
+    each orientation once by its length, bit-equal to ``Grasp``; a NaN
+    score marks a missing one. :meth:`of` stacks built grasps without
+    normalizing them again. ``s[i]`` is grasp i as a ``Grasp`` holding the
+    stored bits; ``s[mask]``, ``s[indices]`` and ``s[a:b]`` are sub-sets.
     """
 
     centers: np.ndarray
@@ -348,20 +342,19 @@ class GraspSet:
     scores: np.ndarray | None = None
 
     def __post_init__(self):
-        centers = _rows(self.centers, 3, "centers")
-        orientations = _rows(self.orientations, 3, "orientations")
+        centers, orientations = _rows(self.centers, 3, "centers"), _rows(self.orientations, 3, "orientations")
         angles = _rows(self.angles, None, "angles")
         scores = None if self.scores is None else _rows(self.scores, 3, "scores")
         if not len(centers) == len(orientations) == len(angles) == len(centers if scores is None else scores):
             raise DataError("grasp set arrays must have one row per grasp")
-        orientations, scores = _check_rows(centers, orientations, angles, scores)
-        _set_arrays(self, centers, orientations, angles, scores)
+        units, scores = _check_rows(centers, orientations, angles, scores)
+        _set_fields(self, _SET_FIELDS, (centers, units, angles, scores))
 
     @classmethod
-    def _stored(cls, centers, orientations, angles, scores=None) -> "GraspSet":
+    def _stored(cls, *arrays) -> "GraspSet":
         """A set of rows that already passed the checks, kept bit for bit."""
         out = object.__new__(cls)
-        _set_arrays(out, centers, orientations, angles, scores)
+        _set_fields(out, _SET_FIELDS, arrays)
         return out
 
     @classmethod
@@ -370,47 +363,33 @@ class GraspSet:
         if isinstance(grasps, GraspSet):
             return grasps
         grasps = list(grasps)
-        scored = [g.scored for g in grasps]
-        if any(scored) and not all(scored):
-            raise _row_error(scored.index(not scored[0]), "grasps of a set must be all scored or all unscored")
+        scores = np.array([(g.score_antipodal, g.score_collision, g.score) for g in grasps], dtype=np.float64)
         return cls._stored(
             np.array([g.center for g in grasps], dtype=np.float64).reshape(-1, 3),
             np.array([g.orientation for g in grasps], dtype=np.float64).reshape(-1, 3),
             np.array([g.angle for g in grasps], dtype=np.float64),
-            np.array([(g.score_antipodal, g.score_collision, g.score) for g in grasps], dtype=np.int64)
-            if grasps and all(scored)
-            else None,
+            _score_table(scores.reshape(-1, 3)),
         )
 
     def __len__(self) -> int:
         return len(self.angles)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            g = object.__new__(Grasp)
-            scores = (None,) * 3 if self.scores is None else map(int, self.scores[index])
-            values = (self.centers[index], self.orientations[index], float(self.angles[index]), *scores)
-            for name, value in zip(_GRASP_FIELDS, values):
-                object.__setattr__(g, name, value)
-            return g
-        scores = None if self.scores is None else self.scores[index]
-        return GraspSet._stored(self.centers[index], self.orientations[index], self.angles[index], scores)
+        if not isinstance(index, (int, np.integer)):
+            scores = None if self.scores is None else self.scores[index]
+            return GraspSet._stored(self.centers[index], self.orientations[index], self.angles[index], scores)
+        g = object.__new__(Grasp)
+        scores = (None,) * 3 if self.scores is None else self.scores[index].tolist()
+        row = (self.centers[index], self.orientations[index], float(self.angles[index]), *scores)
+        _set_fields(g, _GRASP_FIELDS, row)
+        return g
 
     def rotations(self, up=WORLD_UP) -> np.ndarray:
-        """(G, 3, 3) world-from-grasp rotations (:func:`_rotations`) for a
-        unit ``up``, checked once as a stack with :class:`GraspFrame`'s
-        tolerance and messages."""
+        """(G, 3, 3) :func:`_rotations` for a unit ``up``, checked once as a
+        stack with :class:`GraspFrame`'s tolerance and messages."""
         rotations = _rotations(self.orientations, self.angles, up)
         _check_rotations(rotations)
         return rotations
-
-
-def _set_arrays(s: GraspSet, centers, orientations, angles, scores) -> None:
-    for name, a in zip(("centers", "orientations", "angles", "scores"), (centers, orientations, angles, scores)):
-        object.__setattr__(s, name, None if a is None else _frozen(a))
 
 
 @dataclass(frozen=True)
@@ -614,37 +593,25 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))[:, None]
 
 
-def _horizontal_reference(y_axis: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """X' = normalize(up x Y); falls back to world basis vectors when the
-    orientation is parallel to up. Never fails."""
-    xp = _cross3(up, y_axis)
-    n = np.linalg.norm(xp)
-    if n >= _DEGENERATE_AXIS_TOL:
-        return xp / n
-    for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        xp = _cross3(up, basis)
-        # up x basis is orthogonal to up, not to a Y that leans off up:
-        # Gram-Schmidt it against Y (skipped when already exact, so those
-        # frames keep every bit, signed zeros included)
-        d = xp @ y_axis
-        if d != 0.0:
-            xp = xp - d * y_axis
-        n = np.linalg.norm(xp)
-        if n >= _DEGENERATE_AXIS_TOL:
-            return xp / n
-    raise DataError("up vector must be non-zero")
-
-
 def _horizontal_references(y_axes: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """:func:`_horizontal_reference` of every row of a (G, 3) array, bit
-    for bit; the rows parallel to up take its fallback one at a time."""
+    """X' = normalize(up x Y) for every row of a (G, 3) array. A row
+    parallel to up falls back to up x (1, 0, 0), then up x (0, 1, 0): that
+    is orthogonal to up, not to a Y leaning off up, so one Gram-Schmidt
+    step against Y follows, skipped where the dot is already 0 so that
+    those frames keep every bit, signed zeros included."""
     xp = _cross_rows(up, y_axes)
     n = _norms(xp)
-    ok = n >= _DEGENERATE_AXIS_TOL
-    np.divide(xp, n, out=xp, where=ok)
-    for i in np.flatnonzero(~ok):
-        xp[i] = _horizontal_reference(y_axes[i], up)
-    return xp
+    for basis in np.eye(3)[:2]:
+        rows = np.flatnonzero(n[:, 0] < _DEGENERATE_AXIS_TOL)
+        if not rows.size:
+            break
+        side, y = _cross3(up, basis), y_axes[rows]
+        d = np.vecdot(side, y)[:, None]
+        xp[rows] = np.where(d != 0.0, side - d * y, side)
+        n[rows] = _norms(xp[rows])
+    if (n < _DEGENERATE_AXIS_TOL).any():
+        raise DataError("up vector must be non-zero")
+    return xp / n
 
 
 def _rotations(orientations: np.ndarray, angles: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -741,38 +708,31 @@ def _apply_rows(rows: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rotation.T)[:, 0]
 
 
-def _moved_frames(grasps: GraspSet, transform: RigidTransform, up) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers, closing axes and angles of grasps after a rigid motion;
-    the frames before it pass :class:`GraspFrame`'s checks. The axes are
-    not yet normalized: normalizing twice changes the last bit of about a
-    third of them, so each caller normalizes once, as ``Grasp`` does."""
+def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> GraspSet:
+    """Move a set of grasps by a rigid transform, keeping each physical
+    gripper pose; row i is bit-equal to :func:`transform_grasp` of grasp
+    i. Scores are dropped: they refer to an object in the old frame.
+
+    The full frame is rotated (its checks passed before the motion), then
+    (center, orientation, angle) are read back; when the recovered angle
+    leaves [-pi/2, pi/2] the jaw symmetry (r, theta) ~ (-r, pi - theta)
+    restores it. :class:`GraspSet` checks the result and normalizes each
+    orientation once: normalizing twice changes the last bit of about a
+    third of them.
+    """
     up = unit(np.asarray(up, dtype=np.float64))
+    grasps = GraspSet.of(grasps)
     rotations = grasps.rotations(up)
     r, t = transform.rotation, transform.translation
-    centers = _apply_rows(grasps.centers, r) + t
     x_new = _apply_rows(np.ascontiguousarray(rotations[:, :, 0]), r)
     y_new = _apply_rows(np.ascontiguousarray(rotations[:, :, 1]), r)
-
     xp = _horizontal_references(y_new, up)
     theta = np.arctan2(np.vecdot(_cross_rows(xp, x_new), y_new), np.vecdot(xp, x_new))
     flip = np.abs(theta) > np.pi / 2
     y_new[flip] = -y_new[flip]
     theta[flip] = np.pi - theta[flip]
     theta[flip & (theta > np.pi)] -= 2.0 * np.pi
-    return centers, y_new, np.clip(theta, -np.pi / 2, np.pi / 2)
-
-
-def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> GraspSet:
-    """Move a set of grasps by a rigid transform, keeping each physical
-    gripper pose; row i is bit-equal to :func:`transform_grasp` of grasp
-    i. Scores are dropped: they refer to an object in the old frame.
-
-    The full frame is rotated, then (center, orientation, angle) are read
-    back; when the recovered angle leaves [-pi/2, pi/2] the jaw symmetry
-    (r, theta) ~ (-r, pi - theta) restores it. :class:`GraspSet` checks
-    the result and normalizes each orientation once.
-    """
-    return GraspSet(*_moved_frames(GraspSet.of(grasps), transform, up))
+    return GraspSet(_apply_rows(grasps.centers, r) + t, y_new, np.clip(theta, -np.pi / 2, np.pi / 2))
 
 
 def transform_grasp(g: Grasp, transform: RigidTransform, up=WORLD_UP) -> Grasp:
@@ -785,10 +745,9 @@ _NEAREST_BLOCK = 1 << 14  # query rows times centers per distance block
 
 def _nearest_centers(centers: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
     """Index and distance of the row of a (G, 3) center array closest to
-    each of M points, lowest index on ties. Each distance is
-    ``np.linalg.norm(centers - point, axis=1)`` of that point, bit for
-    bit; the points are matched in blocks of at most
-    :data:`_NEAREST_BLOCK` pairs."""
+    each of M points, lowest index on ties, in blocks of at most
+    :data:`_NEAREST_BLOCK` pairs; each distance has the bits of that
+    point's ``np.linalg.norm(centers - point, axis=1)``."""
     if not len(centers):
         raise DataError("empty grasp list")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)

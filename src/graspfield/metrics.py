@@ -109,20 +109,8 @@ def compare_reports(named_reports: list[tuple[str, EvalReport]]) -> str:
         raise DataError("no reports to compare")
     rows = sorted(named_reports, key=lambda nr: (-nr[1].vgr, nr[0]))
     header = ("name", "k3", "kT", "kT_a", "kT_c", "vgr", "vagr", "vcgr")
-    table = [header]
-    for name, rep in rows:
-        table.append(
-            (
-                str(name),
-                str(rep.k3),
-                str(rep.kT),
-                str(rep.kT_a),
-                str(rep.kT_c),
-                f"{rep.vgr:.4f}",
-                f"{rep.vagr:.4f}",
-                f"{rep.vcgr:.4f}",
-            )
-        )
+    # the report file's summary cells: counts, then the ratios to 4 decimals
+    table = [header] + [(str(name), *_summary_cells(rep.k3, rep.kT, rep.kT_a, rep.kT_c)) for name, rep in rows]
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table)
 

@@ -11,31 +11,16 @@ folding the normal sign away; jaws that sweep no points score 0.
 every stage scores through it, ``metrics.evaluate`` on the moved set.
 :func:`find_contacts` and :func:`score_grasp` are one-grasp views of the
 same sweep. Per call it makes one column copy of the cloud
-(:func:`~.geometry.grasp_columns`); the grasp rotations are built as one
-stack (:meth:`~.geometry.GraspSet.rotations`) and checked once, with
-:class:`GraspFrame`'s tolerance and messages; no per-grasp ``Grasp``,
-``GraspFrame`` or ``ContactPair`` is built. Per grasp it reads one slab
-of grasp-frame coordinates in column layout
-(:func:`~.geometry.local_coords`: rows x, y, z of
-``R^T (cols - origin)`` for the points with |z| <= max(H/2 + tol, the
-collision boxes' z extent)), and both tests run on the slab's 1-D rows.
+(:func:`~.geometry.grasp_columns`) and one checked stack of rotations
+(:meth:`~.geometry.GraspSet.rotations`); no per-grasp ``Grasp``,
+``GraspFrame`` or ``ContactPair`` is built, and both tests run on one
+slab of grasp-frame coordinates per grasp (:func:`_sweep`).
 
-The scores are bit-identical to row-layout scoring with
-``(points - origin) @ R``. With ``R^T`` the transposed view of the
-C-contiguous rotation, each column of the product equals the matching
-row, signed zeros included (0 of 949,332 rows differed over N = 1-39,
-63-65, 127-129, 255-257, 1000, 3150, 4096 and 20000 with random,
-grid-rounded and axis-permutation frames, numpy 2.4.6, OpenBLAS 0.3.31).
-That order is kept on purpose: each contact is the extreme-Y point
-(lowest index on ties, so the slab stays ascending) and grid objects tie
-to an ulp, so a contiguous copy of ``R^T`` (170 of 300 one-point clouds
-differ), ``einsum`` or cross-grasp local coordinates (33% of elements
-differ in the last bit) would flip scores. The stacked rotations keep the
-one-grasp bits by the same kind of rule: norms and dots are
-``np.vecdot`` (0 of 200,000 vectors differ from a 1-D norm, against
-10-14% for ``einsum``, ``(v * v).sum(1)`` or ``norm(axis=1)``), and a
-rigid motion of rows is ``np.matmul(V[:, None, :], R.T)`` (0 of 100,000
-rows differ from ``v @ R.T``, against 53-73% for ``V @ R.T``).
+The scores are bit-identical to scoring each grasp alone in row layout,
+``(points - origin) @ R``: :func:`~.geometry.local_coords` and the
+:mod:`.geometry` module docstring give the rules that keep those bits and
+the measurements behind them. They matter because each contact is the
+extreme-Y point (lowest index on ties) and grid objects tie to an ulp.
 """
 
 from __future__ import annotations

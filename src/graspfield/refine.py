@@ -22,7 +22,16 @@ import numpy as np
 
 from .anchors import _decode_residuals, _encode_residuals, _residual_arrays
 from .errors import DataError
-from .geometry import Grasp, GraspSet, GripperModel, PointCloud, _nearest_centers, grasp_columns, grasp_frame, local_coords
+from .geometry import (
+    Grasp,
+    GraspSet,
+    GripperModel,
+    PointCloud,
+    _nearest_centers,
+    grasp_columns,
+    grasp_frame,
+    local_coords,
+)
 from .losses import _weighted_loss
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
@@ -83,9 +92,8 @@ def refinement_label(proposal: Grasp, gt: Grasp) -> int:
 
 
 def _refinement_labels(orientations, angles, gt_orientations, gt_angles) -> np.ndarray:
-    """:func:`refinement_label` of each row pair of proposals and ground
-    truths (one grasp each, or aligned arrays), as 0/1 int64; the dots are
-    ``np.vecdot``, bit-equal to ``a @ b``."""
+    """:func:`refinement_label` of each proposal and ground-truth pair (one
+    grasp each, or aligned arrays); ``np.vecdot`` has the bits of ``a @ b``."""
     dots = np.clip(np.vecdot(orientations, gt_orientations), -1.0, 1.0)
     # angle >= gate compared in cosine space: exact at the boundary
     close = (dots > _COS_ORIENTATION_GATE) & (np.abs(np.subtract(angles, gt_angles)) < ANGLE_GATE)

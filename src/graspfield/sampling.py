@@ -43,7 +43,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DataError, GraspFieldWarning, UngraspableError
 from .geometry import GraspSet, GripperModel, PointCloud, _as_array, canonical_orientation, derive_seed, unit
-from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
+from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _check_friction, score_grasps
 
 ATTEMPT_FACTOR = 100
 
@@ -183,8 +183,7 @@ def _check_sampler_inputs(obj: PointCloud, mu: float, ray_tol: float) -> None:
         raise DataError("object cloud is empty")
     if obj.normals is None:
         raise DataError("normals required to sample candidates")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DataError(f"mu must be a finite positive number, got {mu}")
+    _check_friction(mu=mu)
     if not (math.isfinite(ray_tol) and ray_tol > 0.0):
         raise DataError(f"ray_tol must be a finite positive number, got {ray_tol}")
 
@@ -203,12 +202,8 @@ def sample_candidates(
     inside its friction cone (half-angle arctan mu), find the farthest
     surface point within ``ray_tol`` of that ray as the opposite contact
     (lowest index on ties), and reject pairs wider than the jaw opening or
-    whose realized closing line leaves the friction cone. Clouds of
-    :data:`RAY_INDEX_MIN_POINTS` points or more get a KD-tree that only
-    narrows the points the exact test runs on; the candidates are the
-    same as from a whole-cloud scan. Smaller clouds skip the cast from
-    origins proven dead (no point within the opening and the friction
-    cone); the candidates are the same as without the memo.
+    whose realized closing line leaves the friction cone. The ray index or
+    dead-origin memo (module docstring) never changes the candidates.
     Deterministic given the seed; raises :class:`UngraspableError` when
     100x``count`` attempts yield nothing, or sooner once every origin of
     a scanned cloud is dead.
@@ -330,7 +325,7 @@ def build_positive_set(
     state = _sampler_state(obj, gripper, mu, tol)
     budget = ATTEMPT_FACTOR * per_object
     chunk = max(32, per_object)
-    kept: list[tuple[GraspSet, np.ndarray]] = []  # (scored part, its score table), positives only
+    kept = []  # (centers, orientations, angles, scores) of each part's positives
     found = 0
     drawn = 0
     batch = 0
@@ -353,7 +348,7 @@ def build_positive_set(
             start += len(part)
             scores = score_grasps(obj, part, gripper, mu=mu, tol=tol)
             positive = scores[:, 2] == 1
-            kept.append((part[positive], scores[positive]))
+            kept.append((*(a[positive] for a in (part.centers, part.orientations, part.angles)), scores[positive]))
             found += int(positive.sum())
     if found < per_object:
         warnings.warn(
@@ -363,12 +358,7 @@ def build_positive_set(
         )
     # the constructor normalizes each orientation once more, and the
     # pinned dataset digests hold that pass
-    return GraspSet(
-        np.concatenate([part.centers for part, _ in kept]),
-        np.concatenate([part.orientations for part, _ in kept]),
-        np.concatenate([part.angles for part, _ in kept]),
-        np.concatenate([scores for _, scores in kept]),
-    )
+    return GraspSet(*map(np.concatenate, zip(*kept)))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from graspfield.geometry import (
     canonical_orientation,
     derive_seed,
     estimate_normals,
+    _DEGENERATE_AXIS_TOL,
     _cross3,
-    _horizontal_reference,
     _nearest_centers,
     _rotations,
     grasp_columns,
@@ -718,6 +718,25 @@ class TestTransformGrasp:
 # ---------------------------------------------------------------------------
 # Stacked frames and rigid motions against the single-grasp reference
 # ---------------------------------------------------------------------------
+
+def _horizontal_reference(y_axis, up):
+    """The single-grasp horizontal reference the stacked one replaced, kept
+    as the reference: X' = normalize(up x Y), else up x (1, 0, 0) or
+    up x (0, 1, 0) made orthogonal to Y (skipped when the dot is 0)."""
+    xp = _cross3(up, y_axis)
+    n = np.linalg.norm(xp)
+    if n >= _DEGENERATE_AXIS_TOL:
+        return xp / n
+    for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
+        xp = _cross3(up, basis)
+        d = xp @ y_axis
+        if d != 0.0:
+            xp = xp - d * y_axis
+        n = np.linalg.norm(xp)
+        if n >= _DEGENERATE_AXIS_TOL:
+            return xp / n
+    raise DataError("up vector must be non-zero")
+
 
 def reference_rotation(g, up):
     """The single-grasp frame builder the stacked one replaced, kept as the
