@@ -25,7 +25,7 @@ import numpy as np
 
 from .confidence import DEFAULT_DISTANCE_THRESHOLD
 from .errors import DataError, GraspFieldWarning
-from .geometry import Grasp, GraspSet, PointCloud, _nearest_centers, canonical_orientation
+from .geometry import Grasp, GraspSet, PointCloud, _nearest_centers, _norms, canonical_orientation
 from .losses import _weighted_loss
 from .region import extract_regions
 
@@ -141,27 +141,28 @@ def _encode_residuals(ref, gt, scale: float) -> tuple[np.ndarray, np.ndarray, fl
     return (gt_center - center) / scale, gt_orientation - orientation, gt_angle - angle
 
 
-def _decode_residuals(ref, res_center, res_orientation, res_angle, scale: float) -> Grasp:
-    """Apply residuals to the reference grasp ``ref = (center, orientation,
-    angle)``: the inverse of :func:`_encode_residuals`.
+def _decode_residuals(ref, res_center, res_orientation, res_angle, scale: float) -> GraspSet:
+    """Apply residuals row by row to G reference grasps ``ref = (centers,
+    orientations, angles)``: the inverse of :func:`_encode_residuals`.
 
-    The orientation is renormalized; a residual that cancels the
-    reference orientation is rejected. An angle outside [-pi/2, pi/2] is
-    clamped back with a warning.
+    The orientations are renormalized (:func:`~.geometry._norms`, the 1-D
+    norm's bits); a residual that cancels its reference orientation is
+    rejected. Angles outside [-pi/2, pi/2] are clamped back with a warning.
     """
     if scale <= 0.0:
         raise DataError("scale must be positive")
-    center, orientation, angle = ref
-    p = center + np.asarray(res_center, dtype=np.float64) * scale
-    v = orientation + np.asarray(res_orientation, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm < 1e-9:
+    centers, orientations, angles = ref
+    p = centers + np.asarray(res_center, dtype=np.float64).reshape(-1, 3) * scale
+    v = orientations + np.asarray(res_orientation, dtype=np.float64).reshape(-1, 3)
+    norms = _norms(v)
+    if (norms < 1e-9).any():
         raise DataError("degenerate orientation")
-    angle = angle + float(res_angle)
-    if abs(angle) > math.pi / 2:
-        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=3)
-        angle = math.copysign(math.pi / 2, angle)
-    return Grasp(p, v / norm, angle)
+    angles = angles + np.asarray(res_angle, dtype=np.float64)
+    clamp = np.abs(angles) > math.pi / 2
+    if clamp.any():
+        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=4)
+        angles[clamp] = np.copysign(math.pi / 2, angles[clamp])
+    return GraspSet(p, v / norms, angles)
 
 
 def encode_proposal(center, gt: Grasp, anchors: AnchorSet, scale: float) -> ProposalTarget:
@@ -192,11 +193,19 @@ def decode_proposal(
     Out-of-range angles are clamped to [-pi/2, pi/2] with a warning;
     a residual that cancels the anchor is rejected.
     """
-    if not 0 <= anchor_class < len(anchors):
+    residuals = ([res_center], [res_orientation], [res_angle])
+    return _decode_proposals([center], [anchor_class], *residuals, anchors, scale)[0]
+
+
+def _decode_proposals(centers, classes, res_center, res_orientation, res_angle, anchors, scale) -> GraspSet:
+    """:func:`decode_proposal` of G targets (per-row arrays) at once."""
+    classes = np.asarray(classes, dtype=np.intp)
+    if ((classes < 0) | (classes >= len(anchors))).any():
         raise DataError("anchor_class must be a valid index")
     # the reference angle is -0.0, not 0.0: x + -0.0 == x for every float,
     # -0.0 included, so the decoded angle is res_angle itself
-    ref = (np.asarray(center, dtype=np.float64), anchors.orientations[anchor_class], -0.0)
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    ref = (centers, anchors.orientations[classes], -np.zeros(len(classes)))
     return _decode_residuals(ref, res_center, res_orientation, res_angle, scale)
 
 

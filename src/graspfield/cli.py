@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import build_anchors, build_proposal_targets, decode_proposal
+from .anchors import _decode_proposals, build_anchors, build_proposal_targets
 from .confidence import confidence_field
 from .config import Config, load_config
 from .dataset import ensure_normals, generate_dataset, verify_stored_grasps
@@ -41,7 +41,7 @@ from .fileio import (
 )
 from .geometry import GraspSet, _nearest_centers
 from .metrics import evaluate, load_report, save_report
-from .refine import build_refinement_targets, decode_refinement
+from .refine import _decode_refinements, build_refinement_targets
 from .sampling import build_positive_set
 
 _ROUND_TRIP_TOL = 1e-9
@@ -98,17 +98,13 @@ def _grasp_mismatch(a: GraspSet, b: GraspSet) -> np.ndarray:
     return far(a.centers, b.centers) | chord_far | (np.abs(a.angles - b.angles) >= _ROUND_TRIP_TOL)
 
 
-def _verify_decoded(decoded, grasps: GraspSet, what: str) -> None:
+def _verify_decoded(indices, centers, decoded: GraspSet, grasps: GraspSet, what: str) -> None:
     """Check that each decoded target is the grasp nearest its reference
-    center, matched in one batch; ``decoded`` yields (row index,
-    reference center, grasp)."""
-    rows = list(decoded)
-    if not rows:
-        return
-    indices, centers, found = zip(*rows)
-    bad = _grasp_mismatch(GraspSet.of(found), grasps[_nearest_centers(grasps.centers, centers)[0]])
-    if bad.any():
-        raise VerificationError(f"{what} {indices[int(np.argmax(bad))]} does not decode to its grasp")
+    center (row ``indices`` of the target table), matched in one batch."""
+    if len(decoded):
+        bad = _grasp_mismatch(decoded, grasps[_nearest_centers(grasps.centers, centers)[0]])
+        if bad.any():
+            raise VerificationError(f"{what} {indices[int(np.argmax(bad))]} does not decode to its grasp")
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +170,11 @@ def _cmd_make_targets(args) -> int:
     if args.verify:
         # targets encode the sign-canonical orientation of their grasp,
         # which the headless comparison of _grasp_mismatch accepts
-        decoded = (
-            (i, view.points[i], decode_proposal(view.points[i], cls, *res, anchors, gripper.scale))
-            for i, cls, *res in load_proposal_targets(out)
-        )
-        _verify_decoded(decoded, positives, "target at point")
+        rows = load_proposal_targets(out)
+        index, *residuals = zip(*rows) if rows else [()] * 5
+        centers = view.points[list(index)]
+        decoded = _decode_proposals(centers, *residuals, anchors, gripper.scale)
+        _verify_decoded(index, centers, decoded, positives, "target at point")
         print(f"verify: {len(targets)} targets decode to their grasps")
     return 0
 
@@ -197,12 +193,10 @@ def _cmd_refine_targets(args) -> int:
     n_pos = sum(t.label for t in targets)
     print(f"wrote {len(targets)} refinement targets ({n_pos} positive) to {out}")
     if args.verify:
-        decoded = (
-            (i, proposals.centers[i], decode_refinement(proposals[i], *res, gripper.scale))
-            for i, label, *res in load_refine_targets(out)
-            if label
-        )
-        _verify_decoded(decoded, positives, "refinement target")
+        rows = [row for row in load_refine_targets(out) if row[1]]
+        index, _, *residuals = zip(*rows) if rows else [()] * 5
+        decoded = _decode_refinements(proposals[list(index)], *residuals, gripper.scale)
+        _verify_decoded(index, proposals.centers[list(index)], decoded, positives, "refinement target")
         print(f"verify: {n_pos} positive targets decode to their grasps")
     return 0
 

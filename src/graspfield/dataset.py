@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import build_anchors, build_proposal_targets, decode_proposal
+from .anchors import _decode_proposals, build_anchors, build_proposal_targets
 from .confidence import confidence_field
 from .config import Config
 from .errors import DataError, GraspFieldWarning, UngraspableError, VerificationError
@@ -265,10 +265,11 @@ def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> 
             # the targets before the first bad index are scored in one call,
             # so a failing score still wins over a later bad index
             good = next((k for k, row in enumerate(rows) if not 0 <= row[0] < len(view)), len(rows))
-            decoded = [decode_proposal(view.points[i], *row, anchors, gripper.scale) for i, *row in rows[:good]]
-            failed = np.flatnonzero(score_grasps(obj_cloud, decoded, gripper, mu=config.mu)[:, 2] != 1)
-            if failed.size:
-                point = rows[failed[0]][0]
+            index, *residuals = zip(*rows[:good]) if good else [()] * 5
+            decoded = _decode_proposals(view.points[list(index)], *residuals, anchors, gripper.scale)
+            failed = score_grasps(obj_cloud, decoded, gripper, mu=config.mu)[:, 2] != 1
+            if failed.any():
+                point = index[int(np.argmax(failed))]
                 raise VerificationError(f"{targets_rel}: decoded target at point {point} does not re-score to 1")
             if good < len(rows):
                 raise VerificationError(f"{targets_rel}: point index {rows[good][0]} out of range")

@@ -225,8 +225,8 @@ def load_grasps(path) -> GraspSet:
     """Read a grasp table as one set, every row checked as ``Grasp`` checks
     it; a row that fails raises ``DataError`` naming ``path:line``."""
     lines = []
-    table = np.array(_read_table(path, GRASP_HEADER, 10, _grasp_row, "grasp", lines), dtype=np.float64)
-    table = table.reshape(len(lines), 10)
+    rows = _read_table(path, GRASP_HEADER, 10, _grasp_row, "grasp", lines)
+    table = np.array(rows, dtype=np.float64).reshape(-1, 10)
     try:
         return GraspSet(table[:, 0:3], table[:, 3:6], table[:, 6], table[:, 7:])
     except DataError as exc:

@@ -250,8 +250,7 @@ def _set_fields(obj, names, values) -> None:
 
 
 def _row_error(row: int, message: str) -> DataError:
-    """A ``DataError`` naming its row in ``row``, which a file reader turns
-    into ``path:line``."""
+    """A ``DataError`` naming its row in ``row`` (a file reader adds ``path:line``)."""
     exc = DataError(message)
     exc.row = row
     return exc
@@ -260,9 +259,9 @@ def _row_error(row: int, message: str) -> DataError:
 def _check_rows(centers, orientations, angles, scores) -> tuple[np.ndarray, np.ndarray | None]:
     """The one validation pass of :class:`Grasp` and :class:`GraspSet` on
     (G, 3) centers and orientations, (G,) angles and a (G, 3) float score
-    table (NaN for a missing score) or ``None``: the unit orientations,
-    each row divided once by its :func:`_norms` (the 1-D norm's bits), and
-    :func:`_score_table`. The first bad row raises with
+    table (NaN for missing) or ``None``. Returns each orientation divided
+    once by its :func:`_norms` (the 1-D norm's bits) and
+    :func:`_score_table`; the first bad row raises with
     :func:`_row_problem`'s message. An orientation whose squares leave the
     float range normalizes off unit length: rejected, never rescaled."""
     with np.errstate(all="ignore"):
@@ -304,8 +303,8 @@ def _row_problem(center, orientation, norm, unit_ok, angle, scores) -> str:
 def _score_table(scores) -> np.ndarray | None:
     """A (G, 3) score table of rows each all scored or all NaN, as int64;
     ``None`` when no row is scored, and an error when only some are."""
-    unscored = np.isnan(scores[:, 0]) if scores is not None else None
-    if scores is None or unscored.all():
+    unscored = None if scores is None else np.isnan(scores[:, 0])
+    if unscored is None or unscored.all():
         return None
     if unscored.any():
         first = int(np.argmax(unscored != unscored[0]))
@@ -385,8 +384,7 @@ class GraspSet:
         return g
 
     def rotations(self, up=WORLD_UP) -> np.ndarray:
-        """(G, 3, 3) :func:`_rotations` for a unit ``up``, checked once as a
-        stack with :class:`GraspFrame`'s tolerance and messages."""
+        """(G, 3, 3) :func:`_rotations` for a unit ``up``, with :class:`GraspFrame`'s checks."""
         rotations = _rotations(self.orientations, self.angles, up)
         _check_rotations(rotations)
         return rotations
@@ -762,7 +760,6 @@ def _nearest_centers(centers: np.ndarray, points) -> tuple[np.ndarray, np.ndarra
 
 
 def nearest_center(grasps, point) -> tuple[int, float]:
-    """Index and distance of the grasp whose center is closest to ``point``
-    (lowest index on ties)."""
+    """Index and distance of the grasp center closest to ``point``, lowest index on ties."""
     (i,), (d,) = _nearest_centers(GraspSet.of(grasps).centers, point)
     return int(i), float(d)

@@ -161,13 +161,12 @@ def score_grasps(
     building one; the forces are the frame's Y axis, unit within 1e-9.
     """
     grasps = GraspSet.of(grasps)
-    rotations = grasps.rotations()
     _check_friction(mu, tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
     points, normals, beta = obj.points, obj.normals, math.atan(mu)
     rows = []
-    for y, ia, ib, sc in _sweep(obj, grasps.centers, rotations, gripper, tol):
+    for y, ia, ib, sc in _sweep(obj, grasps.centers, grasps.rotations(), gripper, tol):
         sa = 0
         if ia >= 0:
             for name, i in (("normal_a", ia), ("normal_b", ib)):

@@ -75,11 +75,8 @@ def select_refinable(
         raise DataError("min_points must be >= 0")
     proposals = GraspSet.of(proposals)
     work = grasp_columns(cloud.points)
-    counts = [
-        np.count_nonzero(_closing_box(work, center, r, gripper)[2])
-        for center, r in zip(proposals.centers, proposals.rotations())
-    ]
-    return np.flatnonzero(np.array(counts, dtype=np.int64) > min_points)
+    inside = (_closing_box(work, c, r, gripper)[2] for c, r in zip(proposals.centers, proposals.rotations()))
+    return np.flatnonzero([np.count_nonzero(mask) > min_points for mask in inside])
 
 
 def refinement_label(proposal: Grasp, gt: Grasp) -> int:
@@ -150,7 +147,12 @@ def decode_refinement(proposal: Grasp, res_center, res_orientation, res_angle: f
     The corrected angle is clamped back into [-pi/2, pi/2] with a warning
     when the residual pushes it outside.
     """
-    ref = (proposal.center, proposal.orientation, proposal.angle)
+    return _decode_refinements(GraspSet.of([proposal]), [res_center], [res_orientation], [res_angle], scale)[0]
+
+
+def _decode_refinements(proposals: GraspSet, res_center, res_orientation, res_angle, scale: float) -> GraspSet:
+    """:func:`decode_refinement` of G proposals (per-row residual arrays) at once."""
+    ref = (proposals.centers, proposals.orientations, proposals.angles)
     return _decode_residuals(ref, res_center, res_orientation, res_angle, scale)
 
 
