@@ -19,6 +19,7 @@ from graspfield import (
     DataError,
     Grasp,
     GraspFieldWarning,
+    GraspSet,
     build_anchors,
     decode_proposal,
     decode_refinement,
@@ -27,10 +28,10 @@ from graspfield import (
     proposal_loss,
     refinement_label,
 )
-from graspfield.anchors import ProposalTarget
+from graspfield.anchors import ProposalTarget, _decode_proposals
 from graspfield.geometry import canonical_orientation
 from graspfield.losses import cross_entropy, smooth_l1
-from graspfield.refine import RefineTarget, encode_refinement, refinement_loss
+from graspfield.refine import RefineTarget, _decode_refinements, encode_refinement, refinement_loss
 
 from conftest import random_unit
 
@@ -275,6 +276,28 @@ class TestProposalCodec:
             ((0, 0, 0), -1, (0, 0, 0), (0, 0, 0), 0.0, anchors, 0.1),
         ):
             assert run(decode_proposal, *args)[1:] == run(ref_decode_proposal, *args)[1:]
+
+
+def test_batched_decode_equals_one_row_decode():
+    # the verify paths decode every stored target in one call
+    rng = np.random.default_rng(904)
+    anchors, scale, n = build_anchors(8), 0.1, 400
+    centers, classes = rng.normal(size=(n, 3)) * 0.05, rng.integers(8, size=n)
+    res_c, res_o = rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 0.5
+    res_a = np.array([draw_residual_angle(rng) for _ in range(n)])
+    proposals = GraspSet.of([draw_grasp(rng) for _ in range(n)])
+    for batched, one in (
+        (lambda: _decode_proposals(centers, classes, res_c, res_o, res_a, anchors, scale),
+         lambda k: decode_proposal(centers[k], classes[k], res_c[k], res_o[k], res_a[k], anchors, scale)),
+        (lambda: _decode_refinements(proposals, res_c, res_o, res_a, scale),
+         lambda k: decode_refinement(proposals[k], res_c[k], res_o[k], res_a[k], scale)),
+    ):
+        with pytest.warns(GraspFieldWarning, match="clamped"):
+            decoded = batched()
+        assert len(decoded) == n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GraspFieldWarning)
+            assert all(same_grasp(decoded[k], one(k)) for k in range(n))
 
 
 class TestRefinementCodec:

@@ -168,8 +168,14 @@ class TestCloudBinary:
 # ---------------------------------------------------------------------------
 
 class TestGrasps:
-    @pytest.mark.parametrize("scored", [True, False])
-    def test_round_trip_exact(self, tmp_path, scored):
+    def test_round_trip_exact(self, tmp_path):
+        self.check_round_trip(tmp_path, scored=True)
+
+    def test_round_trip_exact_unscored(self, tmp_path):
+        self.check_round_trip(tmp_path, scored=False)
+
+    @staticmethod
+    def check_round_trip(tmp_path, scored):
         rng = np.random.default_rng(3)
         grasps = []
         for _ in range(20):
@@ -456,9 +462,6 @@ def test_report_skips_comments(tmp_path):
     ids=["partial-sa-missing", "partial-sc-sg-missing", "tiny-orientation", "mixed", "inconsistent"],
 )
 def test_bad_grasp_row_names_path_and_line(tmp_path, row, message):
-    # before: a row ending -1,0,1 loaded as a grasp with combined score 1
-    # and collision score 0, and a tiny orientation loaded 6.4e-5 off
-    # unit length
     p = tmp_path / "g.csv"
     p.write_text(GRASP_HEADER + "\n0,0,0,0,1,0,0.5,1,1,1\n# note\n" + row + "\n")
     with pytest.raises(DataError, match=rf"g\.csv:4: {message}$"):

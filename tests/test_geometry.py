@@ -903,6 +903,15 @@ def reference_nearest(centers, point):
 
 
 class TestNearestCenter:
+    def test_prebuilt_centers_match(self):
+        rng = np.random.default_rng(9)
+        grasps = [random_grasp(rng) for _ in range(50)]
+        centers = np.array([g.center for g in grasps])
+        points = rng.uniform(-0.1, 0.1, size=(100, 3))
+        index, dist = _nearest_centers(centers, points)
+        for point, i, d in zip(points, index, dist):
+            assert (i, d) == nearest_center(grasps, point)
+
     @pytest.mark.parametrize("block", [1, 7 * 50, geometry._NEAREST_BLOCK])
     def test_batched_match_bit_equal_to_reference(self, monkeypatch, block):
         rng = np.random.default_rng(9)
