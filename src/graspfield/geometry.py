@@ -314,8 +314,9 @@ def _score_table(scores) -> np.ndarray | None:
 
 def _rows(x, width: int | None, name: str) -> np.ndarray:
     """A float64 copy of ``x`` as (G, width) rows, or (G,) without ``width``."""
-    shape = (0,) if width is None else (0, width)
-    a = np.array(x, dtype=np.float64).reshape(shape) if np.size(x) == 0 else np.array(x, dtype=np.float64)
+    a, shape = np.array(x, dtype=np.float64), ((0,) if width is None else (0, width))
+    if a.size == 0:
+        a = a.reshape(shape)
     if a.ndim != len(shape) or a.shape[1:] != shape[1:]:
         raise DataError(f"{name} must have shape (G{'' if width is None else f', {width}'}), got {a.shape}")
     return a

@@ -356,8 +356,7 @@ def build_positive_set(
             GraspFieldWarning,
             stacklevel=2,
         )
-    # the constructor normalizes each orientation once more, and the
-    # pinned dataset digests hold that pass
+    # GraspSet normalizes each orientation once more; the pinned dataset digests hold that pass
     return GraspSet(*map(np.concatenate, zip(*kept)))
 
 
