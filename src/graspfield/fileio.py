@@ -212,7 +212,7 @@ def save_grasps(path, grasps) -> None:
     grasps = GraspSet.of(grasps)
     scores = np.full((len(grasps), 3), -1) if grasps.scores is None else grasps.scores
     values = np.hstack([grasps.centers, grasps.orientations, grasps.angles[:, None]]).tolist()
-    rows = (",".join(map(repr, row)) + ",{},{},{}".format(*s) for row, s in zip(values, scores.tolist()))
+    rows = (",".join(map(_fmt, row)) + ",{},{},{}".format(*s) for row, s in zip(values, scores.tolist()))
     _write_table(path, GRASP_HEADER, rows)
 
 

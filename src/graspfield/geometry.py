@@ -261,55 +261,43 @@ def _check_rows(centers, orientations, angles, scores) -> tuple[np.ndarray, np.n
     (G, 3) centers and orientations, (G,) angles and a (G, 3) float score
     table (NaN for missing) or ``None``. Returns each orientation divided
     once by its :func:`_norms` (the 1-D norm's bits) and
-    :func:`_score_table`; the first bad row raises with
-    :func:`_row_problem`'s message. An orientation whose squares leave the
-    float range normalizes off unit length: rejected, never rescaled."""
+    :func:`_score_table`; the first bad row raises with the message of its
+    first failed check. An orientation whose squares leave the float range
+    normalizes off unit length: rejected, never rescaled."""
     with np.errstate(all="ignore"):
         norms = _norms(orientations)[:, 0]
         units = orientations / norms[:, None]
         unit_ok = np.abs(_norms(units)[:, 0] - 1.0) <= _ORTHO_TOL  # False for non-finite or zero input
-    ok = unit_ok & np.logical_and.reduce(np.isfinite(centers), axis=1) & (np.abs(angles) <= np.pi / 2)
+        checks = [
+            (np.isfinite(centers).all(axis=1), "center: contains non-finite values"),
+            (np.isfinite(orientations).all(axis=1), "orientation must be a finite 3-vector"),
+            (norms > 0.0, "orientation must have positive length"),
+            (unit_ok, "orientation must normalize to unit length (tolerance 1e-9)"),
+            (np.abs(angles) <= np.pi / 2, "angle must lie in [-pi/2, pi/2], got {angle}"),
+        ]
     if scores is not None:
-        unscored = np.logical_and.reduce(np.isnan(scores), axis=1)
-        binary = np.logical_and.reduce((scores == 0.0) | (scores == 1.0), axis=1)
-        ok &= unscored | (binary & (scores[:, 2] == np.minimum(scores[:, 0], scores[:, 1])))
+        missing = np.isnan(scores)
+        binary, least = (scores == 0.0) | (scores == 1.0) | missing, np.minimum(scores[:, 0], scores[:, 1])
+        for k, name in enumerate(_GRASP_FIELDS[3:]):
+            checks.append((binary[:, k], f"{name} must be 0 or 1, got {{scores[{k}]:g}}"))
+        checks += [
+            (missing.all(axis=1) | ~missing.any(axis=1), "scores must be all three or none"),
+            (missing[:, 0] | (scores[:, 2] == least), "score must equal min(antipodal, collision)"),
+        ]
+    ok = np.logical_and.reduce([mask for mask, _ in checks])
     if not ok.all():
         i = int(np.argmin(ok))
-        row = (centers[i], orientations[i], norms[i], unit_ok[i], angles[i])
-        raise _row_error(i, _row_problem(*row, None if scores is None else scores[i]))
+        message = next(message for mask, message in checks if not mask[i])
+        raise _row_error(i, message.format(angle=float(angles[i]), scores=None if scores is None else scores[i]))
     return units, _score_table(scores)
 
 
-def _row_problem(center, orientation, norm, unit_ok, angle, scores) -> str:
-    """The first check one row fails, in :class:`Grasp`'s order."""
-    if not np.isfinite(center).all():
-        return "center: contains non-finite values"
-    if not np.isfinite(orientation).all():
-        return "orientation must be a finite 3-vector"
-    if not norm > 0.0:
-        return "orientation must have positive length"
-    if not unit_ok:
-        return "orientation must normalize to unit length (tolerance 1e-9)"
-    if not -np.pi / 2 <= angle <= np.pi / 2:
-        return f"angle must lie in [-pi/2, pi/2], got {float(angle)}"
-    for name, v in zip(_GRASP_FIELDS[3:], scores):
-        if v not in (0.0, 1.0) and not np.isnan(v):
-            return f"{name} must be 0 or 1, got {v:g}"
-    if np.isnan(scores).any():
-        return "scores must be all three or none"
-    return "score must equal min(antipodal, collision)"
-
-
 def _score_table(scores) -> np.ndarray | None:
-    """A (G, 3) score table of rows each all scored or all NaN, as int64;
-    ``None`` when no row is scored, and an error when only some are."""
-    unscored = None if scores is None else np.isnan(scores[:, 0])
-    if unscored is None or unscored.all():
+    """Checked (G, 3) float scores (NaN for missing) as int64, -1 in the
+    rows of unscored grasps; ``None`` when no row is scored."""
+    if scores is None or np.isnan(scores).all():
         return None
-    if unscored.any():
-        first = int(np.argmax(unscored != unscored[0]))
-        raise _row_error(first, "grasps of a set must be all scored or all unscored")
-    return scores.astype(np.int64)
+    return np.where(np.isnan(scores), -1.0, scores).astype(np.int64)
 
 
 def _rows(x, width: int | None, name: str) -> np.ndarray:
@@ -326,7 +314,8 @@ def _rows(x, width: int | None, name: str) -> np.ndarray:
 class GraspSet:
     """G grasps as read-only arrays: (G, 3) centers, (G, 3) unit
     orientations, (G,) angles, and a (G, 3) int64 table of (antipodal,
-    collision, combined) scores, or ``None`` for an unscored set.
+    collision, combined) scores, -1 in the rows of unscored grasps, or
+    ``None`` when no grasp is scored.
 
     Construction checks every row as :class:`Grasp` does, with its
     messages (the ``DataError`` names the row in ``row``), and divides
@@ -351,10 +340,11 @@ class GraspSet:
         _set_fields(self, _SET_FIELDS, (centers, units, angles, scores))
 
     @classmethod
-    def _stored(cls, *arrays) -> "GraspSet":
+    def _stored(cls, centers, orientations, angles, scores) -> "GraspSet":
         """A set of rows that already passed the checks, kept bit for bit."""
         out = object.__new__(cls)
-        _set_fields(out, _SET_FIELDS, arrays)
+        scores = None if scores is None or (scores < 0).all() else scores
+        _set_fields(out, _SET_FIELDS, (centers, orientations, angles, scores))
         return out
 
     @classmethod
@@ -379,7 +369,7 @@ class GraspSet:
             scores = None if self.scores is None else self.scores[index]
             return GraspSet._stored(self.centers[index], self.orientations[index], self.angles[index], scores)
         g = object.__new__(Grasp)
-        scores = (None,) * 3 if self.scores is None else self.scores[index].tolist()
+        scores = (None,) * 3 if self.scores is None or self.scores[index, 0] < 0 else self.scores[index].tolist()
         row = (self.centers[index], self.orientations[index], float(self.angles[index]), *scores)
         _set_fields(g, _GRASP_FIELDS, row)
         return g

@@ -184,6 +184,7 @@ class TestGrasps:
             grasps.append(
                 Grasp(rng.normal(size=3) * 0.05, random_unit(rng), rng.uniform(-math.pi / 2, math.pi / 2), *scores)
             )
+        grasps.append(Grasp((0, 0, 0.01), (0, 1, 0), 0.25))  # unscored
         p = tmp_path / "g.csv"
         save_grasps(p, grasps)
         back = load_grasps(p)
@@ -456,10 +457,9 @@ def test_report_skips_comments(tmp_path):
         ("0,0,0,1,0,0,0,-1,0,1", "scores must be all three or none"),
         ("0,0,0,1,0,0,0,1,-1,-1", "scores must be all three or none"),
         ("0,0,0,1e-160,1e-161,0,0.1,1,1,1", r"orientation must normalize to unit length \(tolerance 1e-9\)"),
-        ("0,0,0,1,0,0,0,-1,-1,-1", "grasps of a set must be all scored or all unscored"),
         ("0,0,0,1,0,0,0,1,0,1", r"score must equal min\(antipodal, collision\)"),
     ],
-    ids=["partial-sa-missing", "partial-sc-sg-missing", "tiny-orientation", "mixed", "inconsistent"],
+    ids=["partial-sa-missing", "partial-sc-sg-missing", "tiny-orientation", "inconsistent"],
 )
 def test_bad_grasp_row_names_path_and_line(tmp_path, row, message):
     p = tmp_path / "g.csv"
@@ -478,6 +478,17 @@ def test_loaded_grasps_are_one_set(tmp_path):
     p.write_text(GRASP_HEADER + "\n")
     empty = load_grasps(p)
     assert len(empty) == 0 and empty.scores is None
+
+
+def test_mixed_scored_and_unscored_rows_round_trip(tmp_path):
+    p, q = tmp_path / "g.csv", tmp_path / "h.csv"
+    p.write_text(GRASP_HEADER + "\n0.0,0.0,0.0,0.0,1.0,0.0,0.5,1,1,1\n1.0,2.0,3.0,1.0,0.0,0.0,-0.5,-1,-1,-1\n")
+    grasps = load_grasps(p)
+    assert grasps.scores.tolist() == [[1, 1, 1], [-1, -1, -1]]
+    assert (grasps[0].score, grasps[1].score, grasps[1].scored) == (1, None, False)
+    assert grasps[1:].scores is None and grasps[:1].scores.tolist() == [[1, 1, 1]]
+    save_grasps(q, list(grasps))
+    assert q.read_text() == p.read_text()
 
 
 def test_grasp_validation_error_names_line(tmp_path):

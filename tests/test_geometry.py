@@ -259,14 +259,15 @@ class TestGraspSet:
         assert str(got.value) == str(want.value)
         assert got.value.row == 2
 
-    def test_scored_and_unscored_rows_do_not_mix(self):
+    def test_scored_and_unscored_rows_mix(self):
         rows = ([(0, 0, 0)] * 3, [(1, 0, 0)] * 3, [0.0] * 3)
-        with pytest.raises(DataError, match="all scored or all unscored") as exc:
-            GraspSet(*rows, [(1, 1, 1), (1, 1, 1), (np.nan,) * 3])
-        assert exc.value.row == 2
-        with pytest.raises(DataError, match="all scored or all unscored") as exc:
-            GraspSet.of([Grasp((0, 0, 0), (1, 0, 0), 0.0), Grasp((0, 0, 0), (1, 0, 0), 0.0, 1, 1, 1)])
-        assert exc.value.row == 1
+        mixed = GraspSet(*rows, [(1, 1, 1), (np.nan,) * 3, (0, 1, 0)])
+        assert mixed.scores.tolist() == [[1, 1, 1], [-1, -1, -1], [0, 1, 0]]
+        assert [g.score for g in mixed] == [1, None, 0] and not mixed[1].scored
+        assert mixed[1:2].scores is None and mixed[[0, 2]].scores.tolist() == [[1, 1, 1], [0, 1, 0]]
+        assert GraspSet(*rows, [(np.nan,) * 3] * 3).scores is None
+        stacked = GraspSet.of(list(mixed))
+        assert_bits_equal(stacked.scores, mixed.scores)
 
     def test_shapes_checked(self):
         with pytest.raises(DataError, match="centers must have shape"):

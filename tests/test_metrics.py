@@ -113,6 +113,16 @@ def test_evaluate_hand_case(box, gripper):
     assert rep.vgr == 0.5
 
 
+def test_evaluate_ignores_stored_scores_of_a_mixed_set(box, gripper):
+    # Stored scores, present on some rows only, never enter the evaluation.
+    predicted = [
+        Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0, 0, 0, 0),
+        Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0),
+    ]
+    rep = evaluate(predicted, RigidTransform.identity(), box, gripper)
+    assert np.array_equal(rep.scores, [[1, 1, 1], [1, 0, 0]])
+
+
 def test_evaluate_own_positives_scores_one(box, gripper):
     got = build_positive_set(box, gripper, per_object=12, seed=5)
     rep = evaluate(got, RigidTransform.identity(), box, gripper)
