@@ -22,8 +22,8 @@ Point-cloud binary format
 
 Grasp table
     Header ``px,py,pz,rx,ry,rz,theta,sa,sc,sg``; the three score columns
-    are all -1 for an unscored grasp, and a table is scored on every row
-    or on none. It loads as one :class:`~.geometry.GraspSet`.
+    are all -1 for an unscored grasp. It loads as one
+    :class:`~.geometry.GraspSet`.
 
 Pose file
     12 whitespace- or comma-separated numbers: the row-major 3x4 matrix

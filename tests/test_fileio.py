@@ -480,17 +480,6 @@ def test_loaded_grasps_are_one_set(tmp_path):
     assert len(empty) == 0 and empty.scores is None
 
 
-def test_mixed_scored_and_unscored_rows_round_trip(tmp_path):
-    p, q = tmp_path / "g.csv", tmp_path / "h.csv"
-    p.write_text(GRASP_HEADER + "\n0.0,0.0,0.0,0.0,1.0,0.0,0.5,1,1,1\n1.0,2.0,3.0,1.0,0.0,0.0,-0.5,-1,-1,-1\n")
-    grasps = load_grasps(p)
-    assert grasps.scores.tolist() == [[1, 1, 1], [-1, -1, -1]]
-    assert (grasps[0].score, grasps[1].score, grasps[1].scored) == (1, None, False)
-    assert grasps[1:].scores is None and grasps[:1].scores.tolist() == [[1, 1, 1]]
-    save_grasps(q, list(grasps))
-    assert q.read_text() == p.read_text()
-
-
 def test_grasp_validation_error_names_line(tmp_path):
     p = tmp_path / "g.csv"
     p.write_text(GRASP_HEADER + "\n# a comment\n0,0,0,0,0,0,0,1,1,1\n")

@@ -99,9 +99,10 @@ def test_summarize_scores_accepts_lists():
 
 def test_evaluate_hand_case(box, gripper):
     # Four grasps on the box: two good, one colliding with the base, one
-    # off the surface entirely. Counts are exact.
+    # off the surface entirely. Counts are exact. Stored scores, here on
+    # one row only, never enter the evaluation.
     predicted = [
-        Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
+        Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0, 0, 0, 0),
         Grasp((0.01, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
         Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0),
         Grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0),
@@ -111,16 +112,6 @@ def test_evaluate_hand_case(box, gripper):
     assert rep.vagr == 0.75
     assert rep.vcgr == 0.5
     assert rep.vgr == 0.5
-
-
-def test_evaluate_ignores_stored_scores_of_a_mixed_set(box, gripper):
-    # Stored scores, present on some rows only, never enter the evaluation.
-    predicted = [
-        Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0, 0, 0, 0),
-        Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0),
-    ]
-    rep = evaluate(predicted, RigidTransform.identity(), box, gripper)
-    assert np.array_equal(rep.scores, [[1, 1, 1], [1, 0, 0]])
 
 
 def test_evaluate_own_positives_scores_one(box, gripper):
