@@ -17,18 +17,16 @@ sorted superset keeps ties going to the lowest index, so the candidates
 are the same either way. Smaller clouds scan every point, because there
 the per-ray tree queries cost more than the scan they save.
 
-The scan path also remembers dead origins. An accepted candidate's
-partner lies within the jaw opening of the origin, on a line within the
-friction cone of the origin's normal. The first failed attempt from an
-origin checks whether any point does; if none does, no draw from that
-origin can ever yield a candidate. Later attempts there still make the
-cone draw, so the random stream and the candidates stay the same, but
-skip the cast, and once every origin is dead the sampler gives up. An
-object wider than the jaws then costs one cast per origin, not the whole
-attempt budget. The tree path keeps no such memo: on scene-sized clouds
-origins rarely repeat, and the check, a ball of radius ``max_opening``
-holding about a thousand points of a table plane, costs more than the
-casts it saves.
+Before any cast, one KD-tree query per object proves origins dead, on
+every cloud size (:class:`_DeadOrigins`). An accepted candidate's partner
+lies within the jaw opening of the origin, on a line within the friction
+cone of the origin's normal; an origin whose cone holds no other point
+can never yield a candidate. The scan path also checks lazily: the first
+failed attempt from a live origin runs the exact whole-cloud check, which
+proves more origins dead than the query. Attempts at a dead origin still
+make the cone draw, so the random stream and the candidates stay the
+same, but skip the cast, and once no origin is alive the sampler gives
+up. Table points and objects wider than the jaws so cast no ray at all.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ ATTEMPT_FACTOR = 100
 # crossover was measured per attempt (CHANGES.md): the tree took 0.9-1.6x
 # the scan's time on the benchmark's 1.4k-3.2k point objects, and 0.1-0.9x
 # on every cloud of 4096 points or more (table-scene subsets, denser boxes
-# and spheres).
+# and spheres). Every cloud builds the tree, for the dead-origin
+# certificate; only this size and up cast against it.
 RAY_INDEX_MIN_POINTS = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -74,8 +73,9 @@ class _RayIndex:
     the ray cover every such point.
     """
 
-    def __init__(self, points: np.ndarray, tol: float):
-        self.tree = cKDTree(points)
+    def __init__(self, points: np.ndarray, tol: float, origins: _DeadOrigins | None = None):
+        self.origins = origins  # the sampler's dead origins, whose tree this shares
+        self.tree = cKDTree(points) if origins is None else origins.tree
         self.lo = points.min(axis=0).tolist()
         self.hi = points.max(axis=0).tolist()
         extent = math.dist(self.lo, self.hi) + float(np.abs(points).max())
@@ -105,14 +105,24 @@ class _RayIndex:
 
 
 class _DeadOrigins:
-    """Scan-path memo of the origins that can never yield a candidate.
+    """The origins that can never yield a candidate, for one object, jaw
+    opening and ``mu``; built once and shared by every batch.
 
     Every accepted pair passes :func:`_closing_line`: its partner ``j``
     has ``0 < |p_j - p_i| <= max_opening`` and
     ``|(p_j - p_i) . n_i| >= cos(atan mu) |p_j - p_i|``. An origin with no
     such point within a relative slack of 1e-6, far above the rounding of
-    either test, is dead; the slack can only keep an origin alive. Built
-    once per object, gripper and ``mu``, and shared by every batch.
+    either test, is dead; the slack can only keep an origin alive.
+
+    One tree query certifies origins dead up front. A point ``p_i + v``
+    whose angle to ``-n_i`` has cosine ``cos`` lies in the ball of radius
+    ``c`` centred at ``p_i - c n_i`` iff ``|v| <= 2 c cos``. With
+    ``c = reach / (2 cos_limit)`` that ball holds every partner on the
+    inward side. A partner on the outward side is a hit ahead of a ray
+    within the cone around ``-n_i``, so it needs a cone half-angle of 45
+    degrees or more; from there the mirrored ball must be empty too, and
+    at 90 nothing is certified. :meth:`failed` adds the exact check of
+    :meth:`alive` on an origin's first failed attempt.
     """
 
     def __init__(self, obj: PointCloud, max_opening: float, mu: float):
@@ -120,9 +130,19 @@ class _DeadOrigins:
         self.normals = obj.normals
         self.reach = max_opening * (1.0 + 1e-6)
         self.cos_limit = math.cos(math.atan(mu)) - 1e-6
-        self.checked = [False] * len(obj)
-        self.dead = [False] * len(obj)
-        self.live = len(obj)  # origins not proven dead
+        self.tree = cKDTree(obj.points)
+        n = len(obj)
+        dead = np.full(n, self.cos_limit > 0.0)  # at 90 degrees nothing is certified
+        if self.cos_limit > 0.0:
+            c = self.reach / (2.0 * self.cos_limit)
+            axis = c * self.normals / np.linalg.norm(self.normals, axis=1, keepdims=True)
+            for side in (-1.0,) if self.cos_limit > math.sqrt(0.5) else (-1.0, 1.0):  # 45 degrees
+                # indices, not distances: rounding cannot drop p_i from its own ball
+                found = self.tree.query(self.points + side * axis, k=2, distance_upper_bound=c * (1.0 + 1e-6))[1]
+                dead &= ((found == np.arange(n)[:, None]) | (found == n)).all(axis=1)
+        self.checked = [False] * n
+        self.dead = dead.tolist()
+        self.live = n - int(dead.sum())  # origins not proven dead
 
     def alive(self, i: int) -> bool:
         """Whether any point can be origin ``i``'s partner."""
@@ -202,11 +222,11 @@ def sample_candidates(
     inside its friction cone (half-angle arctan mu), find the farthest
     surface point within ``ray_tol`` of that ray as the opposite contact
     (lowest index on ties), and reject pairs wider than the jaw opening or
-    whose realized closing line leaves the friction cone. The ray index or
-    dead-origin memo (module docstring) never changes the candidates.
+    whose realized closing line leaves the friction cone. The ray index and
+    the dead origins (module docstring) never change the candidates.
     Deterministic given the seed; raises :class:`UngraspableError` when
-    100x``count`` attempts yield nothing, or sooner once every origin of
-    a scanned cloud is dead.
+    100x``count`` attempts yield nothing, or sooner once every origin is
+    dead: without a single cast when the up-front query proves them all.
     """
     if count <= 0:
         raise DataError("count must be positive")
@@ -215,12 +235,13 @@ def sample_candidates(
 
 
 def _sampler_state(obj: PointCloud, gripper: GripperModel, mu: float, tol: float) -> _RayIndex | _DeadOrigins:
-    """The per-object state every batch shares: the ray index for
-    scene-sized clouds, the dead-origin memo (scan every point) below
-    :data:`RAY_INDEX_MIN_POINTS`."""
+    """The per-object state every batch shares: the dead origins, and on
+    clouds of :data:`RAY_INDEX_MIN_POINTS` or more the ray index over
+    their tree (smaller clouds scan every point)."""
+    origins = _DeadOrigins(obj, gripper.max_opening, mu)
     if len(obj) >= RAY_INDEX_MIN_POINTS:
-        return _RayIndex(obj.points, tol)
-    return _DeadOrigins(obj, gripper.max_opening, mu)
+        return _RayIndex(obj.points, tol, origins)
+    return origins
 
 
 def _cast(pts: np.ndarray, i: int, direction: np.ndarray, tol: float, index: _RayIndex | None) -> int | None:
@@ -270,21 +291,21 @@ def _sample(
     half_angle = math.atan(mu)
     cos_half = math.cos(half_angle)
     index = state if isinstance(state, _RayIndex) else None
-    memo = state if isinstance(state, _DeadOrigins) else None
+    memo = state if index is None else state.origins
 
     centers, orientations, angles = [], [], []
     for _ in range(ATTEMPT_FACTOR * count):
-        if len(angles) >= count or (memo is not None and memo.live == 0):
+        if len(angles) >= count or memo.live == 0:
             break
         i = int(rng.integers(len(pts)))
-        if memo is not None and memo.dead[i]:
+        if memo.dead[i]:
             rng.random(2)  # the cone draw, so the stream stays the same
             continue
         direction = _sample_cone(rng, (-nrm[i]).tolist(), half_angle)
         j = _cast(pts, i, direction, ray_tol, index)
         r = None if j is None else _closing_line(pts, nrm, i, j, gripper.max_opening, cos_half)
         if r is None:
-            if memo is not None:
+            if index is None:  # the scan path also checks lazily
                 memo.failed(i)
             continue
         centers.append((pts[i] + pts[j]) / 2.0)
@@ -313,9 +334,9 @@ def build_positive_set(
     out first, or a batch after the first yields no candidate, a
     :class:`GraspFieldWarning` reports the shortfall and names which of the
     two ended it, and the partial set is returned. :class:`UngraspableError`
-    means the first batch yielded no candidate. The object's ray index, or below
-    :data:`RAY_INDEX_MIN_POINTS` its dead-origin memo, is built once and
-    shared by every batch, so an origin proven dead stays dead.
+    means the first batch yielded no candidate. The object's dead origins,
+    and from :data:`RAY_INDEX_MIN_POINTS` points its ray index, are built
+    once and shared by every batch, so an origin proven dead stays dead.
     """
     if per_object < 0:
         raise DataError("per_object must be >= 0")

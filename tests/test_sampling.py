@@ -1,5 +1,6 @@
 """Candidate sampling, positive-set building, and single-view rendering."""
 
+import contextlib
 import math
 import warnings
 
@@ -428,21 +429,37 @@ class TestDeadOrigins:
         # the same origins in the same order, each cast on its first draw only
         assert casts == list(dict.fromkeys(drawn))[: len(casts)]
         assert len(casts) < len(drawn)
+        assert casts == []  # every origin is certified dead before the first attempt
 
     def test_wide_sphere_stops_once_every_origin_is_dead(self, gripper, casts):
         wide = sphere_cloud(count=300)
         rng = np.random.default_rng(0)  # the sampler draws from this generator itself
+        before = rng.bit_generator.state
         with pytest.raises(UngraspableError, match=UNGRASPABLE):
             sample_candidates(wide, gripper, 400, seed=rng)
-        assert sorted(casts) == list(range(len(wide)))
+        # every origin is certified dead up front: no attempt, no draw, no cast
+        assert casts == []
+        assert rng.bit_generator.state == before
+
+    def test_lazy_check_stops_once_every_origin_is_dead(self, gripper, casts):
+        # each point lies in the other's ball but 60 degrees off its cone
+        # axis: the up-front query keeps both alive, and the exact check
+        # after the first failed cast from each proves it dead
+        s = math.sqrt(0.75)
+        pair = PointCloud([[0.0, 0.0, 0.0], [0.03, 0.0, 0.0]], normals=[[-0.5, 0.0, -s], [0.5, 0.0, -s]])
+        assert sampling._DeadOrigins(pair, gripper.max_opening, 0.6).live == 2
+        rng = np.random.default_rng(0)
+        with pytest.raises(UngraspableError, match=UNGRASPABLE):
+            sample_candidates(pair, gripper, 400, seed=rng)
+        assert sorted(casts) == [0, 1]
         # every attempt draws an origin and a cone; the last one drew the
         # last origin still unseen, far short of 40k attempts
         replay, seen, attempts = np.random.default_rng(0), set(), 0
-        while len(seen) < len(wide):
-            seen.add(int(replay.integers(len(wide))))
+        while len(seen) < len(pair):
+            seen.add(int(replay.integers(len(pair))))
             replay.random(2)
             attempts += 1
-        assert attempts < 400 * sampling.ATTEMPT_FACTOR
+        assert 2 <= attempts < 400 * sampling.ATTEMPT_FACTOR
         assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -519,6 +536,78 @@ class TestDeadOrigins:
                     accepted_any += len(accepted)
                     dead_any += sum(not memo.alive(i) for i in range(0, len(obj), 50))
         assert accepted_any and dead_any  # neither side is vacuous
+
+    def test_no_accepted_origin_is_certified_dead(self, scene):
+        # the objects-mixed shapes as above, and the scene far from the
+        # origin; at mu 1.2 the query certifies with both balls
+        shapes = [box_cloud(), cylinder_cloud(), sphere_cloud(radius=0.035), sphere_cloud()]
+        clouds = [_perturbed(shape, n) for n, shape in enumerate(shapes)]
+        clouds.append(PointCloud(scene.points + 1000.0, normals=scene.normals))
+        accepted_any = dead_any = 0
+        for n, obj in enumerate(clouds):
+            for mu in (0.2, 0.6, 1.2):
+                for opening in (0.01, 0.08):
+                    accepted = []
+                    _reference_candidates(obj, GripperModel(max_opening=opening), 10, n, mu=mu, accepted=accepted)
+                    memo = sampling._DeadOrigins(obj, opening, mu)
+                    assert not any(memo.dead[i] for i in accepted), (n, mu, opening)
+                    # nor is an origin the exact check keeps alive, where its
+                    # partners all lie inward (convex shapes) or both balls
+                    # are empty; a table point under an object has an
+                    # outward partner, which no inward ray can reach
+                    dead = np.flatnonzero(memo.dead)
+                    if n < len(shapes) or mu > 1.0:
+                        assert not any(memo.alive(i) for i in dead[::37]), (n, mu, opening)
+                    accepted_any += len(accepted)
+                    dead_any += len(dead)
+        assert accepted_any and dead_any  # neither side is vacuous
+
+    def test_boundary_pairs_not_certified_dead(self):
+        # test_boundary_pairs' lone partner at the opening on the cone's
+        # edge: whenever the attempt's own checks accept it and an inward
+        # ray can reach it, the query keeps the origin alive
+        rng = np.random.default_rng(3)
+        kept = certified = 0
+        for n in range(1500):
+            mu, opening = (0.2, 0.6, 1.2)[n % 3], (0.01, 0.08)[n % 2]
+            normal = unit(rng.normal(size=3)) * (1.0 + rng.choice((-0.999e-6, 0.0, 0.999e-6)))
+            side = unit(_cross3(normal, rng.normal(size=3)))
+            inward = rng.choice((-1.0, 1.0))
+            line = inward * math.cos(math.atan(mu)) * unit(normal) + math.sin(math.atan(mu)) * side
+            origin = rng.uniform(-0.2, 0.2, size=3)
+            pts = np.array([origin, origin - opening * line])
+            memo = sampling._DeadOrigins(PointCloud(pts, normals=[normal, side]), opening, mu)
+            if sampling._closing_line(pts, np.array([normal]), 0, 1, opening, math.cos(math.atan(mu))) is None:
+                continue
+            if inward > 0 or mu > 1.0:  # below 45 degrees, only the inward side
+                assert not memo.dead[0], n
+                kept += 1
+            else:
+                assert memo.dead[0], n
+                certified += 1
+        assert kept > 100 and certified > 20
+
+    def test_table_and_wide_sphere_certified_dead(self, scene, small_scene, gripper):
+        for obj, table in ((scene, len(plane_grid(0.25, 0.004))), (small_scene, len(plane_grid(0.1, 0.004)))):
+            memo = sampling._DeadOrigins(obj, gripper.max_opening, 0.6)
+            assert all(memo.dead[:table])
+            assert memo.live > 0
+        assert sampling._DeadOrigins(sphere_cloud(), gripper.max_opening, 0.6).live == 0
+
+    def test_cast_never_sees_a_dead_origin(self, scene, small_scene, box, gripper, casts):
+        for obj, grip in ((small_scene, gripper), (box, GripperModel(max_opening=0.01)), (scene, gripper)):
+            casts.clear()
+            with contextlib.suppress(UngraspableError):  # the tight box
+                _positive_set(obj, grip, per_object=6, seed=3)
+            memo = sampling._DeadOrigins(obj, grip.max_opening, 0.6)
+            assert casts and not any(memo.dead[i] for i in casts)
+
+    def test_scene_positive_set_matches_reference(self, scene, gripper, monkeypatch):
+        got = _positive_set(scene, gripper, per_object=6, seed=3)
+        monkeypatch.setattr(sampling, "_sample", _reference_sample)
+        want = _positive_set(scene, gripper, per_object=6, seed=3)
+        _assert_same_grasps(got[0], want[0])
+        assert got[1] == want[1]
 
 
 class TestOrthoCamera:
