@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError
-from .geometry import GraspSet, PointCloud
+from .geometry import GraspSet, PointCloud, _kdtree
 from .losses import cross_entropy
 
 DEFAULT_DISTANCE_THRESHOLD = 0.02
@@ -82,7 +81,7 @@ def confidence_field(
     values = np.zeros(len(cloud), dtype=np.float64)
     centers = GraspSet.of(positives).centers
     if len(centers):
-        tree = cKDTree(centers)
+        tree = _kdtree(centers)
         reach = distance_threshold * (1.0 + 1e-9)
         for start in range(0, len(cloud), _BLOCK):
             points = cloud.points[start:start + _BLOCK]

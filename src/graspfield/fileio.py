@@ -53,21 +53,21 @@ TARGET_HEADER = "point_index,class,resp_x,resp_y,resp_z,resr_x,resr_y,resr_z,res
 REFINE_TARGET_HEADER = "proposal_index,y,resp_x,resp_y,resp_z,resr_x,resr_y,resr_z,res_theta"
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(x))
-
-
 def _write_table(path, header: str | None, rows) -> None:
-    """Write ``header`` (when given), then each pre-formatted row, one per line."""
+    """Write ``header`` (when given), then each pre-formatted row, one per
+    line. Writers format a float cell as ``repr`` of a Python float (from
+    ``.tolist()``), the shortest decimal that reads back to the same bits."""
     lines = rows if header is None else itertools.chain((header,), rows)
     Path(path).write_text("".join(f"{line}\n" for line in lines))
 
 
-def _read_table(path, header: str | None, width: int | None, parse, what: str = "table", lines=None) -> list:
+def _read_table(
+    path, header: str | None, width: int | None, parse, what: str = "table", lines=None, content: str | None = None
+) -> list:
     """Rows of a text table, each parsed from its comma-separated cells by
     ``parse(cells)``; the line number of each row is appended to
-    ``lines`` when it is given.
+    ``lines`` when it is given. ``content`` is the file's text when the
+    caller has already read it; otherwise the file is read here.
 
     Text after ``#`` and blank lines are skipped. With ``header`` the
     first line must equal it; with ``width`` every row must have exactly
@@ -78,7 +78,7 @@ def _read_table(path, header: str | None, width: int | None, parse, what: str = 
     path = Path(path)
     rows = []
     expect = header
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate((path.read_text() if content is None else content).splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -139,19 +139,20 @@ def _cloud_row(cells) -> list[float]:
 def save_cloud_text(path, cloud: PointCloud) -> None:
     layout, data = _cloud_columns(cloud)
     spec = next(spec for spec, fields in _FIELD_LAYOUTS.items() if fields == layout)
-    _write_table(path, f"# fields: {spec}", (",".join(_fmt(v) for v in row) for row in data))
+    _write_table(path, f"# fields: {spec}", (",".join(map(repr, row)) for row in data.tolist()))
 
 
 def load_cloud_text(path) -> PointCloud:
     path = Path(path)
     layout = None
-    match = _FIELDS_COMMENT.search(path.read_text())
+    content = path.read_text()
+    match = _FIELDS_COMMENT.search(content)
     if match:
         spec = match.group(1).strip().replace(" ", "")
         if spec not in _FIELD_LAYOUTS:
             raise DataError(f"{path}: unknown fields layout '{spec}'")
         layout = _FIELD_LAYOUTS[spec]
-    rows = _read_table(path, None, None if layout is None else 3 + 3 * sum(layout), _cloud_row)
+    rows = _read_table(path, None, None if layout is None else 3 + 3 * sum(layout), _cloud_row, content=content)
     if layout is None:
         layout = _WIDTH_LAYOUTS[len(rows[0]) if rows else 3]
     try:
@@ -212,7 +213,7 @@ def save_grasps(path, grasps) -> None:
     grasps = GraspSet.of(grasps)
     scores = np.full((len(grasps), 3), -1) if grasps.scores is None else grasps.scores
     values = np.hstack([grasps.centers, grasps.orientations, grasps.angles[:, None]]).tolist()
-    rows = (",".join(map(_fmt, row)) + ",{},{},{}".format(*s) for row, s in zip(values, scores.tolist()))
+    rows = (",".join(map(repr, row)) + ",{},{},{}".format(*s) for row, s in zip(values, scores.tolist()))
     _write_table(path, GRASP_HEADER, rows)
 
 
@@ -238,7 +239,9 @@ def load_grasps(path) -> GraspSet:
 # ---------------------------------------------------------------------------
 
 def save_labels(path, values, labels) -> None:
-    rows = (f"{i},{_fmt(v)},{int(lab)}" for i, (v, lab) in enumerate(zip(values, labels)))
+    values = np.asarray(values, dtype=np.float64).tolist()
+    labels = np.asarray(labels).astype(np.int64).tolist()
+    rows = (f"{i},{v!r},{lab}" for i, (v, lab) in enumerate(zip(values, labels)))
     _write_table(path, LABEL_HEADER, rows)
 
 
@@ -270,7 +273,7 @@ def _save_target_rows(path, header: str, rows) -> None:
         if t.res_center is None:
             tail = ",,,,,,"
         else:
-            tail = ",".join(_fmt(v) for v in (*t.res_center, *t.res_orientation, t.res_angle))
+            tail = ",".join(map(repr, [*t.res_center.tolist(), *t.res_orientation.tolist(), t.res_angle]))
         return f"{int(index)},{int(cls)},{tail}"
 
     _write_table(path, header, itertools.starmap(line, rows))
@@ -331,4 +334,4 @@ def load_pose(path) -> RigidTransform:
 
 def save_pose(path, transform: RigidTransform) -> None:
     m = np.hstack([transform.rotation, transform.translation[:, None]])
-    _write_table(path, None, (" ".join(_fmt(v) for v in row) for row in m))
+    _write_table(path, None, (" ".join(map(repr, row)) for row in m.tolist()))

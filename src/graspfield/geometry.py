@@ -67,7 +67,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError, GraspFieldWarning
 
@@ -517,6 +516,17 @@ class RigidTransform:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _kdtree(points: np.ndarray):
+    """A ``scipy.spatial.cKDTree`` over ``points``, the package's one
+    KD-tree constructor. scipy is imported on the first call, not with the
+    package: importing ``scipy.spatial`` costs more than the rest of the
+    package, and only sampling, ``confidence_field`` and normal estimation
+    build trees."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 def estimate_normals(cloud: PointCloud, k: int = 30, viewpoint=(0.0, 0.0, 0.0)) -> PointCloud:
     """Estimate per-point unit normals from the k-nearest-neighbor covariance.
 
@@ -538,7 +548,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30, viewpoint=(0.0, 0.0, 0.0)) 
     pts = cloud.points
     vp = _as_array(viewpoint, (3,), "viewpoint")
 
-    _, idx = cKDTree(pts).query(pts, k=k)
+    _, idx = _kdtree(pts).query(pts, k=k)
     neighborhoods = pts[idx]  # (N, k, 3)
     centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k

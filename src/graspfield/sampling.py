@@ -37,10 +37,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError, GraspFieldWarning, UngraspableError
-from .geometry import GraspSet, GripperModel, PointCloud, _as_array, canonical_orientation, derive_seed, unit
+from .geometry import (
+    GraspSet,
+    GripperModel,
+    PointCloud,
+    _as_array,
+    _kdtree,
+    canonical_orientation,
+    derive_seed,
+    unit,
+)
 from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _check_friction, score_grasps
 
 ATTEMPT_FACTOR = 100
@@ -75,7 +83,7 @@ class _RayIndex:
 
     def __init__(self, points: np.ndarray, tol: float, origins: _DeadOrigins | None = None):
         self.origins = origins  # the sampler's dead origins, whose tree this shares
-        self.tree = cKDTree(points) if origins is None else origins.tree
+        self.tree = _kdtree(points) if origins is None else origins.tree
         self.lo = points.min(axis=0).tolist()
         self.hi = points.max(axis=0).tolist()
         extent = math.dist(self.lo, self.hi) + float(np.abs(points).max())
@@ -130,7 +138,7 @@ class _DeadOrigins:
         self.normals = obj.normals
         self.reach = max_opening * (1.0 + 1e-6)
         self.cos_limit = math.cos(math.atan(mu)) - 1e-6
-        self.tree = cKDTree(obj.points)
+        self.tree = _kdtree(obj.points)
         n = len(obj)
         dead = np.full(n, self.cos_limit > 0.0)  # at 90 degrees nothing is certified
         if self.cos_limit > 0.0:

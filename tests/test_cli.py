@@ -4,11 +4,17 @@ Commands run in-process through cli.main(argv) so exit codes and stdout
 can be asserted without spawning an interpreter.
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graspfield
 from graspfield import Grasp, GraspSet, cli
 from graspfield.fileio import (
     load_grasps,
@@ -260,6 +266,48 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+# Runs the commands given as a JSON list of argv lists, after importing the
+# package; prints, per step, its name, exit code and whether scipy.spatial
+# was loaded by then.
+_FRESH_INTERPRETER = """
+import json, sys
+import graspfield, graspfield.cli
+steps = [["import", 0, "scipy.spatial" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], graspfield.cli.main(argv), "scipy.spatial" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_without_kdtree_never_import_scipy(ws, tmp_path):
+    """Only KD-tree builders import scipy.spatial: eval-vgr, refine-targets
+    and make-targets on clouds that carry normals run without it, and
+    sample-grasps loads it on first use. A fresh interpreter, because this
+    one imported scipy long ago."""
+    box, grasps, out = str(ws / "box.csv"), str(ws / "grasps.csv"), str(tmp_path)
+    commands = [
+        ["eval-vgr", "--pred", grasps, "--object", box, "--pose", str(ws / "pose.txt"), "--out-dir", out, "--verify"],
+        ["refine-targets", "--cloud", box, "--proposals", grasps, "--grasps", grasps, "--out-dir", out, "--verify"],
+        ["make-targets", "--cloud", box, "--labels", str(ws / "labels.csv"), "--grasps", grasps,
+         "--config", str(ws / "fast.cfg"), "--out-dir", out, "--verify"],
+        ["sample-grasps", "--object", box, "--count", "3", "--out-dir", out, "--verify"],
+    ]
+    src = str(Path(graspfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [
+        ["import", 0, False],
+        ["eval-vgr", 0, False],
+        ["refine-targets", 0, False],
+        ["make-targets", 0, False],
+        ["sample-grasps", 0, True],
+    ]
 
 
 # ------------------------------------------------------------- exit codes
