@@ -241,6 +241,8 @@ def load_grasps(path) -> GraspSet:
 def save_labels(path, values, labels) -> None:
     values = np.asarray(values, dtype=np.float64).tolist()
     labels = np.asarray(labels).astype(np.int64).tolist()
+    if len(values) != len(labels):
+        raise DataError(f"{path}: {len(values)} confidence values but {len(labels)} labels")
     rows = (f"{i},{v!r},{lab}" for i, (v, lab) in enumerate(zip(values, labels)))
     _write_table(path, LABEL_HEADER, rows)
 

@@ -248,6 +248,13 @@ class TestLabels:
         assert np.array_equal(lab, labels)
         assert p.read_text().splitlines()[0] == LABEL_HEADER
 
+    def test_unequal_lengths_rejected(self, tmp_path):
+        p = tmp_path / "l.csv"
+        for values, labels in (([0.1, 0.2, 0.3], [1]), ([0.1], [1, 0])):
+            with pytest.raises(DataError, match=f"{len(values)} confidence values but {len(labels)} labels"):
+                save_labels(p, values, labels)
+        assert not p.exists()
+
     def test_indices_must_be_sequential(self, tmp_path):
         p = tmp_path / "l.csv"
         p.write_text(LABEL_HEADER + "\n0,0.5,0\n2,0.7,1\n")

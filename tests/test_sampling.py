@@ -9,7 +9,6 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspFieldWarning,
     GraspSet,
     GripperModel,
@@ -20,7 +19,7 @@ from graspfield import (
     score_grasp,
 )
 from graspfield import sampling
-from graspfield.geometry import RigidTransform, _cross3, canonical_orientation, unit
+from graspfield.geometry import RigidTransform, _cross3, unit
 from graspfield.sampling import OrthoCamera, render_single_view
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
@@ -134,6 +133,29 @@ class TestBuildPositiveSet:
             assert np.array_equal(g.orientation, h.orientation)
             assert g.angle == h.angle
 
+    @pytest.mark.parametrize(
+        "shape", [box_cloud, cylinder_cloud, lambda: sphere_cloud(radius=0.035)], ids=["box", "cylinder", "small_sphere"]
+    )
+    def test_positives_keep_their_scored_bits(self, gripper, monkeypatch, shape):
+        # each returned row is the row that was scored, bit for bit, in order
+        obj = shape()
+        scored = []
+        score = sampling.score_grasps
+
+        def spy(obj, part, *a, **k):
+            scores = score(obj, part, *a, **k)
+            scored.append((part, scores))
+            return scores
+
+        monkeypatch.setattr(sampling, "score_grasps", spy)
+        got = build_positive_set(obj, gripper, per_object=400, seed=1)
+        want = [(part[scores[:, 2] == 1], scores[scores[:, 2] == 1]) for part, scores in scored]
+        assert len(got) == 400
+        for name in ("centers", "orientations", "angles"):
+            rows = np.concatenate([getattr(part, name) for part, _ in want])
+            assert getattr(got, name).tobytes() == rows.tobytes(), name
+        assert np.array_equal(got.scores, np.concatenate([scores for _, scores in want]))
+
     def test_zero_request(self, box, gripper):
         assert len(build_positive_set(box, gripper, per_object=0)) == 0
 
@@ -147,7 +169,7 @@ class TestBuildPositiveSet:
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_late_empty_batch_warns_and_returns_partial(self, gripper, monkeypatch, seed):
         # a plane whose origins never hit, far from the blocked pair: the
-        # first batch draws the pair (its candidate scores 0), the second
+        # first batch draws the pair (its candidates score 0), the second
         # draws only plane origins
         plane = plane_grid(0.1, 0.004)
         pair = _blocked_pair((0.3, 0.3, 0.0))
@@ -169,7 +191,7 @@ class TestBuildPositiveSet:
         monkeypatch.setattr(sampling, "_sample", spy)
         with pytest.warns(GraspFieldWarning, match="only 0 of 1 positive grasps") as caught:
             assert len(build_positive_set(cloud, gripper, per_object=1, seed=seed)) == 0
-        assert yields == [1, 0]
+        assert yields == [{1: 2, 2: 1, 7: 1}[seed], 0]
         (message,) = [str(w.message) for w in caught]
         assert message == (
             "only 0 of 1 positive grasps found before sampler batch 2 yielded no candidate (32 of 100 budgeted drawn)"
@@ -182,70 +204,81 @@ class TestBuildPositiveSet:
             build_positive_set(box, gripper, per_object=5, tol=float("nan"))
 
 
-# The first-written sampler, kept as the reference: numpy-array cone
-# draws and a hit test over the whole cloud on every attempt.
+# The one-attempt-at-a-time reference: the arrays a sampler batch draws,
+# a scalar cone, and a hit test over the whole cloud on every attempt.
 
 
-def _reference_perpendicular(v):
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(v))] = 1.0
-    return unit(_cross3(v, axis))
+def _draws(n, count, seed):
+    """Every attempt's origin, cone draw (u, w) and angle, as a sampler
+    batch of ``count`` candidates on ``n`` points draws them."""
+    rng = np.random.default_rng(seed)
+    attempts = sampling.ATTEMPT_FACTOR * count
+    return (
+        rng.integers(n, size=attempts),
+        rng.random((attempts, 2)),
+        rng.uniform(-math.pi / 2, math.pi / 2, size=attempts),
+    )
 
 
-def _reference_sample_cone(rng, axis, half_angle):
-    u, w = rng.random(2)
+def _reference_cone(axis, u, w, half_angle):
     cos_psi = 1.0 - u * (1.0 - math.cos(half_angle))
     sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
     phi = 2.0 * math.pi * w
-    e1 = _reference_perpendicular(axis)
-    e2 = _cross3(axis, e1)
-    return axis * cos_psi + (e1 * math.cos(phi) + e2 * math.sin(phi)) * sin_psi
+    e = np.zeros(3)
+    e[np.argmin(np.abs(axis))] = 1.0
+    p = _cross3(axis, e)
+    p = p / math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
+    q = _cross3(axis, p)
+    return axis * cos_psi + (p * np.cos(phi) + q * np.sin(phi)) * sin_psi
 
 
-def _reference_candidates(
-    obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone=_reference_sample_cone, drawn=None, accepted=None
-):
-    """The candidates; ``drawn`` and ``accepted`` collect the origin of
-    every attempt and of every candidate."""
-    rng = np.random.default_rng(seed)
+def _reference_hit(pts, i, direction, tol):
+    """The farthest point within ``tol`` of the ray, lowest index on ties,
+    over the whole cloud; -1 when none is ahead."""
+    rel = (pts - pts[i]).T
+    t = rel[0] * direction[0] + rel[1] * direction[1] + rel[2] * direction[2]
+    perp_sq = rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] - t * t
+    hits = np.flatnonzero((t > tol) & (perp_sq <= tol * tol))
+    return int(hits[np.argmax(t[hits])]) if hits.size else -1
+
+
+def _reference_attempts(obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone=_reference_cone):
+    """The accepted attempts of one sampler batch, one at a time: (attempt,
+    origin, center, closing line, angle) each."""
+    origins, draws, angles = _draws(len(obj), count, seed)
     pts, nrm = obj.points, obj.normals
     half_angle = math.atan(mu)
     cos_half = math.cos(half_angle)
     out = []
-    for _ in range(sampling.ATTEMPT_FACTOR * count):
+    for k, i in enumerate(origins.tolist()):
         if len(out) >= count:
             break
-        i = int(rng.integers(len(pts)))
-        if drawn is not None:
-            drawn.append(i)
-        direction = cone(rng, -nrm[i], half_angle)
-        rel = pts - pts[i]
-        t = rel @ direction
-        perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
-        hits = np.nonzero((t > ray_tol) & (perp_sq <= ray_tol * ray_tol))[0]
-        if hits.size == 0:
+        j = _reference_hit(pts, i, cone(-nrm[i], *draws[k].tolist(), half_angle), ray_tol)
+        if j < 0:
             continue
-        j = hits[np.argmax(t[hits])]
         span = pts[j] - pts[i]
-        width = float(np.linalg.norm(span))
+        width = math.sqrt(span[0] * span[0] + span[1] * span[1] + span[2] * span[2])
         if width > gripper.max_opening:
             continue
-        r = canonical_orientation(span / width)
-        if abs(float(r @ nrm[i])) < cos_half:
+        r = span / width
+        r = r if r[np.argmax(np.abs(r))] > 0.0 else -r
+        if abs(r[0] * nrm[i][0] + r[1] * nrm[i][1] + r[2] * nrm[i][2]) < cos_half:
             continue
-        theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
-        out.append(Grasp((pts[i] + pts[j]) / 2.0, r, theta))
-        if accepted is not None:
-            accepted.append(i)
+        out.append((k, i, (pts[i] + pts[j]) / 2.0, r, angles[k]))
     return out
 
 
-def _reference_sample(obj, gripper, count, seed, mu, ray_tol, state):
-    """``sampling._sample`` with the reference loop in place of the attempt loop."""
-    out = _reference_candidates(obj, gripper, count, seed, mu, ray_tol)
+def _reference_set(obj, gripper, count, seed, mu=0.6, ray_tol=0.005, cone=_reference_cone):
+    out = _reference_attempts(obj, gripper, count, seed, mu, ray_tol, cone)
     if not out:
         raise UngraspableError("object not graspable at this gripper scale")
-    return GraspSet.of(out)
+    _, _, centers, lines, angles = zip(*out)
+    return GraspSet._stored(np.array(centers), np.array(lines), np.array(angles), None)
+
+
+def _reference_sample(obj, gripper, count, seed, mu, index):
+    """``sampling._sample`` with the reference loop in place of the block cast."""
+    return _reference_set(obj, gripper, count, seed, mu, index.tol)
 
 
 def _positive_set(*args, **kwargs):
@@ -258,31 +291,93 @@ def _positive_set(*args, **kwargs):
 
 def _assert_same_grasps(got, want):
     assert len(got) == len(want) > 0
-    for g, h in zip(got, want):
-        assert np.array_equal(g.center, h.center)
-        assert np.array_equal(g.orientation, h.orientation)
-        assert g.angle == h.angle
-        assert g.score == h.score
+    for name in ("centers", "orientations", "angles", "scores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
-def _zero_smallest(direction):
-    """The direction with its smallest component set to exactly zero."""
-    direction = direction.copy()
-    direction[np.argmin(np.abs(direction))] = 0.0
-    return direction
+def _zero_smallest(directions):
+    """A direction (3,) or columns (3, R), the smallest component of each
+    set to exactly zero."""
+    directions = directions.copy()
+    columns = directions.reshape(3, -1)
+    columns[np.argmin(np.abs(columns), axis=0), np.arange(columns.shape[1])] = 0.0
+    return directions
 
 
 @pytest.fixture(scope="module")
 def scene():
-    """A table plane with a box and a cylinder on it: above the crossover,
-    with plane points whose rays leave the bounding box at once."""
+    """A table plane with a box and a cylinder on it, with plane points
+    whose rays leave the bounding box at once."""
     plane = plane_grid(0.25, 0.004)
     box, cyl = box_cloud(), cylinder_cloud()
     points = np.concatenate([plane.points, box.points + (0.1, 0.0, 0.015), cyl.points + (-0.08, 0.06, 0.04)])
     normals = np.concatenate([plane.normals, box.normals, cyl.normals])
-    cloud = PointCloud(points, normals=normals)
-    assert len(cloud) >= sampling.RAY_INDEX_MIN_POINTS
-    return cloud
+    return PointCloud(points, normals=normals)
+
+
+@pytest.fixture(scope="module")
+def small_scene():
+    return dead_plane_scene()
+
+
+class TestBlockCast:
+    """Any block size gives the candidates of the one-attempt-at-a-time
+    reference on the same drawn arrays, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def clouds(self, scene, small_scene):
+        return {
+            "box": box_cloud(),
+            "cylinder": cylinder_cloud(),
+            "small_sphere": sphere_cloud(radius=0.035),
+            "scene": scene,
+            "dead_plane_scene": small_scene,
+        }
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    @pytest.mark.parametrize("name", ["box", "cylinder", "small_sphere", "scene", "dead_plane_scene"])
+    def test_candidates_match_reference(self, clouds, gripper, monkeypatch, name, block):
+        monkeypatch.setattr(sampling, "RAY_BLOCK", block)
+        for seed in (3, 4):
+            want = _reference_set(clouds[name], gripper, 40, seed)
+            _assert_same_grasps(sample_candidates(clouds[name], gripper, 40, seed=seed), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_tight_box_raises_as_reference(self, box, monkeypatch, block):
+        tight = GripperModel(max_opening=0.01)
+        monkeypatch.setattr(sampling, "RAY_BLOCK", block)
+        for seed in (1, 2):
+            assert _reference_attempts(box, tight, 10, seed) == []
+            with pytest.raises(UngraspableError, match=UNGRASPABLE):
+                sample_candidates(box, tight, 10, seed=seed)
+
+    def test_same_without_the_exact_dead_check(self, clouds, gripper, monkeypatch):
+        proven = []
+        check = sampling._ObjectIndex.check
+
+        def counted(self, origins):
+            live = self.live
+            check(self, origins)
+            proven.append(live - self.live)
+
+        def run(obj, grip):
+            try:
+                return sample_candidates(obj, grip, 40, seed=5)
+            except UngraspableError as exc:
+                return str(exc)
+
+        cases = [(obj, gripper) for obj in clouds.values()] + [(clouds["box"], GripperModel(max_opening=0.01))]
+        monkeypatch.setattr(sampling._ObjectIndex, "check", counted)
+        got = [run(*case) for case in cases]
+        assert got[-1] == "object not graspable at this gripper scale"
+        assert sum(proven) > 0  # the check proved some origin dead
+        monkeypatch.setattr(sampling._ObjectIndex, "check", lambda self, origins: None)
+        for case, want in zip(cases[:-1], got):
+            _assert_same_grasps(run(*case), want)
+        assert run(*cases[-1]) == got[-1]
 
 
 class TestRayIndex:
@@ -300,42 +395,38 @@ class TestRayIndex:
         axes += [-a for a in axes]  # negated, with signed zeros
         axes += [a * (1.0 + 5e-7) for a in axes[:10]]  # unit within the cloud tolerance
         half_angles = [math.atan(mu) for mu in (0.6, 1e-3, 0.15, 5.0)]
-        draws = 100_000
-        new_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        got, want = np.empty((draws, 3)), np.empty((draws, 3))
-        for n in range(draws):
-            axis = axes[n % len(axes)]
-            half = half_angles[n % len(half_angles)]
-            got[n] = sampling._sample_cone(new_rng, axis.tolist(), half)
-            want[n] = _reference_sample_cone(ref_rng, axis, half)
+        draws = np.random.default_rng(17).random((100_000, 2))
+        n = np.arange(len(draws))
+        got = np.empty((len(draws), 3))
+        for h, half in enumerate(half_angles):
+            rows = n % len(half_angles) == h
+            got[rows] = sampling._cone_directions(np.array(axes)[n[rows] % len(axes)].T, draws[rows], half).T
+        want = np.array(
+            [_reference_cone(axes[k % len(axes)], u, w, half_angles[k % 4]) for k, (u, w) in enumerate(draws.tolist())]
+        )
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_candidates_match_whole_cloud_scan(self, scene, gripper, monkeypatch):
-        calls = []
-        near_ray = sampling._RayIndex.near_ray
-        monkeypatch.setattr(sampling._RayIndex, "near_ray", lambda *a: calls.append(1) or near_ray(*a))
+        rays = []
+        near_rays = sampling._ObjectIndex.near_rays
+        monkeypatch.setattr(sampling._ObjectIndex, "near_rays", lambda s, o, d: rays.append(len(o)) or near_rays(s, o, d))
         for seed in (3, 4):
-            want = _reference_candidates(scene, gripper, 80, seed)
+            want = _reference_set(scene, gripper, 80, seed)
             _assert_same_grasps(sample_candidates(scene, gripper, 80, seed=seed), want)
-        assert calls  # the tree path ran
+        assert rays  # the tree proposed
 
     def test_candidates_match_with_zero_direction_components(self, scene, gripper, monkeypatch):
-        cone = sampling._sample_cone
-        monkeypatch.setattr(sampling, "_sample_cone", lambda *a: _zero_smallest(cone(*a)))
-        want = _reference_candidates(scene, gripper, 60, 5, cone=lambda *a: _zero_smallest(_reference_sample_cone(*a)))
+        cone = sampling._cone_directions
+        monkeypatch.setattr(sampling, "_cone_directions", lambda *a: _zero_smallest(cone(*a)))
+        want = _reference_set(scene, gripper, 60, 5, cone=lambda *a: _zero_smallest(_reference_cone(*a)))
         _assert_same_grasps(sample_candidates(scene, gripper, 60, seed=5), want)
 
-    def test_small_clouds_scan_every_point(self, box, scene, gripper):
-        assert len(box) < sampling.RAY_INDEX_MIN_POINTS
-        assert isinstance(sampling._sampler_state(box, gripper, 0.6, 0.005), sampling._DeadOrigins)
-        assert isinstance(sampling._sampler_state(scene, gripper, 0.6, 0.005), sampling._RayIndex)
-
     @pytest.mark.parametrize("offset", [0.0, 1000.0])
-    def test_superset_holds_every_hit(self, scene, offset):
-        pts = scene.points + offset
-        tol = 0.005
-        index = sampling._RayIndex(pts, tol)
+    def test_superset_holds_every_hit(self, scene, gripper, offset):
+        obj = PointCloud(scene.points + offset, normals=scene.normals)
+        pts, tol = obj.points, 0.005
+        index = sampling._ObjectIndex(obj, gripper.max_opening, 0.6, tol)
         rng = np.random.default_rng(8)
         directions = [unit(v) for v in rng.normal(size=(150, 3))]
         for k in range(3):
@@ -345,15 +436,19 @@ class TestRayIndex:
                 directions.append(e)
         directions += [_zero_smallest(d) for d in directions[:50]]
         directions += [d * scale for d in directions[:60] for scale in (1.0 - 1e-6, 1.0 + 1e-6)]
-        for n, direction in enumerate(directions):
-            i = int(rng.integers(len(pts)))
-            near = index.near_ray(pts[i], direction)
-            assert np.all(np.diff(near) >= 0)
-            rel = pts - pts[i]
-            t = rel @ direction
-            perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
-            hits = np.nonzero((t > tol) & (perp_sq <= tol * tol))[0]
-            assert np.isin(hits, near).all(), n
+        origins = rng.integers(len(pts), size=len(directions))
+        ray, near = index.near_rays(origins, np.array(directions).T)
+        partners = index.cast(origins, np.array(directions).T)
+        found = 0
+        for n, (i, direction) in enumerate(zip(origins.tolist(), directions)):
+            rel = (pts - pts[i]).T
+            t = rel[0] * direction[0] + rel[1] * direction[1] + rel[2] * direction[2]
+            perp_sq = rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] - t * t
+            hits = np.flatnonzero((t > tol) & (perp_sq <= tol * tol))
+            assert np.isin(hits, near[ray == n]).all(), n
+            assert partners[n] == _reference_hit(pts, i, direction, tol), n
+            found += hits.size > 0
+        assert found > 100
 
     @pytest.mark.parametrize("length", [1.0, 1.0 - 1e-6, 1.0 + 1e-6])
     def test_superset_holds_hits_at_the_cover_limit(self, length):
@@ -365,28 +460,23 @@ class TestRayIndex:
         w = (1.0 - 1e-9) * np.sqrt(tol * tol + s * s * (length * length - 1.0))
         pts = np.concatenate([[[0.0, 0.0, 0.0]], np.column_stack([s, w, np.zeros_like(s)])])
         direction = np.array([length, 0.0, 0.0])
-        rel = pts - pts[0]
-        t = rel @ direction
-        perp_sq = np.einsum("ni,ni->n", rel, rel) - t * t
-        hits = np.nonzero((t > tol) & (perp_sq <= tol * tol))[0]
+        rel = (pts - pts[0]).T
+        t = rel[0] * direction[0] + rel[1] * direction[1] + rel[2] * direction[2]
+        perp_sq = rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] - t * t
+        hits = np.flatnonzero((t > tol) & (perp_sq <= tol * tol))
         assert len(hits) == len(s)
-        near = sampling._RayIndex(pts, tol).near_ray(pts[0], direction)
+        obj = PointCloud(pts, normals=np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+        _, near = sampling._ObjectIndex(obj, 0.08, 0.6, tol).near_rays(np.array([0]), direction[:, None])
         assert np.isin(hits, near).all()
 
     def test_build_positive_set_same_with_shared_tree(self, scene, gripper, monkeypatch):
         shared = build_positive_set(scene, gripper, per_object=8, seed=2)
         sample = sampling._sample
 
-        def own_index(obj, gripper, count, seed, mu, ray_tol, state):
-            assert isinstance(state, sampling._RayIndex)
-            return sample(obj, gripper, count, seed, mu, ray_tol, sampling._sampler_state(obj, gripper, mu, ray_tol))
-
-        def scan(obj, gripper, count, seed, mu, ray_tol, state):
-            return sample(obj, gripper, count, seed, mu, ray_tol, sampling._DeadOrigins(obj, gripper.max_opening, mu))
+        def own_index(obj, gripper, count, seed, mu, index):
+            return sample(obj, gripper, count, seed, mu, sampling._ObjectIndex(obj, gripper.max_opening, mu, index.tol))
 
         monkeypatch.setattr(sampling, "_sample", own_index)
-        _assert_same_grasps(shared, build_positive_set(scene, gripper, per_object=8, seed=2))
-        monkeypatch.setattr(sampling, "_sample", scan)  # whole-cloud scan
         _assert_same_grasps(shared, build_positive_set(scene, gripper, per_object=8, seed=2))
 
 
@@ -401,34 +491,34 @@ def _perturbed(obj, seed):
     return moved.with_normals(moved.normals * scale[:, None])
 
 
-@pytest.fixture(scope="module")
-def small_scene():
-    cloud = dead_plane_scene()
-    assert len(cloud) < sampling.RAY_INDEX_MIN_POINTS
-    return cloud
+def _index(obj, opening, mu):
+    return sampling._ObjectIndex(obj, opening, mu, 0.005)
+
+
+def _accepted(pts, normal, opening, mu):
+    """Whether the attempt's own checks accept the pair (pts[0], pts[1])
+    from origin 0."""
+    index = _index(PointCloud(pts, normals=[normal, normal]), opening, mu)
+    return bool(sampling._closing_lines(index, np.array([0]), np.array([1]), opening, math.cos(math.atan(mu)))[1][0])
 
 
 class TestDeadOrigins:
-    """Below the crossover the sampler skips origins proven dead; the
-    candidates and the error match the reference loop."""
+    """The sampler skips origins proven dead; the candidates and the error
+    match the reference loop."""
 
     @pytest.fixture
     def casts(self, monkeypatch):
         origins = []
-        cast = sampling._cast
-        monkeypatch.setattr(sampling, "_cast", lambda pts, i, *a: origins.append(i) or cast(pts, i, *a))
+        cast = sampling._ObjectIndex.cast
+        monkeypatch.setattr(sampling._ObjectIndex, "cast", lambda s, i, d: origins.extend(i.tolist()) or cast(s, i, d))
         return origins
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_wide_sphere_casts_each_origin_once(self, gripper, casts, seed):
         wide = sphere_cloud()
-        drawn = []
-        assert _reference_candidates(wide, gripper, 50, seed, drawn=drawn) == []
+        assert _reference_attempts(wide, gripper, 50, seed) == []
         with pytest.raises(UngraspableError, match=UNGRASPABLE):
             sample_candidates(wide, gripper, 50, seed=seed)
-        # the same origins in the same order, each cast on its first draw only
-        assert casts == list(dict.fromkeys(drawn))[: len(casts)]
-        assert len(casts) < len(drawn)
         assert casts == []  # every origin is certified dead before the first attempt
 
     def test_wide_sphere_stops_once_every_origin_is_dead(self, gripper, casts):
@@ -444,39 +534,32 @@ class TestDeadOrigins:
     def test_lazy_check_stops_once_every_origin_is_dead(self, gripper, casts):
         # each point lies in the other's ball but 60 degrees off its cone
         # axis: the up-front query keeps both alive, and the exact check
-        # after the first failed cast from each proves it dead
+        # after the first block, whose casts from both fail, proves both dead
         s = math.sqrt(0.75)
         pair = PointCloud([[0.0, 0.0, 0.0], [0.03, 0.0, 0.0]], normals=[[-0.5, 0.0, -s], [0.5, 0.0, -s]])
-        assert sampling._DeadOrigins(pair, gripper.max_opening, 0.6).live == 2
+        assert _index(pair, gripper.max_opening, 0.6).live == 2
         rng = np.random.default_rng(0)
         with pytest.raises(UngraspableError, match=UNGRASPABLE):
             sample_candidates(pair, gripper, 400, seed=rng)
-        assert sorted(casts) == [0, 1]
-        # every attempt draws an origin and a cone; the last one drew the
-        # last origin still unseen, far short of 40k attempts
-        replay, seen, attempts = np.random.default_rng(0), set(), 0
-        while len(seen) < len(pair):
-            seen.add(int(replay.integers(len(pair))))
-            replay.random(2)
-            attempts += 1
-        assert 2 <= attempts < 400 * sampling.ATTEMPT_FACTOR
+        assert len(casts) == sampling.RAY_BLOCK and set(casts) == {0, 1}  # far short of 40k attempts
+        # the batch drew all of its attempts up front, cast or not
+        replay = np.random.default_rng(0)
+        _draws(len(pair), 400, replay)
         assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_tight_box_raises_as_reference(self, box, casts, seed):
         tight = GripperModel(max_opening=0.01)
-        drawn = []
-        assert _reference_candidates(box, tight, 10, seed, drawn=drawn) == []
+        assert _reference_attempts(box, tight, 10, seed) == []
         with pytest.raises(UngraspableError, match=UNGRASPABLE):
             sample_candidates(box, tight, 10, seed=seed)
-        assert len(casts) < len(drawn)
+        assert 0 < len(casts) < 10 * sampling.ATTEMPT_FACTOR  # dead origins were skipped
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_small_scene_candidates_match_reference(self, small_scene, gripper, casts, seed):
-        drawn = []
-        want = _reference_candidates(small_scene, gripper, 60, seed, drawn=drawn)
-        _assert_same_grasps(sample_candidates(small_scene, gripper, 60, seed=seed), want)
-        assert len(casts) < len(drawn)  # dead plane origins were skipped
+        want = _reference_attempts(small_scene, gripper, 60, seed)
+        _assert_same_grasps(sample_candidates(small_scene, gripper, 60, seed=seed), _reference_set(small_scene, gripper, 60, seed))
+        assert len(casts) < want[-1][0] + 1  # dead plane origins were skipped
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_build_positive_set_matches_reference(self, box, small_scene, gripper, monkeypatch, casts, seed):
@@ -513,11 +596,11 @@ class TestDeadOrigins:
                 line = rng.choice((-1.0, 1.0)) * math.cos(angle) * unit(normal) + math.sin(angle) * side
                 origin = rng.uniform(-0.2, 0.2, size=3)
                 pts = np.array([origin, origin + opening * (1.0 + past_width) * line])
-                memo = sampling._DeadOrigins(PointCloud(pts, normals=[normal, side]), opening, mu)
+                alive = _index(PointCloud(pts, normals=[normal, side]), opening, mu).alive(np.array([0]))[0]
                 if past_angle or past_width:
-                    assert not memo.alive(0), n
-                elif sampling._closing_line(pts, np.array([normal]), 0, 1, opening, math.cos(math.atan(mu))) is not None:
-                    assert memo.alive(0), n
+                    assert not alive, n
+                elif _accepted(pts, normal, opening, mu):
+                    assert alive, n
                     accepted += 1
         assert accepted > 100
 
@@ -529,12 +612,11 @@ class TestDeadOrigins:
             obj = _perturbed(shape, n)
             for mu in (0.2, 0.6, 1.2):
                 for opening in (0.01, 0.08):
-                    accepted = []
-                    _reference_candidates(obj, GripperModel(max_opening=opening), 10, n, mu=mu, accepted=accepted)
-                    memo = sampling._DeadOrigins(obj, opening, mu)
-                    assert all(memo.alive(i) for i in accepted), (n, mu, opening)
+                    accepted = [a[1] for a in _reference_attempts(obj, GripperModel(max_opening=opening), 10, n, mu=mu)]
+                    index = _index(obj, opening, mu)
+                    assert index.alive(np.array(accepted, dtype=np.intp)).all(), (n, mu, opening)
                     accepted_any += len(accepted)
-                    dead_any += sum(not memo.alive(i) for i in range(0, len(obj), 50))
+                    dead_any += int((~index.alive(np.arange(0, len(obj), 50))).sum())
         assert accepted_any and dead_any  # neither side is vacuous
 
     def test_no_accepted_origin_is_certified_dead(self, scene):
@@ -547,17 +629,16 @@ class TestDeadOrigins:
         for n, obj in enumerate(clouds):
             for mu in (0.2, 0.6, 1.2):
                 for opening in (0.01, 0.08):
-                    accepted = []
-                    _reference_candidates(obj, GripperModel(max_opening=opening), 10, n, mu=mu, accepted=accepted)
-                    memo = sampling._DeadOrigins(obj, opening, mu)
-                    assert not any(memo.dead[i] for i in accepted), (n, mu, opening)
+                    accepted = [a[1] for a in _reference_attempts(obj, GripperModel(max_opening=opening), 10, n, mu=mu)]
+                    index = _index(obj, opening, mu)
+                    assert not index.dead[accepted].any(), (n, mu, opening)
                     # nor is an origin the exact check keeps alive, where its
                     # partners all lie inward (convex shapes) or both balls
                     # are empty; a table point under an object has an
                     # outward partner, which no inward ray can reach
-                    dead = np.flatnonzero(memo.dead)
+                    dead = np.flatnonzero(index.dead)
                     if n < len(shapes) or mu > 1.0:
-                        assert not any(memo.alive(i) for i in dead[::37]), (n, mu, opening)
+                        assert not index.alive(dead[::37]).any(), (n, mu, opening)
                     accepted_any += len(accepted)
                     dead_any += len(dead)
         assert accepted_any and dead_any  # neither side is vacuous
@@ -576,31 +657,31 @@ class TestDeadOrigins:
             line = inward * math.cos(math.atan(mu)) * unit(normal) + math.sin(math.atan(mu)) * side
             origin = rng.uniform(-0.2, 0.2, size=3)
             pts = np.array([origin, origin - opening * line])
-            memo = sampling._DeadOrigins(PointCloud(pts, normals=[normal, side]), opening, mu)
-            if sampling._closing_line(pts, np.array([normal]), 0, 1, opening, math.cos(math.atan(mu))) is None:
+            index = _index(PointCloud(pts, normals=[normal, side]), opening, mu)
+            if not _accepted(pts, normal, opening, mu):
                 continue
             if inward > 0 or mu > 1.0:  # below 45 degrees, only the inward side
-                assert not memo.dead[0], n
+                assert not index.dead[0], n
                 kept += 1
             else:
-                assert memo.dead[0], n
+                assert index.dead[0], n
                 certified += 1
         assert kept > 100 and certified > 20
 
     def test_table_and_wide_sphere_certified_dead(self, scene, small_scene, gripper):
         for obj, table in ((scene, len(plane_grid(0.25, 0.004))), (small_scene, len(plane_grid(0.1, 0.004)))):
-            memo = sampling._DeadOrigins(obj, gripper.max_opening, 0.6)
-            assert all(memo.dead[:table])
-            assert memo.live > 0
-        assert sampling._DeadOrigins(sphere_cloud(), gripper.max_opening, 0.6).live == 0
+            index = _index(obj, gripper.max_opening, 0.6)
+            assert index.dead[:table].all()
+            assert index.live > 0
+        assert _index(sphere_cloud(), gripper.max_opening, 0.6).live == 0
 
     def test_cast_never_sees_a_dead_origin(self, scene, small_scene, box, gripper, casts):
         for obj, grip in ((small_scene, gripper), (box, GripperModel(max_opening=0.01)), (scene, gripper)):
             casts.clear()
             with contextlib.suppress(UngraspableError):  # the tight box
                 _positive_set(obj, grip, per_object=6, seed=3)
-            memo = sampling._DeadOrigins(obj, grip.max_opening, 0.6)
-            assert casts and not any(memo.dead[i] for i in casts)
+            index = _index(obj, grip.max_opening, 0.6)
+            assert casts and not index.dead[casts].any()
 
     def test_scene_positive_set_matches_reference(self, scene, gripper, monkeypatch):
         got = _positive_set(scene, gripper, per_object=6, seed=3)
