@@ -10,17 +10,18 @@ folding the normal sign away; jaws that sweep no points score 0.
 :class:`~.geometry.GraspSet` (a list of ``Grasp`` is stacked once) and
 every stage scores through it, ``metrics.evaluate`` on the moved set.
 :func:`find_contacts` and :func:`score_grasp` are one-grasp views of the
-same sweep. Per call it makes one column copy of the cloud
-(:func:`~.geometry.grasp_columns`) and one checked stack of rotations
-(:meth:`~.geometry.GraspSet.rotations`); no per-grasp ``Grasp``,
-``GraspFrame`` or ``ContactPair`` is built, and both tests run on one
-slab of grasp-frame coordinates per grasp (:func:`_sweep`).
+same sweep. Per call it makes one checked stack of rotations
+(:meth:`~.geometry.GraspSet.rotations`) and builds no per-grasp object.
+Each grasp reads only the slice of the cloud, sorted once along its
+widest axis, that its gripper can reach (29% of the 20k-point scene):
+both tests run on one slab of grasp-frame coordinates of that slice.
 
 The scores are bit-identical to scoring each grasp alone in row layout,
 ``(points - origin) @ R``: :func:`~.geometry.local_coords` and the
 :mod:`.geometry` module docstring give the rules that keep those bits and
 the measurements behind them. They matter because each contact is the
-extreme-Y point (lowest index on ties) and grid objects tie to an ulp.
+extreme-Y point, the lowest index on exact ties, and grid objects tie to
+an ulp; the slab runs in sort order, so a tie takes :func:`_lowest_tied`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .geometry import Grasp, GraspSet, GripperModel, PointCloud, grasp_columns, local_coords
+from .geometry import Grasp, GraspSet, GripperModel, PointCloud
 
 DEFAULT_MU = 0.6
 DEFAULT_CONTACT_TOL = 0.005
@@ -82,32 +83,39 @@ def _sweep(obj: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper:
     (``ia = ib = -1`` when there are none) and the collision test, 1 iff
     no point lies strictly inside a gripper solid.
 
-    Both tests read one slab of grasp-frame coordinates
-    (:func:`local_coords`), |z| <= max(H/2 + tol, the boxes' z extent),
-    which holds every point either test can accept.
+    Both tests read one slab (:meth:`~.geometry._ScoringIndex.slabs`) of
+    the box holding the sweep box and every collision box.
     """
     hx = gripper.finger_length / 2.0 + tol
     hw = gripper.max_opening / 2.0
     hz = gripper.finger_height / 2.0 + tol
     boxes = gripper.collision_boxes()
-    half_z = max(hz, *(max(-lo[2], hi[2]) for lo, hi in boxes))
     lo = np.array([lo for lo, _ in boxes])[:, :, None]  # (B, 3, 1)
     hi = np.array([hi for _, hi in boxes])[:, :, None]
-    work = grasp_columns(obj.points)
-    for center, r in zip(centers, rotations):
-        idx, local = local_coords(work, center, r, half_z)
+    reach = np.array([hx, hw, hz])
+    reach_lo, reach_hi = np.minimum(-reach, lo.min(axis=0)[:, 0]), np.maximum(reach, hi.max(axis=0)[:, 0])
+    slabs = obj._scoring_index.slabs(centers, rotations, reach_lo, reach_hi, max(-reach_lo[2], reach_hi[2]))
+    for r, (order, idx, local) in zip(rotations, slabs):
         x, y, z = local
         ia = ib = -1
         swept = (np.abs(z) <= hz) & (np.abs(x) <= hx) & (np.abs(y) <= hw)
         if swept.any():
-            # the slab is ascending, so argmax/argmin keep the lowest index
-            # on ties; a jaw touches iff the extreme Y lies on its side
+            # a jaw touches iff the extreme Y lies on its side
             ys, near = y[swept], idx[swept]
-            a, b = np.argmax(ys), np.argmin(ys)
-            if ys[a] >= 0.0 and ys[b] <= 0.0 and near[a] != near[b]:
-                ia, ib = int(near[a]), int(near[b])
+            a, b = ys.argmax(), ys.argmin()  # methods: np.argmax's wrapper costs 1 us
+            if ys[a] >= 0.0 and ys[b] <= 0.0:
+                ia, ib = _lowest_tied(ys, near, a, order), _lowest_tied(ys, near, b, order)
+                if ia == ib:
+                    ia = ib = -1
         free = not ((local > lo) & (local < hi)).all(axis=1).any()
         yield r[:, 1].copy(), ia, ib, int(free)
+
+
+def _lowest_tied(ys: np.ndarray, near: np.ndarray, k, order: np.ndarray) -> int:
+    """The lowest original index ``order[near]`` among the points whose Y
+    equals ``ys[k]``; a lone extreme, the common case, skips the ``min``."""
+    tied = ys == ys[k]
+    return int(order[near[k]]) if np.count_nonzero(tied) == 1 else int(order[near[tied]].min())
 
 
 def _antipodal(pairs, beta: float) -> int:

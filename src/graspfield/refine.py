@@ -22,16 +22,7 @@ import numpy as np
 
 from .anchors import _decode_residuals, _encode_residuals, _residual_arrays
 from .errors import DataError
-from .geometry import (
-    Grasp,
-    GraspSet,
-    GripperModel,
-    PointCloud,
-    _nearest_centers,
-    grasp_columns,
-    grasp_frame,
-    local_coords,
-)
+from .geometry import Grasp, GraspSet, GripperModel, PointCloud, _nearest_centers, grasp_frame
 from .losses import _weighted_loss
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
@@ -42,12 +33,13 @@ DEFAULT_MIN_CLOSING_POINTS = 50
 _COS_ORIENTATION_GATE = math.cos(ORIENTATION_GATE)
 
 
-def _closing_box(work: np.ndarray, center: np.ndarray, rotation: np.ndarray, gripper: GripperModel):
-    """Slab indices, their (3, M) grasp-frame coordinates, and the mask of
-    the slab points inside the closing box."""
-    hx, hy, hz = gripper.closing_half_extents()
-    idx, local = local_coords(work, center, rotation, hz)
-    return idx, local, (np.abs(local[0]) <= hx) & (np.abs(local[1]) <= hy)
+def _closing_boxes(cloud: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper: GripperModel):
+    """Per checked grasp frame: the slab of :meth:`~.geometry._ScoringIndex.slabs`
+    (original indices of the slice, slab positions, coordinates) and the
+    mask of the slab points inside the closing box."""
+    hx, hy, hz = half = gripper.closing_half_extents()
+    for order, idx, local in cloud._scoring_index.slabs(centers, rotations, -half, half, hz):
+        yield order[idx], local, (np.abs(local[0]) <= hx) & (np.abs(local[1]) <= hy)
 
 
 def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np.ndarray, np.ndarray]:
@@ -58,8 +50,10 @@ def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np
     finger_height/2 along Z, all inclusive.
     """
     frame = grasp_frame(g)
-    idx, local, inside = _closing_box(grasp_columns(cloud.points), frame.origin, frame.rotation, gripper)
-    return idx[inside], np.ascontiguousarray(local[:, inside].T)
+    ((idx, local, inside),) = _closing_boxes(cloud, frame.origin[None], frame.rotation[None], gripper)
+    keep = np.flatnonzero(inside)
+    keep = keep[np.argsort(idx[keep])]  # the slab runs in sort order
+    return idx[keep], np.ascontiguousarray(local[:, keep].T)
 
 
 def select_refinable(
@@ -74,9 +68,8 @@ def select_refinable(
     if min_points < 0:
         raise DataError("min_points must be >= 0")
     proposals = GraspSet.of(proposals)
-    work = grasp_columns(cloud.points)
-    inside = (_closing_box(work, c, r, gripper)[2] for c, r in zip(proposals.centers, proposals.rotations()))
-    return np.flatnonzero([np.count_nonzero(mask) > min_points for mask in inside])
+    boxes = _closing_boxes(cloud, proposals.centers, proposals.rotations(), gripper)
+    return np.flatnonzero([np.count_nonzero(inside) > min_points for _, _, inside in boxes])
 
 
 def refinement_label(proposal: Grasp, gt: Grasp) -> int:

@@ -12,14 +12,15 @@ outcome. The candidates are the accepted attempts in attempt order, the
 first ``count`` kept. So how attempts are grouped for casting cannot
 change the candidates, and :data:`RAY_BLOCK` is a speed constant only.
 
-Attempts are cast :data:`RAY_BLOCK` at a time against a KD-tree built
-once per object (:class:`_ObjectIndex`). The exit contact is the farthest
-point within ``ray_tol`` of the ray, the lowest index on ties. One ball
-query per block proposes a superset of the points near every ray; an
-exact test on those points decides, and one ``lexsort`` picks each ray's
-farthest hit. The exact test sums its products in a fixed order per
-point, so each point's bits are those of a one-ray scan of the whole
-cloud, and the candidates are the same.
+Attempts are cast in blocks against a KD-tree built once per object
+(:class:`_ObjectIndex`), each block sized to the batch's shortfall at
+its yield so far, at most :data:`RAY_BLOCK`. The exit contact is the
+farthest point within ``ray_tol`` of the ray, the lowest index on ties.
+One ball query per block proposes a superset of the points near every
+ray; an exact test on those points decides, and one ``lexsort`` picks
+each ray's farthest hit. The exact test sums its products in a fixed
+order per point, so each point's bits are those of a one-ray scan of the
+whole cloud, and the candidates are the same.
 
 An accepted candidate's partner lies within the jaw opening of the
 origin, on a line within the friction cone of the origin's normal; an
@@ -55,8 +56,8 @@ from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _check_friction, score_gra
 
 ATTEMPT_FACTOR = 100
 
-# Attempts cast together. Any size gives the same candidates; blocks of
-# 64 to 512 ran the benchmark workloads equally fast (CHANGES.md).
+# The most attempts cast together. Any size gives the same candidates;
+# blocks of 64 to 512 ran the benchmark workloads equally fast (CHANGES.md).
 RAY_BLOCK = 256
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -288,11 +289,13 @@ def _sample(obj: PointCloud, gripper: GripperModel, count: int, seed, mu: float,
     cos_half = math.cos(half_angle)
 
     kept = []  # per block: the accepted attempts, their origins, partners and closing lines
-    found = 0
-    for start in range(0, attempts, RAY_BLOCK):
-        if found >= count or index.live == 0:
-            break
-        block = np.arange(start, min(start + RAY_BLOCK, attempts))
+    found = start = 0
+    while start < attempts and found < count and index.live:
+        # an attempt yields at most one candidate, so the first block holds `need`
+        need = count - found
+        size = min(RAY_BLOCK, math.ceil(need * start / found) if found else need)
+        block = np.arange(start, min(start + size, attempts))
+        start += size
         block = block[~index.dead[origins[block]]]
         if block.size == 0:
             continue

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graspfield import DataError, Grasp, GraspSet, GripperModel, PointCloud
-from graspfield.geometry import GraspFrame, _as_array, grasp_columns, local_coords
+from graspfield.geometry import GraspFrame, _as_array, local_coords
 from graspfield.quality import DEFAULT_MU, ContactPair, _antipodal, _check_friction, _sweep
 from graspfield.synthetic import box_cloud, plane_grid, sphere_cloud
 
@@ -60,7 +60,7 @@ def random_unit(rng, n=None):
 def to_grasp_frame(cloud: PointCloud, frame: GraspFrame) -> PointCloud:
     """Re-express a cloud in the grasp frame: p -> R^T (p - origin)."""
     r = frame.rotation
-    _, local = local_coords(grasp_columns(cloud.points), frame.origin, r)
+    _, local = local_coords(cloud.points.T, frame.origin, r)
     return PointCloud(
         np.ascontiguousarray(local.T),
         cloud.colors,
@@ -86,7 +86,7 @@ def points_in_box(cloud: PointCloud, frame: GraspFrame, half_extents) -> np.ndar
     hx, hy, hz = _as_array(half_extents, (3,), "half_extents")
     if min(hx, hy, hz) <= 0.0:
         raise DataError("half_extents must be positive")
-    idx, (x, y, _) = local_coords(grasp_columns(cloud.points), frame.origin, frame.rotation, hz)
+    idx, (x, y, _) = local_coords(cloud.points.T, frame.origin, frame.rotation, hz)
     return idx[(np.abs(x) <= hx) & (np.abs(y) <= hy)]
 
 

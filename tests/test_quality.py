@@ -17,14 +17,14 @@ from graspfield import (
     transform_grasp,
 )
 from graspfield import geometry
-from graspfield.geometry import GraspFrame, GripperModel
+from graspfield.geometry import GraspFrame, GripperModel, local_coords
 from graspfield.metrics import evaluate
-from graspfield.quality import ContactPair, score_grasps
+from graspfield.quality import DEFAULT_CONTACT_TOL, ContactPair, _sweep, score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
 from conftest import antipodal_score, collision_score, points_in_box, random_unit
-from test_geometry import random_grasp, random_rotation
+from test_geometry import permutation_frames, random_grasp, random_rotation
 
 
 def oracle_antipodal(contacts, mu):
@@ -391,11 +391,11 @@ class TestScoreGrasp:
 # Batched kernel
 # ---------------------------------------------------------------------------
 
-def reference_scores(obj, g, gripper, mu=0.6, tol=0.005):
-    """Per-grasp scoring as first written: full-cloud masks for the jaw
-    sweep and one all-columns pass per collision box."""
-    frame = grasp_frame(g)
-    local = (obj.points - frame.origin) @ frame.rotation
+def reference_sweep(obj, origin, rotation, gripper, tol=0.005):
+    """The contacts (ia, ib; -1 when none) and the collision score of one
+    grasp frame, as first written: full-cloud masks for the jaw sweep and
+    one all-columns pass per collision box."""
+    local = (obj.points - origin) @ rotation
     hx = gripper.finger_length / 2.0 + tol
     hz = gripper.finger_height / 2.0 + tol
     hw = gripper.max_opening / 2.0
@@ -403,23 +403,44 @@ def reference_scores(obj, g, gripper, mu=0.6, tol=0.005):
     y = local[:, 1]
     side_a = np.nonzero(in_section & (y >= 0.0) & (y <= hw))[0]
     side_b = np.nonzero(in_section & (y <= 0.0) & (y >= -hw))[0]
-    sa = 0
+    ia = ib = -1
     if side_a.size and side_b.size:
         ia = side_a[np.argmax(y[side_a])]
         ib = side_b[np.argmin(y[side_b])]
-        if ia != ib:
-            pair = ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib],
-                               -frame.y_axis, frame.y_axis)
-            sa = antipodal_score(pair, mu)
+        if ia == ib:
+            ia = ib = -1
     sc = 1
     for lo, hi in gripper.collision_boxes():
         if ((local > lo) & (local < hi)).all(axis=1).any():
             sc = 0
+    return int(ia), int(ib), sc
+
+
+def reference_scores(obj, g, gripper, mu=0.6, tol=0.005):
+    """Per-grasp scoring as first written (:func:`reference_sweep`)."""
+    frame = grasp_frame(g)
+    ia, ib, sc = reference_sweep(obj, frame.origin, frame.rotation, gripper, tol)
+    sa = 0
+    if ia >= 0:
+        pair = ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib],
+                           -frame.y_axis, frame.y_axis)
+        sa = antipodal_score(pair, mu)
     return sa, sc, min(sa, sc)
 
 
+class TallPalm(GripperModel):
+    """A palm taller than the fingers: its points lie outside the sweep
+    slab |z| <= H/2 + tol."""
+
+    def collision_boxes(self):
+        boxes = super().collision_boxes()
+        lo, hi = boxes[2]
+        return boxes[:2] + [(lo - (0, 0, 0.02), hi + (0, 0, 0.02))]
+
+
 def table_scene():
-    """A box resting on a plane grid: one cloud, two kinds of surface."""
+    """A box resting on a plane grid: one cloud, two kinds of surface,
+    wide enough that every grasp scores a partial slice."""
     plane = plane_grid(half_size=0.08, spacing=0.004)
     box = box_cloud()
     return PointCloud(
@@ -451,12 +472,21 @@ class TestScoreGrasps:
         ],
         ids=["box", "cylinder", "sphere", "scene"],
     )
-    def test_equals_looped_and_reference_scoring(self, gripper, make, count):
+    def test_equals_looped_and_reference_scoring(self, gripper, monkeypatch, make, count):
         obj = make()
         candidates = sample_candidates(obj, gripper, count, seed=11)
         rng = np.random.default_rng(12)
         grasps = list(candidates) + [random_grasp(rng) for _ in range(20)]
+        widths = []
+
+        def recorded(cols, *args):
+            widths.append(cols.shape[1])
+            return local_coords(cols, *args)
+
+        monkeypatch.setattr(geometry, "local_coords", recorded)
         table = score_grasps(obj, grasps, gripper)
+        if make is table_scene:
+            assert max(widths) < len(obj)  # every grasp scores a partial slice
         assert table.dtype == np.int64 and table.shape == (len(grasps), 3)
         looped = [score_grasp(obj, g, gripper) for g in grasps]
         assert np.array_equal(table, [(s.score_antipodal, s.score_collision, s.score) for s in looped])
@@ -599,14 +629,7 @@ class TestScoreGrasps:
             assert np.array_equal(score_grasps(cloud, [grasp], gripper), [want])
 
     def test_collision_boxes_beyond_the_finger_height(self, box, gripper):
-        # a palm taller than the fingers: its points lie outside the sweep
-        # slab |z| <= H/2 + tol, and the shared slab must still reach them
-        class TallPalm(GripperModel):
-            def collision_boxes(self):
-                boxes = super().collision_boxes()
-                lo, hi = boxes[2]
-                return boxes[:2] + [(lo - (0, 0, 0.02), hi + (0, 0, 0.02))]
-
+        # the shared slab must reach the palm's points beyond the sweep slab
         palm = TallPalm()
         # grasp-frame x is -world x for the first grasp, +world x for the second
         grasps = [Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0), Grasp((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), 0.0)]
@@ -621,3 +644,66 @@ class TestScoreGrasps:
             rng = np.random.default_rng(seed)
             near = [random_grasp(rng) for _ in range(40)]
             assert np.array_equal(score_grasps(box, near, palm), [reference_scores(box, g, palm) for g in near])
+
+
+# ---------------------------------------------------------------------------
+# The sorted slice each grasp scores
+# ---------------------------------------------------------------------------
+
+class TestSortedSlices:
+    def test_ties_reversed_along_the_sort_axis_take_the_lowest_index(self, gripper):
+        # the tied extremes on each jaw side run along x in the reverse of
+        # their index order, so the slice meets the highest index first;
+        # only the lowest-index copies have antipodal normals
+        tilted = (0.8, 0.6, 0.0)
+        pts = [(0.02, 0.03, 0.0), (0.01, 0.03, 0.0), (0.0, 0.03, 0.0), (-0.01, 0.03, 0.0),
+               (0.015, -0.03, 0.0), (-0.005, -0.03, 0.0), (0.3, 0.0, 0.0), (-0.3, 0.0, 0.0)]
+        normals = [(0.0, 1.0, 0.0), tilted, tilted, tilted, (0.0, -1.0, 0.0), tilted, tilted, tilted]
+        cloud = PointCloud(pts, normals=normals)
+        index = cloud._scoring_index
+        rank = np.argsort(index.order)  # each point's place in the sorted cloud
+        assert index.axis == 0 and rank[0] > rank[1] > rank[2] > rank[3] and rank[4] > rank[5]
+        grasps = [Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0), Grasp((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), 0.3)]
+        want = [reference_scores(cloud, g, gripper) for g in grasps]
+        assert [w[0] for w in want] == [1, 1]
+        assert np.array_equal(score_grasps(cloud, grasps, gripper), want)
+        contact = find_contacts(cloud, grasps[0], gripper)
+        assert np.array_equal(contact.point_a, pts[0]) and np.array_equal(contact.point_b, pts[4])
+
+    @pytest.mark.parametrize("grip", [GripperModel(), TallPalm()], ids=["default", "tall-palm"])
+    def test_points_at_the_reach_of_the_slice(self, grip):
+        # a point at the world reach, along the sort axis, of each box the
+        # tests read (the tol-inflated sweep box and every collision box),
+        # and 1 ulp either side of it: the crop keeps every point either
+        # test can accept, so contacts and collisions are the full cloud's
+        tol = DEFAULT_CONTACT_TOL
+        half = np.array([grip.finger_length / 2 + tol, grip.max_opening / 2, grip.finger_height / 2 + tol])
+        boxes = [(-half, half), *grip.collision_boxes()]
+        rng = np.random.default_rng(31)
+        frames = [(r, np.zeros(3)) for r in permutation_frames()]
+        frames += [(random_rotation(rng), np.round(rng.normal(size=3) * 0.02, 3)) for _ in range(6)]
+        partners = [(0.0, 0.001, 0.0), (0.0, -0.001, 0.0)]  # the contacts when no point lies farther out
+        checked = 0
+        for r, center in frames:
+            r = np.ascontiguousarray(r)
+            for axis in range(3):
+                anchors = np.zeros((2, 3))
+                anchors[:, axis] = (-1.0, 1.0)  # far outside the gripper, they make ``axis`` the widest
+                for lo, hi in boxes:
+                    for end in (np.minimum, np.maximum):
+                        # the box corner at this end along the axis; free
+                        # coordinates sit off the box's middle
+                        terms = end(r[axis] * lo, r[axis] * hi)
+                        corner = np.where(terms == r[axis] * lo, lo, hi)
+                        corner = np.where(r[axis] == 0.0, lo + 0.75 * (hi - lo), corner)
+                        point = center + r @ corner
+                        reach = center[axis] + terms.sum()
+                        for target in (np.nextafter(reach, -np.inf), reach, np.nextafter(reach, np.inf)):
+                            point[axis] = target
+                            local = [point, *(center + r @ np.array(p) for p in partners)]
+                            cloud = PointCloud(np.vstack([local, anchors]))
+                            assert cloud._scoring_index.axis == axis
+                            ((_, ia, ib, free),) = _sweep(cloud, center[None], r[None], grip, tol)
+                            assert (ia, ib, free) == reference_sweep(cloud, center, r, grip, tol)
+                            checked += (ia == 0 or ib == 0 or not free)
+        assert checked > 0  # some point at the reach is a contact or collides

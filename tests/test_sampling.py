@@ -380,6 +380,26 @@ class TestBlockCast:
         assert run(*cases[-1]) == got[-1]
 
 
+    def test_casts_stop_near_the_last_candidate(self, box, gripper, monkeypatch):
+        # an attempt yields at most one candidate, and blocks after the
+        # first are sized to the shortfall at the yield so far: whole
+        # blocks cast up to RAY_BLOCK - 1 rays past the last one kept
+        accepted = []
+        closing_lines = sampling._closing_lines
+
+        def counted(*args):
+            lines, ok = closing_lines(*args)
+            accepted.append(ok)  # one entry per ray cast
+            return lines, ok
+
+        monkeypatch.setattr(sampling, "_closing_lines", counted)
+        for count in (5, 40, 300):
+            accepted.clear()
+            assert len(sample_candidates(box, gripper, count, seed=count)) == count
+            ok = np.concatenate(accepted)
+            assert len(ok) - 1 - np.flatnonzero(ok)[count - 1] < sampling.RAY_BLOCK // 8
+
+
 class TestRayIndex:
     """The KD-tree only proposes; the candidates match the whole-cloud scan."""
 
