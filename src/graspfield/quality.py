@@ -16,12 +16,19 @@ Each grasp reads only the slice of the cloud, sorted once along its
 widest axis, that its gripper can reach (29% of the 20k-point scene):
 both tests run on one slab of grasp-frame coordinates of that slice.
 
+The gripper solids become, once per call, distinct strict interval tests
+(:func:`_intervals`) that each run once per grasp, and the sweep returns
+arrays. The antipodal test then runs once over every grasp with
+contacts: row ``np.vecdot`` of the normals with the Y axes, and
+``math.acos`` per value against ``atan(mu)``, as for one grasp.
+
 The scores are bit-identical to scoring each grasp alone in row layout,
 ``(points - origin) @ R``: :func:`~.geometry.local_coords` and the
 :mod:`.geometry` module docstring give the rules that keep those bits and
 the measurements behind them. They matter because each contact is the
 extreme-Y point, the lowest index on exact ties, and grid objects tie to
-an ulp; the slab runs in sort order, so a tie takes :func:`_lowest_tied`.
+an ulp; the slab runs in sort order, so a tie looks up the lowest
+original index among the tied points.
 """
 
 from __future__ import annotations
@@ -76,12 +83,43 @@ def _check_friction(mu: float | None = None, tol: float | None = None) -> None:
         raise DataError(f"tol must be a finite non-negative number, got {tol}")
 
 
+def _intervals(boxes) -> tuple[list, list]:
+    """The distinct tests ``(row, lo, hi)``, each ``lo < c < hi`` (``c <
+    hi`` when ``lo`` is None) on row ``row`` of ``(x, y, z, |x|, |y|,
+    |z|)``, and per box the indices of its tests. An interval symmetric
+    about 0 becomes ``|c| < hi``. Two boxes equal on two axes whose third
+    intervals are ``(a, b)`` and ``(-b, -a)``, ``a >= -b``, become one box
+    with ``a < |c| < b`` (the fingers): exact, signed zeros included; for
+    ``a < 0`` both intervals hold 0 and their union is ``|c| < b``."""
+    solids = [list(zip(range(3), np.asarray(lo, float).tolist(), np.asarray(hi, float).tolist())) for lo, hi in boxes]
+    tests, members = [], []
+    while solids:
+        box = solids.pop(0)
+        for other in solids:
+            odd = [k for k in range(3) if box[k] != other[k]]
+            if len(odd) == 1:
+                k = odd[0]
+                a, b = max(box[k][1:], other[k][1:])
+                if min(box[k][1:], other[k][1:]) == (-b, -a):
+                    box[k] = (k + 3, a, b)
+                    solids.remove(other)
+                    break
+        ids = []
+        for k, a, b in box:
+            test = (k + 3, None, b) if k < 3 and a == -b else (k, a, b)
+            if test not in tests:
+                tests.append(test)
+            ids.append(tests.index(test))
+        members.append(ids)
+    return tests, members
+
+
 def _sweep(obj: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper: GripperModel, tol: float):
-    """Per checked grasp frame (center and rotation, see
-    :meth:`~.geometry.GraspSet.rotations`), ``(y_axis, ia, ib,
-    collision_free)``: the jaw-sweep contacts of :func:`find_contacts`
-    (``ia = ib = -1`` when there are none) and the collision test, 1 iff
-    no point lies strictly inside a gripper solid.
+    """``(ia, ib, free)`` int arrays over checked grasp frames (centers and
+    rotations, see :meth:`~.geometry.GraspSet.rotations`): the jaw-sweep
+    contacts of :func:`find_contacts` (``ia = ib = -1`` when there are
+    none) and the collision test, 1 iff no point lies strictly inside a
+    gripper solid.
 
     Both tests read one slab (:meth:`~.geometry._ScoringIndex.slabs`) of
     the box holding the sweep box and every collision box.
@@ -90,42 +128,40 @@ def _sweep(obj: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper:
     hw = gripper.max_opening / 2.0
     hz = gripper.finger_height / 2.0 + tol
     boxes = gripper.collision_boxes()
-    lo = np.array([lo for lo, _ in boxes])[:, :, None]  # (B, 3, 1)
-    hi = np.array([hi for _, hi in boxes])[:, :, None]
+    tests, members = _intervals(boxes)
     reach = np.array([hx, hw, hz])
-    reach_lo, reach_hi = np.minimum(-reach, lo.min(axis=0)[:, 0]), np.maximum(reach, hi.max(axis=0)[:, 0])
-    slabs = obj._scoring_index.slabs(centers, rotations, reach_lo, reach_hi, max(-reach_lo[2], reach_hi[2]))
-    for r, (order, idx, local) in zip(rotations, slabs):
-        x, y, z = local
-        ia = ib = -1
-        swept = (np.abs(z) <= hz) & (np.abs(x) <= hx) & (np.abs(y) <= hw)
-        if swept.any():
+    reach_lo = np.minimum(-reach, np.min([lo for lo, _ in boxes], axis=0))
+    reach_hi = np.maximum(reach, np.max([hi for _, hi in boxes], axis=0))
+    half_z = max(-reach_lo[2], reach_hi[2])
+    slabs = obj._scoring_index.slabs(centers, rotations, reach_lo, reach_hi, half_z)
+    ia, ib, free = np.full(len(centers), -1), np.full(len(centers), -1), np.ones(len(centers), dtype=np.int64)
+    for g, (order, idx, local) in enumerate(slabs):
+        mag = np.abs(local)
+        rows = (local[0], local[1], local[2], mag[0], mag[1], mag[2])  # indexing beats unpacking by 2 us
+        swept = (rows[3] <= hx) & (rows[4] <= hw)
+        if half_z != hz:  # the slab is taller than the sweep
+            swept &= rows[5] <= hz
+        near = swept.nonzero()[0]
+        if near.size:
             # a jaw touches iff the extreme Y lies on its side
-            ys, near = y[swept], idx[swept]
+            ys = rows[1].take(near)
             a, b = ys.argmax(), ys.argmin()  # methods: np.argmax's wrapper costs 1 us
-            if ys[a] >= 0.0 and ys[b] <= 0.0:
-                ia, ib = _lowest_tied(ys, near, a, order), _lowest_tied(ys, near, b, order)
-                if ia == ib:
-                    ia = ib = -1
-        free = not ((local > lo) & (local < hi)).all(axis=1).any()
-        yield r[:, 1].copy(), ia, ib, int(free)
-
-
-def _lowest_tied(ys: np.ndarray, near: np.ndarray, k, order: np.ndarray) -> int:
-    """The lowest original index ``order[near]`` among the points whose Y
-    equals ``ys[k]``; a lone extreme, the common case, skips the ``min``."""
-    tied = ys == ys[k]
-    return int(order[near[k]]) if np.count_nonzero(tied) == 1 else int(order[near[tied]].min())
-
-
-def _antipodal(pairs, beta: float) -> int:
-    """1 iff every (normal, force) pair's folded contact angle is at most
-    ``beta``."""
-    for n, f in pairs:
-        cos_alpha = min(abs(float(np.dot(n, f))), 1.0)
-        if math.acos(cos_alpha) > beta:
-            return 0
-    return 1
+            top, bottom = ys[a], ys[b]
+            if top >= 0.0 and bottom <= 0.0:
+                tied = ys == top
+                ia[g] = order[idx[near[a]]] if np.count_nonzero(tied) == 1 else order[idx[near[tied]]].min()
+                tied = ys == bottom
+                ib[g] = order[idx[near[b]]] if np.count_nonzero(tied) == 1 else order[idx[near[tied]]].min()
+        masks = [rows[k] < hi if lo is None else (rows[k] > lo) & (rows[k] < hi) for k, lo, hi in tests]
+        for i, j, k in members:
+            inside = masks[i] & masks[j]
+            inside &= masks[k]
+            if np.count_nonzero(inside):  # faster than .any() on a bool array
+                free[g] = 0
+                break
+    both = ia == ib
+    ia[both] = ib[both] = -1
+    return ia, ib, free
 
 
 def find_contacts(
@@ -146,9 +182,11 @@ def find_contacts(
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
     one = GraspSet.of([g])
-    ((y, ia, ib, _),) = _sweep(obj, one.centers, one.rotations(), gripper, tol)
+    rotations = one.rotations()
+    (ia,), (ib,), _ = _sweep(obj, one.centers, rotations, gripper, tol)
     if ia < 0:
         return None
+    y = rotations[0, :, 1]
     return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -y, y)
 
 
@@ -165,26 +203,31 @@ def score_grasps(
     The combined score is min of the two components; unreachable grasps
     (no contacts) get antipodal score 0 rather than an error. Row i is
     bit-identical to scoring grasp i on its own. The contacts pass
-    :class:`ContactPair`'s checks (unit normals, distinct points) without
-    building one; the forces are the frame's Y axis, unit within 1e-9.
+    :class:`ContactPair`'s checks without building one: ``PointCloud``
+    checked every normal, the points are checked distinct here, and the
+    forces are the frame's Y axis, unit within 1e-9.
     """
     grasps = GraspSet.of(grasps)
     _check_friction(mu, tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
-    points, normals, beta = obj.points, obj.normals, math.atan(mu)
-    rows = []
-    for y, ia, ib, sc in _sweep(obj, grasps.centers, grasps.rotations(), gripper, tol):
-        sa = 0
-        if ia >= 0:
-            for name, i in (("normal_a", ia), ("normal_b", ib)):
-                if abs(np.linalg.norm(normals[i]) - 1.0) > _UNIT_TOL:
-                    raise DataError(f"{name} must be unit length")
-            if (points[ia] == points[ib]).all():
-                raise DataError("contact points must be distinct")
-            sa = _antipodal(((normals[ia], -y), (normals[ib], y)), beta)
-        rows.append((sa, sc, min(sa, sc)))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    rotations = grasps.rotations()
+    ia, ib, free = _sweep(obj, grasps.centers, rotations, gripper, tol)
+    rows = np.flatnonzero(ia >= 0)
+    a, b = ia[rows], ib[rows]
+    if (obj.points[a] == obj.points[b]).all(axis=1).any():
+        raise DataError("contact points must be distinct")
+    # the forces are -y on side a and y on side b; the folded cosine and
+    # math.acos are those of the one-grasp test, bit for bit
+    y = np.ascontiguousarray(rotations[rows, :, 1])
+    cosines = np.abs(np.concatenate([np.vecdot(obj.normals[a], -y), np.vecdot(obj.normals[b], y)]))
+    angles = np.fromiter(map(math.acos, np.minimum(cosines, 1.0).tolist()), dtype=np.float64, count=len(cosines))
+    inside = (angles <= math.atan(mu)).reshape(2, -1).all(axis=0)
+    table = np.zeros((len(grasps), 3), dtype=np.int64)
+    table[rows, 0] = inside
+    table[:, 1] = free
+    table[:, 2] = np.minimum(table[:, 0], free)
+    return table
 
 
 def score_grasp(

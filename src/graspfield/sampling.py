@@ -177,9 +177,11 @@ class _ObjectIndex:
         return partner
 
     def alive(self, origins: np.ndarray) -> np.ndarray:
-        """Whether any point can be the partner of each origin: one ball
-        query of radius ``reach``, then the exact test."""
-        owner, near = _flat(self.tree.query_ball_point(self.points[:, origins].T, self.reach, return_sorted=False))
+        """Whether any point can be the partner of each origin: the pairs
+        within ``reach``, as arrays from one tree-to-tree query, then the
+        exact test."""
+        pairs = _kdtree(self.points[:, origins].T).sparse_distance_matrix(self.tree, self.reach, output_type="ndarray")
+        owner, near = pairs["i"], pairs["j"]
         i = origins[owner]
         rel = self.points[:, near] - self.points[:, i]
         dist = np.sqrt(_dots(rel, rel))

@@ -1,15 +1,16 @@
 """Shared fixtures: analytic objects, the default gripper, and a couple of
 hand-verified grasps that the physics tests reuse; and the one-grasp
-helpers the tests use as scalar oracles around the package's kernels."""
+helpers the tests use as scalar oracles, independent of the package's
+kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from graspfield import DataError, Grasp, GraspSet, GripperModel, PointCloud
+from graspfield import DataError, Grasp, GripperModel, PointCloud, grasp_frame
 from graspfield.geometry import GraspFrame, _as_array, local_coords
-from graspfield.quality import DEFAULT_MU, ContactPair, _antipodal, _check_friction, _sweep
+from graspfield.quality import DEFAULT_MU, ContactPair, _check_friction
 from graspfield.synthetic import box_cloud, plane_grid, sphere_cloud
 
 
@@ -91,16 +92,23 @@ def points_in_box(cloud: PointCloud, frame: GraspFrame, half_extents) -> np.ndar
 
 
 def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
-    """1 iff both contact forces lie inside their friction cones: the
-    package's contact-angle test on one contact pair."""
+    """1 iff both contact forces lie inside their friction cones: each
+    folded contact angle ``acos(min(|n . f|, 1))`` is at most ``atan(mu)``,
+    one scalar pair at a time."""
     _check_friction(mu=mu)
-    pairs = ((contacts.normal_a, contacts.force_a), (contacts.normal_b, contacts.force_b))
-    return _antipodal(pairs, math.atan(mu))
+    for n, f in ((contacts.normal_a, contacts.force_a), (contacts.normal_b, contacts.force_b)):
+        if math.acos(min(abs(float(np.dot(n, f))), 1.0)) > math.atan(mu):
+            return 0
+    return 1
 
 
 def collision_score(obj: PointCloud, g: Grasp, gripper: GripperModel) -> int:
-    """1 iff no object point lies strictly inside any gripper solid: the
-    collision test of the package's sweep on one grasp."""
-    one = GraspSet.of([g])
-    ((_, _, _, free),) = _sweep(obj, one.centers, one.rotations(), gripper, 0.0)
-    return free
+    """1 iff no object point lies strictly inside any gripper solid: a
+    strict scan of every point against each box in turn, in the grasp
+    frame ``(points - origin) @ R``."""
+    frame = grasp_frame(g)
+    local = (obj.points - frame.origin) @ frame.rotation
+    for lo, hi in gripper.collision_boxes():
+        if ((local > lo) & (local < hi)).all(axis=1).any():
+            return 0
+    return 1

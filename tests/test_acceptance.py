@@ -28,6 +28,7 @@ from graspfield import (
     evaluate,
     grasp_frame,
     refinement_label,
+    score_grasps,
     segmentation_loss,
 )
 from graspfield import cli
@@ -174,7 +175,7 @@ def test_criterion_05_containment_oracle(criterion):
                 if np.any(np.all((local > lo) & (local < hi), axis=1)):
                     hit = True
                     break
-            assert collision_score(obj, g, gripper) == (0 if hit else 1)
+            assert score_grasps(obj, [g], gripper)[0, 1] == collision_score(obj, g, gripper) == (0 if hit else 1)
             inside = np.nonzero(np.all(np.abs(local) <= half, axis=1))[0]
             indices, _ = closing_area(obj, g, gripper)
             assert np.array_equal(indices, inside)

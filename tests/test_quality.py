@@ -9,6 +9,7 @@ import pytest
 from graspfield import (
     DataError,
     Grasp,
+    GraspSet,
     PointCloud,
     RigidTransform,
     find_contacts,
@@ -19,7 +20,7 @@ from graspfield import (
 from graspfield import geometry
 from graspfield.geometry import GraspFrame, GripperModel, local_coords
 from graspfield.metrics import evaluate
-from graspfield.quality import DEFAULT_CONTACT_TOL, ContactPair, _sweep, score_grasps
+from graspfield.quality import DEFAULT_CONTACT_TOL, ContactPair, _intervals, _sweep, score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
@@ -51,6 +52,15 @@ def oracle_collision(obj, g, gripper):
             if all(lo[k] < local[k] < hi[k] for k in range(3)):
                 return 0
     return 1
+
+
+def kernel_collision(obj, g, gripper):
+    """The package's collision score of one grasp, checked against the
+    strict per-box scan of :func:`conftest.collision_score`."""
+    one = GraspSet.of([g])
+    (free,) = _sweep(obj, one.centers, one.rotations(), gripper, 0.0)[2]
+    assert free == collision_score(obj, g, gripper)
+    return free
 
 
 def contact_pair_along_y(alpha_a, alpha_b=0.0):
@@ -261,25 +271,25 @@ class TestAntipodalScore:
 class TestCollisionScore:
     def test_empty_cloud_is_free(self, gripper):
         g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
-        assert collision_score(PointCloud(np.zeros((0, 3))), g, gripper) == 1
+        assert kernel_collision(PointCloud(np.zeros((0, 3))), g, gripper) == 1
 
     def test_point_at_finger_center_collides(self, gripper):
         # hand case frame: x=(-1,0,0), y=(0,1,0), z=(0,0,-1)
         g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
         finger_mid_y = (gripper.max_opening / 2 + gripper.max_opening / 2 + gripper.finger_thickness) / 2
         cloud = PointCloud([[0.0, finger_mid_y, 0.0]])
-        assert collision_score(cloud, g, gripper) == 0
+        assert kernel_collision(cloud, g, gripper) == 0
 
     def test_point_between_jaws_is_free(self, gripper):
         g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud([[0.0, 0.0, 0.0]])
-        assert collision_score(cloud, g, gripper) == 1
+        assert kernel_collision(cloud, g, gripper) == 1
 
     def test_boundary_point_is_free(self, gripper):
         # exactly on the inner finger face: not strictly inside
         g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud([[0.0, gripper.max_opening / 2, 0.0]])
-        assert collision_score(cloud, g, gripper) == 1
+        assert kernel_collision(cloud, g, gripper) == 1
 
     def test_points_on_box_faces_are_free(self, gripper):
         # hand case frame: local (x, y, z) sits at world (-x, y, -z), exactly
@@ -287,26 +297,26 @@ class TestCollisionScore:
         to_world = np.array([-1.0, 1.0, -1.0])
         for lo, hi in gripper.collision_boxes():
             center = (lo + hi) / 2.0
-            assert collision_score(PointCloud([center * to_world]), g, gripper) == 0
+            assert kernel_collision(PointCloud([center * to_world]), g, gripper) == 0
             for k in range(3):
                 for bound in (lo[k], hi[k]):
                     local = center.copy()
                     local[k] = bound
                     cloud = PointCloud([local * to_world])
-                    assert collision_score(cloud, g, gripper) == oracle_collision(cloud, g, gripper) == 1
+                    assert kernel_collision(cloud, g, gripper) == oracle_collision(cloud, g, gripper) == 1
 
     def test_base_behind_fingers_collides(self, gripper):
         # hand case: base occupies world x in (0.03, 0.05) (local -x is world +x)
         g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud([[0.04, 0.0, 0.0]])
-        assert collision_score(cloud, g, gripper) == 0
+        assert kernel_collision(cloud, g, gripper) == 0
 
     def test_matches_point_in_box_oracle(self, gripper):
         rng = np.random.default_rng(23)
         cloud = PointCloud(rng.uniform(-0.08, 0.08, size=(400, 3)))
         for _ in range(60):
             g = random_grasp(rng)
-            assert collision_score(cloud, g, gripper) == oracle_collision(cloud, g, gripper)
+            assert kernel_collision(cloud, g, gripper) == oracle_collision(cloud, g, gripper)
 
     def test_collision_boxes_consistent_with_points_in_box(self, gripper):
         # strict interior: shrink the closed box test by an epsilon margin
@@ -320,7 +330,7 @@ class TestCollisionScore:
             half = (np.asarray(hi) - lo) / 2
             boxframe = GraspFrame(center, frame.x_axis, frame.y_axis, frame.z_axis)
             hit.update(points_in_box(cloud, boxframe, half - 1e-12).tolist())
-        assert collision_score(cloud, g, gripper) == (0 if hit else 1)
+        assert kernel_collision(cloud, g, gripper) == (0 if hit else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +448,18 @@ class TallPalm(GripperModel):
         return boxes[:2] + [(lo - (0, 0, 0.02), hi + (0, 0, 0.02))]
 
 
+class ShiftedWrist(GripperModel):
+    """Every solid moved off the frame's axes, plus a wrist box behind the
+    base: no interval is symmetric about 0 and no two boxes mirror."""
+
+    def collision_boxes(self):
+        boxes = super().collision_boxes()
+        lo, hi = boxes[2]
+        wrist = (np.array([lo[0] - 0.012, -0.011, -0.008]), np.array([lo[0], 0.015, 0.009]))
+        shift = np.array([0.002, 0.003, -0.001])
+        return [(lo + shift, hi + shift) for lo, hi in boxes + [wrist]]
+
+
 def table_scene():
     """A box resting on a plane grid: one cloud, two kinds of surface,
     wide enough that every grasp scores a partial slice."""
@@ -492,6 +514,26 @@ class TestScoreGrasps:
         assert np.array_equal(table, [(s.score_antipodal, s.score_collision, s.score) for s in looped])
         assert np.array_equal(table, [reference_scores(obj, g, gripper) for g in grasps])
         assert 0 < table[:, 2].sum() < len(grasps)
+
+    def test_antipodal_column_matches_the_scalar_test(self, gripper):
+        # one contact pair per grasp, 1 m apart along x so that each grasp
+        # sweeps only its own pair; random normals, and normals at the cone
+        # edge for each mu, test the array epilogue against the scalar one
+        rng = np.random.default_rng(40)
+        count = 300
+        x = np.repeat(np.arange(count, dtype=np.float64), 2)
+        points = np.column_stack([x, np.tile([0.02, -0.03], count), np.zeros(2 * count)])
+        normals = random_unit(rng, 2 * count)
+        edge = np.arange(0, 2 * count, 7)
+        alpha = math.atan(0.6) + rng.choice([-1e-12, 0.0, 1e-12], size=len(edge))
+        normals[edge] = np.column_stack([np.sin(alpha), np.cos(alpha), np.zeros(len(edge))])
+        cloud = PointCloud(points, normals=normals)
+        grasps = [Grasp((float(i), 0.0, 0.0), (0.0, 1.0, 0.0), float(rng.uniform(-1.5, 1.5))) for i in range(count)]
+        for mu in (0.6, 1.1):
+            table = score_grasps(cloud, grasps, gripper, mu=mu)
+            want = [antipodal_score(find_contacts(cloud, g, gripper), mu) for g in grasps]
+            assert np.array_equal(table[:, 0], want) and 0 < sum(want) < count
+            assert np.array_equal(table, [reference_scores(cloud, g, gripper, mu=mu) for g in grasps])
 
     def test_mu_and_tol_forwarded(self, box, gripper):
         grasps = sample_candidates(box, gripper, 40, seed=13)
@@ -703,7 +745,82 @@ class TestSortedSlices:
                             local = [point, *(center + r @ np.array(p) for p in partners)]
                             cloud = PointCloud(np.vstack([local, anchors]))
                             assert cloud._scoring_index.axis == axis
-                            ((_, ia, ib, free),) = _sweep(cloud, center[None], r[None], grip, tol)
+                            (ia,), (ib,), (free,) = _sweep(cloud, center[None], r[None], grip, tol)
                             assert (ia, ib, free) == reference_sweep(cloud, center, r, grip, tol)
                             checked += (ia == 0 or ib == 0 or not free)
         assert checked > 0  # some point at the reach is a contact or collides
+
+
+# ---------------------------------------------------------------------------
+# The collision boxes as shared interval tests
+# ---------------------------------------------------------------------------
+
+GRIPPERS = [GripperModel(), TallPalm(), ShiftedWrist()]
+GRIPPER_IDS = ["default", "tall-palm", "shifted-wrist"]
+
+
+class TestCollisionMasks:
+    def test_interval_layouts(self):
+        # the default fingers pair into one box on |y|; the shifted wrist
+        # keeps four boxes of plain two-sided tests
+        tests, members = _intervals(GripperModel().collision_boxes())
+        assert len(members) == 2 and len(tests) == 5
+        tests, members = _intervals(ShiftedWrist().collision_boxes())
+        assert len(members) == 4 and all(k < 3 and lo is not None for k, lo, _ in tests)
+
+    @pytest.mark.parametrize("a, b", [(0.04, 0.05), (0.0, 0.05), (-0.01, 0.05), (0.05, 0.04)],
+                             ids=["apart", "touching", "overlapping", "empty"])
+    def test_mirrored_boxes_merge_exactly(self, a, b):
+        # boxes on y in (a, b) and (-b, -a) score as one |y| test
+        class Mirrored(GripperModel):
+            def collision_boxes(self):
+                return [(np.array([-0.01, a, -0.01]), np.array([0.01, b, 0.01])),
+                        (np.array([-0.01, -b, -0.01]), np.array([0.01, -a, 0.01]))]
+
+        grip = Mirrored()
+        assert len(_intervals(grip.collision_boxes())[1]) == 1
+        values = [0.0, -0.0, 0.02, -0.02]
+        for v in (a, b, -a, -b):
+            values += [np.nextafter(v, -1.0), v, np.nextafter(v, 1.0)]
+        frees = []
+        for c in values:
+            cloud = PointCloud([(0.0, c, 0.0)])
+            (free,) = _sweep(cloud, np.zeros((1, 3)), np.eye(3)[None], grip, 0.0)[2]
+            assert free == reference_sweep(cloud, np.zeros(3), np.eye(3), grip, 0.0)[2]
+            frees.append(free)
+        assert all(frees) == (a > b)  # only the empty boxes never collide
+
+    @pytest.mark.parametrize("grip", GRIPPERS, ids=GRIPPER_IDS)
+    def test_box_faces_and_one_ulp_either_side(self, grip):
+        # a point at the middle of every face of every box, and 1 ulp to
+        # either side of it, swept in the 24 axis-permutation frames, whose
+        # grasp-frame coordinates are exact: the identity frame sees the
+        # point on the face, the others at a permutation of it
+        frames = np.array(list(permutation_frames()))
+        centers = np.zeros((len(frames), 3))
+        partners = [(0.0, 0.001, 0.0), (0.0, -0.001, 0.0)]  # contacts unless the point is farther out
+        collided = 0
+        for lo, hi in grip.collision_boxes():
+            for axis in range(3):
+                for bound in (lo[axis], hi[axis]):
+                    for value in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
+                        point = (lo + hi) / 2.0
+                        point[axis] = value
+                        cloud = PointCloud([point, *partners])
+                        got = np.column_stack(_sweep(cloud, centers, frames, grip, DEFAULT_CONTACT_TOL))
+                        want = [reference_sweep(cloud, c, r, grip) for c, r in zip(centers, frames)]
+                        assert np.array_equal(got, want)
+                        collided += len(frames) - int(got[:, 2].sum())
+        assert collided > 0
+
+    @pytest.mark.parametrize("grip", GRIPPERS, ids=GRIPPER_IDS)
+    def test_random_grasps_on_box_and_scene(self, grip):
+        rng = np.random.default_rng(41)
+        for obj in (box_cloud(), table_scene()):
+            grasps = list(sample_candidates(obj, grip, 40, seed=42)) + [random_grasp(rng) for _ in range(40)]
+            one = GraspSet.of(grasps)
+            rotations = one.rotations()
+            got = np.column_stack(_sweep(obj, one.centers, rotations, grip, DEFAULT_CONTACT_TOL))
+            want = [reference_sweep(obj, c, r, grip) for c, r in zip(one.centers, rotations)]
+            assert np.array_equal(got, want)
+            assert 0 < got[:, 2].sum() < len(grasps) and (got[:, 0] >= 0).any()

@@ -624,6 +624,26 @@ class TestDeadOrigins:
                     accepted += 1
         assert accepted > 100
 
+    @pytest.mark.parametrize("opening", [0.01, 0.08])
+    @pytest.mark.parametrize("make", [box_cloud, dead_plane_scene], ids=["box", "dead_plane_scene"])
+    def test_alive_equals_ball_query(self, make, opening):
+        # the pairs of one tree-to-tree query against a ball query per origin
+        obj = make()
+        index = _index(obj, opening, 0.6)
+        origins = np.arange(0, len(obj), 3)
+        balls = index.tree.query_ball_point(index.points[:, origins].T, index.reach)
+        owner = np.repeat(np.arange(len(origins)), [len(b) for b in balls])
+        near = np.concatenate(balls).astype(np.intp)
+        i = origins[owner]
+        rel = index.points[:, near] - index.points[:, i]
+        dist = np.sqrt(sampling._dots(rel, rel))
+        along = np.abs(sampling._dots(rel, index.normals[:, i]))
+        ok = (dist > 0.0) & (dist <= index.reach) & (along >= index.cos_limit * dist)
+        want = np.bincount(owner[ok], minlength=len(origins)) > 0
+        got = index.alive(origins)
+        assert np.array_equal(got, want) and got.any()
+        assert make is box_cloud or not got.all()  # plane points far from the box are dead
+
     def test_every_accepted_origin_is_alive(self):
         # the objects-mixed shapes under a pose, normals just off unit
         shapes = [box_cloud(), cylinder_cloud(), sphere_cloud(radius=0.035), sphere_cloud()]
