@@ -87,26 +87,12 @@ def _intervals(boxes) -> tuple[list, list]:
     """The distinct tests ``(row, lo, hi)``, each ``lo < c < hi`` (``c <
     hi`` when ``lo`` is None) on row ``row`` of ``(x, y, z, |x|, |y|,
     |z|)``, and per box the indices of its tests. An interval symmetric
-    about 0 becomes ``|c| < hi``. Two boxes equal on two axes whose third
-    intervals are ``(a, b)`` and ``(-b, -a)``, ``a >= -b``, become one box
-    with ``a < |c| < b`` (the fingers): exact, signed zeros included; for
-    ``a < 0`` both intervals hold 0 and their union is ``|c| < b``."""
-    solids = [list(zip(range(3), np.asarray(lo, float).tolist(), np.asarray(hi, float).tolist())) for lo, hi in boxes]
+    about 0 becomes ``|c| < hi``."""
     tests, members = [], []
-    while solids:
-        box = solids.pop(0)
-        for other in solids:
-            odd = [k for k in range(3) if box[k] != other[k]]
-            if len(odd) == 1:
-                k = odd[0]
-                a, b = max(box[k][1:], other[k][1:])
-                if min(box[k][1:], other[k][1:]) == (-b, -a):
-                    box[k] = (k + 3, a, b)
-                    solids.remove(other)
-                    break
+    for lo, hi in boxes:
         ids = []
-        for k, a, b in box:
-            test = (k + 3, None, b) if k < 3 and a == -b else (k, a, b)
+        for k, a, b in zip(range(3), np.asarray(lo, float).tolist(), np.asarray(hi, float).tolist()):
+            test = (k + 3, None, b) if a == -b else (k, a, b)
             if test not in tests:
                 tests.append(test)
             ids.append(tests.index(test))

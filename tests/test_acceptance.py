@@ -43,10 +43,10 @@ from graspfield.region import farthest_point_sampling
 from graspfield.sampling import build_positive_set
 from graspfield.synthetic import box_cloud
 
-from conftest import antipodal_score, collision_score, from_grasp_frame, random_unit, to_grasp_frame
+from conftest import collision_score, from_grasp_frame, random_unit, to_grasp_frame
 from test_geometry import angle_between
 from test_metrics import random_table
-from test_quality import oracle_antipodal
+from test_quality import kernel_antipodal, oracle_antipodal
 from test_refine import refinable_pair
 from test_region import assert_greedy_maxmin
 
@@ -132,7 +132,7 @@ def test_criterion_03_force_closure_oracle(criterion):
                 force_b=force,
             )
             mu = float(rng.uniform(0.05, 2.0))
-            assert antipodal_score(contacts, mu) == oracle_antipodal(contacts, mu)
+            assert kernel_antipodal(contacts, mu) == oracle_antipodal(contacts, mu)
 
 
 def test_criterion_04_confidence_field_equivalence(criterion):

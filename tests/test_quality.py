@@ -20,7 +20,7 @@ from graspfield import (
 from graspfield import geometry
 from graspfield.geometry import GraspFrame, GripperModel, local_coords
 from graspfield.metrics import evaluate
-from graspfield.quality import DEFAULT_CONTACT_TOL, ContactPair, _intervals, _sweep, score_grasps
+from graspfield.quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, ContactPair, _intervals, _sweep, score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
@@ -61,6 +61,33 @@ def kernel_collision(obj, g, gripper):
     (free,) = _sweep(obj, one.centers, one.rotations(), gripper, 0.0)[2]
     assert free == collision_score(obj, g, gripper)
     return free
+
+
+def kernel_antipodal(contacts, mu=DEFAULT_MU):
+    """The package's antipodal score of a contact pair, checked against the
+    scalar test of :func:`conftest.antipodal_score`. ``score_grasps`` sees
+    the contacts 1 cm either side of the center of a grasp whose Y axis is
+    the closing force, with the pair's normals: one grasp when the forces
+    oppose, as the package's contacts do, else one grasp per contact,
+    1 m apart, whose other point's normal lies along Y."""
+    a, b = contacts.normal_a, contacts.normal_b
+    if np.array_equal(contacts.force_a, -contacts.force_b):
+        sides = [(contacts.force_b, a, b)]
+    else:
+        sides = [(-contacts.force_a, a, None), (contacts.force_b, None, b)]
+    grasps, ys, points, normals = [], [], [], []
+    for i, (force, top, bottom) in enumerate(sides):
+        g = Grasp((float(i), 0.0, 0.0), force, 0.0)
+        y = grasp_frame(g).y_axis
+        grasps.append(g)
+        ys.append(y)
+        points += [g.center + 0.01 * y, g.center - 0.01 * y]
+        normals += [y if top is None else top, y if bottom is None else bottom]
+    table = score_grasps(PointCloud(points, normals=normals), grasps, GripperModel(), mu=mu)
+    score = int(table[:, 0].min())
+    pair = ContactPair(contacts.point_a, contacts.point_b, a, b, -ys[0], ys[-1])
+    assert score == antipodal_score(pair, mu)
+    return score
 
 
 def contact_pair_along_y(alpha_a, alpha_b=0.0):
@@ -192,20 +219,20 @@ class TestContactPair:
 
 class TestAntipodalScore:
     def test_aligned_contacts_pass(self):
-        assert antipodal_score(contact_pair_along_y(0.0, 0.0)) == 1
+        assert kernel_antipodal(contact_pair_along_y(0.0, 0.0)) == 1
 
     def test_forty_five_degrees_fails_at_default_mu(self):
         # cone half-angle arctan(0.6) is about 31 degrees
-        assert antipodal_score(contact_pair_along_y(math.pi / 4, 0.0)) == 0
-        assert antipodal_score(contact_pair_along_y(0.0, math.pi / 4)) == 0
+        assert kernel_antipodal(contact_pair_along_y(math.pi / 4, 0.0)) == 0
+        assert kernel_antipodal(contact_pair_along_y(0.0, math.pi / 4)) == 0
 
     def test_wider_cone_admits_forty_five(self):
-        assert antipodal_score(contact_pair_along_y(math.pi / 4, math.pi / 4), mu=1.5) == 1
+        assert kernel_antipodal(contact_pair_along_y(math.pi / 4, math.pi / 4), mu=1.5) == 1
 
     def test_boundary_is_inclusive_with_margin(self):
         alpha = math.pi / 6
-        assert antipodal_score(contact_pair_along_y(alpha), mu=math.tan(alpha) + 1e-9) == 1
-        assert antipodal_score(contact_pair_along_y(alpha), mu=math.tan(alpha) - 1e-9) == 0
+        assert kernel_antipodal(contact_pair_along_y(alpha), mu=math.tan(alpha) + 1e-9) == 1
+        assert kernel_antipodal(contact_pair_along_y(alpha), mu=math.tan(alpha) - 1e-9) == 0
 
     def test_normal_sign_folded(self):
         pair = contact_pair_along_y(0.1, 0.2)
@@ -214,7 +241,7 @@ class TestAntipodalScore:
             -pair.normal_a, -pair.normal_b,
             pair.force_a, pair.force_b,
         )
-        assert antipodal_score(pair) == antipodal_score(flipped) == 1
+        assert kernel_antipodal(pair) == kernel_antipodal(flipped) == 1
 
     def test_matches_tangential_decomposition_oracle(self):
         rng = np.random.default_rng(20)
@@ -225,7 +252,7 @@ class TestAntipodalScore:
                 random_unit(rng), random_unit(rng),
             )
             mu = float(rng.uniform(0.1, 2.0))
-            assert antipodal_score(pair, mu) == oracle_antipodal(pair, mu)
+            assert kernel_antipodal(pair, mu) == oracle_antipodal(pair, mu)
 
     def test_monotone_in_mu(self):
         rng = np.random.default_rng(21)
@@ -236,7 +263,7 @@ class TestAntipodalScore:
                 random_unit(rng), random_unit(rng),
             )
             mus = sorted(rng.uniform(0.05, 3.0, size=3))
-            scores = [antipodal_score(pair, m) for m in mus]
+            scores = [kernel_antipodal(pair, m) for m in mus]
             assert scores == sorted(scores)
 
     def test_rigid_invariance(self):
@@ -255,13 +282,13 @@ class TestAntipodalScore:
                 rot @ pair.force_a, rot @ pair.force_b,
             )
             mu = float(rng.uniform(0.2, 1.5))
-            assert antipodal_score(pair, mu) == antipodal_score(moved, mu)
+            assert kernel_antipodal(pair, mu) == kernel_antipodal(moved, mu)
 
     def test_bad_mu(self):
         # nan and inf used to pass every contact pair
         for mu in (0.0, -0.6, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(DataError, match="mu must be a finite positive number"):
-                antipodal_score(contact_pair_along_y(0.0), mu=mu)
+                kernel_antipodal(contact_pair_along_y(0.0), mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +477,7 @@ class TallPalm(GripperModel):
 
 class ShiftedWrist(GripperModel):
     """Every solid moved off the frame's axes, plus a wrist box behind the
-    base: no interval is symmetric about 0 and no two boxes mirror."""
+    base: no interval is symmetric about 0."""
 
     def collision_boxes(self):
         boxes = super().collision_boxes()
@@ -761,34 +788,15 @@ GRIPPER_IDS = ["default", "tall-palm", "shifted-wrist"]
 
 class TestCollisionMasks:
     def test_interval_layouts(self):
-        # the default fingers pair into one box on |y|; the shifted wrist
-        # keeps four boxes of plain two-sided tests
+        # the default boxes share their x test (fingers) and z test (all
+        # three) as |c| tests; the shifted wrist keeps four boxes of plain
+        # two-sided tests
         tests, members = _intervals(GripperModel().collision_boxes())
-        assert len(members) == 2 and len(tests) == 5
+        assert len(members) == 3 and len(tests) == 6
+        assert members[0][0] == members[1][0] and members[0][2] == members[1][2] == members[2][2]
+        assert tests[members[0][0]][1] is None and tests[members[0][2]][1] is None
         tests, members = _intervals(ShiftedWrist().collision_boxes())
         assert len(members) == 4 and all(k < 3 and lo is not None for k, lo, _ in tests)
-
-    @pytest.mark.parametrize("a, b", [(0.04, 0.05), (0.0, 0.05), (-0.01, 0.05), (0.05, 0.04)],
-                             ids=["apart", "touching", "overlapping", "empty"])
-    def test_mirrored_boxes_merge_exactly(self, a, b):
-        # boxes on y in (a, b) and (-b, -a) score as one |y| test
-        class Mirrored(GripperModel):
-            def collision_boxes(self):
-                return [(np.array([-0.01, a, -0.01]), np.array([0.01, b, 0.01])),
-                        (np.array([-0.01, -b, -0.01]), np.array([0.01, -a, 0.01]))]
-
-        grip = Mirrored()
-        assert len(_intervals(grip.collision_boxes())[1]) == 1
-        values = [0.0, -0.0, 0.02, -0.02]
-        for v in (a, b, -a, -b):
-            values += [np.nextafter(v, -1.0), v, np.nextafter(v, 1.0)]
-        frees = []
-        for c in values:
-            cloud = PointCloud([(0.0, c, 0.0)])
-            (free,) = _sweep(cloud, np.zeros((1, 3)), np.eye(3)[None], grip, 0.0)[2]
-            assert free == reference_sweep(cloud, np.zeros(3), np.eye(3), grip, 0.0)[2]
-            frees.append(free)
-        assert all(frees) == (a > b)  # only the empty boxes never collide
 
     @pytest.mark.parametrize("grip", GRIPPERS, ids=GRIPPER_IDS)
     def test_box_faces_and_one_ulp_either_side(self, grip):
