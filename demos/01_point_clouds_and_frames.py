@@ -11,14 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from graspfield import (
-    Grasp,
+    GraspSet,
     RigidTransform,
-    grasp_frame,
     load_cloud,
     save_cloud_binary,
     save_cloud_text,
     sphere_cloud,
-    transform_grasp,
+    transform_grasps,
 )
 
 
@@ -40,20 +39,20 @@ def main():
         print(f"binary round trip max error: {bin_err:.2e} (float32 storage)")
         print(f"file sizes: text {text_path.stat().st_size} B, binary {bin_path.stat().st_size} B")
 
-    # a grasp is (center, fingertip-line orientation, approach angle)
-    g = Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
-    frame = grasp_frame(g)
+    # a grasp is (center, fingertip-line orientation, approach angle); a
+    # set holds one per row, and its frames are rotations whose columns
+    # are the X, Y and Z axes
+    grasps = GraspSet([(0.0, 0.0, 0.0), (0, 0, 0)], [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)], [0.0, 0.0])
+    r, vertical = grasps.rotations()
     print("\nhand-case grasp frame (orientation +y, angle 0):")
-    print(f"  x axis {frame.x_axis.round(6)}")
-    print(f"  y axis {frame.y_axis.round(6)}")
-    print(f"  z axis {frame.z_axis.round(6)}")
-    r = frame.rotation
+    print(f"  x axis {r[:, 0].round(6)}")
+    print(f"  y axis {r[:, 1].round(6)}")
+    print(f"  z axis {r[:, 2].round(6)}")
     print(f"  orthonormal: {np.abs(r.T @ r - np.eye(3)).max():.1e}, det {np.linalg.det(r):+.6f}")
 
     # the frame construction is total: a vertical fingertip line takes the
     # fallback reference instead of dividing by zero
-    vertical = grasp_frame(Grasp((0, 0, 0), (0.0, 0.0, 1.0), 0.0))
-    print(f"vertical orientation still gives a frame, x = {vertical.x_axis.round(6)}")
+    print(f"vertical orientation still gives a frame, x = {vertical[:, 0].round(6)}")
 
     # moving a grasp with a rigid transform preserves its geometry
     angle = 0.4
@@ -65,9 +64,9 @@ def main():
         ]
     )
     motion = RigidTransform(rot, (0.05, -0.02, 0.01))
-    moved = transform_grasp(g, motion)
-    print(f"\nafter a rigid motion: center {moved.center.round(4)}, angle {moved.angle:.4f}")
-    print(f"closing line follows the rotation: {np.allclose(moved.orientation, rot @ g.orientation)}")
+    moved = transform_grasps(grasps[:1], motion)
+    print(f"\nafter a rigid motion: center {moved.centers[0].round(4)}, angle {moved.angles[0]:.4f}")
+    print(f"closing line follows the rotation: {np.allclose(moved.orientations[0], rot @ grasps.orientations[0])}")
 
 
 if __name__ == "__main__":

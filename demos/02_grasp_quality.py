@@ -8,16 +8,21 @@ and their minimum. Run:
 
 import numpy as np
 
-from graspfield import Grasp, GripperModel, box_cloud, find_contacts, score_grasp
+from graspfield import GraspSet, GripperModel, box_cloud, find_contacts, score_grasps
 
 
-CASES = [
-    ("centered across the thin side", Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)),
-    ("shifted along the box", Grasp((0.01, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)),
-    ("base digs into the surface", Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0)),
-    ("floating off the object", Grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0)),
-    ("slanted closing line", Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), 0.0)),
+NAMES = [
+    "centered across the thin side",
+    "shifted along the box",
+    "base digs into the surface",
+    "floating off the object",
+    "slanted closing line",
 ]
+CASES = GraspSet(
+    [(0.0, 0.0, 0.0), (0.01, 0.0, 0.0), (0.0, 0.05, 0.0), (0.0, 0.0, -0.04), (0.0, 0.0, 0.0)],
+    [(0.0, 0.0, 1.0)] * 4 + [(0.0, 1.0, 1.0)],
+    [0.0] * 5,
+)
 
 
 def main():
@@ -26,25 +31,26 @@ def main():
     print(f"box cloud: {len(obj)} points, gripper opening {gripper.max_opening} m\n")
 
     print(f"{'case':34s} s_a  s_c  s_g")
-    for name, g in CASES:
-        scored = score_grasp(obj, g, gripper)
-        print(f"{name:34s} {scored.score_antipodal:3d}  {scored.score_collision:3d}  {scored.score:3d}")
+    for name, (sa, sc, sg) in zip(NAMES, score_grasps(obj, CASES, gripper).tolist()):
+        print(f"{name:34s} {sa:3d}  {sc:3d}  {sg:3d}")
 
-    # contacts for the good grasp: extreme points along the closing line
-    g = CASES[0][1]
-    contacts = find_contacts(obj, g, gripper)
+    # contacts for the good grasp: extreme points along the closing line,
+    # as point indices per grasp (-1 where a jaw sweeps nothing)
+    ia, ib = find_contacts(obj, CASES, gripper)
+    a, b = ia[0], ib[0]
     print("\ncontacts of the centered grasp:")
-    print(f"  side A at {contacts.point_a.round(4)}, normal {contacts.normal_a.round(3)}")
-    print(f"  side B at {contacts.point_b.round(4)}, normal {contacts.normal_b.round(3)}")
-    width = np.linalg.norm(contacts.point_a - contacts.point_b)
+    print(f"  side A at {obj.points[a].round(4)}, normal {obj.normals[a].round(3)}")
+    print(f"  side B at {obj.points[b].round(4)}, normal {obj.normals[b].round(3)}")
+    width = np.linalg.norm(obj.points[a] - obj.points[b])
     print(f"  grasp width {width:.4f} m (jaws open to {gripper.max_opening} m)")
+    print(f"  the floating grasp touches nothing: {ia[3]}, {ib[3]}")
 
     # friction decides the slanted case: contacts sit 45 degrees off the
     # closing line, outside arctan(0.6) but inside arctan(1.2)
-    slanted = CASES[4][1]
+    slanted = CASES[4]
     for mu in (0.6, 1.2):
-        s = score_grasp(obj, slanted, gripper, mu=mu)
-        print(f"slanted grasp with mu={mu}: antipodal {s.score_antipodal}")
+        s = score_grasps(obj, slanted, gripper, mu=mu)
+        print(f"slanted grasp with mu={mu}: antipodal {s[0, 0]}")
 
 
 if __name__ == "__main__":

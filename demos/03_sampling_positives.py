@@ -14,7 +14,7 @@ from graspfield import (
     box_cloud,
     build_positive_set,
     sample_candidates,
-    score_grasp,
+    score_grasps,
 )
 
 
@@ -24,27 +24,25 @@ def main():
 
     candidates = sample_candidates(obj, gripper, count=200, seed=0)
     print(f"sampled {len(candidates)} candidates (unscored)")
-    scores = [score_grasp(obj, g, gripper).score for g in candidates]
+    scores = score_grasps(obj, candidates, gripper)[:, 2]
     print(f"fraction scoring (1,1,1) before filtering: {float(np.mean(scores)):.2f}")
 
     positives = build_positive_set(obj, gripper, per_object=50, seed=0)
     print(f"\npositive set: {len(positives)} grasps, all stored with scores")
-    assert all(g.score == 1 for g in positives)
+    assert (positives.scores == 1).all()
 
-    centers = np.stack([g.center for g in positives])
-    angles = np.array([g.angle for g in positives])
-    print(f"center spread per axis: {np.ptp(centers, axis=0).round(4)}")
+    angles = positives.angles
+    print(f"center spread per axis: {np.ptp(positives.centers, axis=0).round(4)}")
     print(f"approach angle range: [{angles.min():+.3f}, {angles.max():+.3f}] rad")
 
     # orientations are canonical (headless fingertip line, one sign kept)
-    orientations = np.stack([g.orientation for g in positives])
+    orientations = positives.orientations
     print(f"orientations unit length: {np.allclose(np.linalg.norm(orientations, axis=1), 1.0)}")
 
     # determinism: the same seed reproduces the same set bit for bit
     again = build_positive_set(obj, gripper, per_object=50, seed=0)
-    same = all(
-        np.array_equal(a.center, b.center) and np.array_equal(a.orientation, b.orientation)
-        for a, b in zip(positives, again)
+    same = np.array_equal(positives.centers, again.centers) and np.array_equal(
+        positives.orientations, again.orientations
     )
     print(f"rerun with the same seed identical: {same}")
 

@@ -3,6 +3,7 @@ the rest.
 
 A ground-truth grasp near a region center becomes (anchor class, center
 residual, orientation residual, angle residual); decoding inverts it.
+Both directions take one row per region, here a single one.
 Run:
 
     python3 demos/06_anchor_targets.py
@@ -11,12 +12,11 @@ Run:
 import numpy as np
 
 from graspfield import (
-    Grasp,
+    GraspSet,
     GripperModel,
     build_anchors,
-    decode_proposal,
-    encode_proposal,
-    nearest_anchor,
+    decode_proposals,
+    encode_proposals,
     proposal_loss,
 )
 
@@ -30,23 +30,23 @@ def main():
 
     anchors = build_anchors(8)
     scale = GripperModel().scale
-    gt = Grasp((0.012, -0.003, 0.02), (0.3, 0.9, 0.4), 0.7)
+    gt = GraspSet([(0.012, -0.003, 0.02)], [(0.3, 0.9, 0.4)], [0.7])
     center = np.array([0.0, 0.0, 0.0])
 
-    cls = nearest_anchor(anchors, gt.orientation)
-    target = encode_proposal(center, gt, anchors, scale)
-    print(f"\nground truth orientation {gt.orientation.round(4)}")
+    (target,) = encode_proposals([center], gt, anchors, scale)
+    cls = target.anchor_class
+    print(f"\nground truth orientation {gt.orientations[0].round(4)}")
     print(f"classified anchor {cls}: {anchors.orientations[cls].round(4)}")
     print(f"center residual {target.res_center.round(4)} (units of scale {scale})")
     print(f"orientation residual {target.res_orientation.round(4)}")
     print(f"angle residual {target.res_angle:.4f}")
 
-    back = decode_proposal(
-        center, target.anchor_class, target.res_center, target.res_orientation,
-        target.res_angle, anchors, scale,
+    back = decode_proposals(
+        [center], [cls], [target.res_center], [target.res_orientation],
+        [target.res_angle], anchors, scale,
     )
-    print(f"decode error: center {np.linalg.norm(back.center - gt.center):.2e} m, "
-          f"angle {abs(back.angle - gt.angle):.1e}")
+    print(f"decode error: center {np.linalg.norm(back.centers[0] - gt.centers[0]):.2e} m, "
+          f"angle {abs(back.angles[0] - gt.angles[0]):.1e}")
 
     # the proposal loss compares predictions against a batch of targets
     probs = np.zeros((1, len(anchors)))

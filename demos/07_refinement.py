@@ -10,15 +10,12 @@ residuals that carry the proposal onto it. Run:
 import numpy as np
 
 from graspfield import (
-    Grasp,
+    GraspSet,
     GripperModel,
     box_cloud,
     build_positive_set,
     build_refinement_targets,
-    closing_area,
-    decode_refinement,
-    nearest_center,
-    refinement_label,
+    decode_refinements,
     select_refinable,
 )
 
@@ -28,35 +25,35 @@ def main():
     gripper = GripperModel()
     positives = build_positive_set(obj, gripper, per_object=30, seed=2)
 
-    g = positives[0]
-    indices, local = closing_area(obj, g, gripper)
-    print(f"closing area of the first positive: {len(indices)} points between the fingers")
+    # the closing area of the first positive, in its grasp frame
+    local = (obj.points - positives.centers[0]) @ positives[0].rotations()[0]
+    half = gripper.closing_half_extents()
+    local = local[(np.abs(local) <= half).all(axis=1)]
+    print(f"closing area of the first positive: {len(local)} points between the fingers")
     print(f"local coordinate bounds: {np.abs(local).max(axis=0).round(4)}")
-    print(f"closing box half extents: {gripper.closing_half_extents().round(4)}")
+    print(f"closing box half extents: {half.round(4)}")
 
     # perturb the positives a little to play the role of network proposals
     rng = np.random.default_rng(7)
-    proposals = [
-        Grasp(p.center + rng.uniform(-0.004, 0.004, 3), p.orientation, p.angle)
-        for p in positives
-    ]
+    shift = rng.uniform(-0.004, 0.004, (len(positives), 3))
+    proposals = GraspSet(positives.centers + shift, positives.orientations, positives.angles)
     keep = select_refinable(proposals, obj, gripper, min_points=50)
     print(f"\n{len(keep)} of {len(proposals)} proposals have more than 50 closing points")
 
-    labels = [refinement_label(proposals[i], positives[i]) for i in keep]
-    print(f"labels against their source grasps: {sum(labels)} positive of {len(labels)}")
-
+    # each selected proposal is labeled against its nearest positive
     targets = build_refinement_targets(proposals, obj, positives, gripper, gripper.scale, 50)
     n_pos = sum(t.label for t in targets)
     print(f"build_refinement_targets: {len(targets)} targets, {n_pos} positive")
 
-    t = next(t for t in targets if t.label == 1)
-    proposal = proposals[t.proposal_index]
-    refined = decode_refinement(proposal, t.res_center, t.res_orientation, t.res_angle, gripper.scale)
-    gt = positives[nearest_center(positives, proposal.center)[0]]
-    print("\ndecoding the first positive target:")
-    print(f"  proposal center error before: {np.linalg.norm(proposal.center - gt.center):.2e} m")
-    print(f"  refined  center error after:  {np.linalg.norm(refined.center - gt.center):.2e} m")
+    pos = [t for t in targets if t.label == 1]
+    chosen = proposals[[t.proposal_index for t in pos]]
+    residuals = ([t.res_center for t in pos], [t.res_orientation for t in pos], [t.res_angle for t in pos])
+    refined = decode_refinements(chosen, *residuals, gripper.scale)
+    gaps = np.linalg.norm(chosen.centers[:, None] - positives.centers, axis=2)
+    gts = positives.centers[gaps.argmin(axis=1)]
+    print(f"\ndecoding the {len(pos)} positive targets:")
+    print(f"  proposal center error before: {gaps.min(axis=1).max():.2e} m (largest)")
+    print(f"  refined  center error after:  {np.linalg.norm(refined.centers - gts, axis=1).max():.2e} m (largest)")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from graspfield import (
     Config,
-    Grasp,
+    GraspSet,
     GripperModel,
     RigidTransform,
     box_cloud,
@@ -28,12 +28,11 @@ def main():
     gripper = GripperModel()
 
     # two good grasps, one collision, one miss: vagr 0.75, vcgr 0.5, vgr 0.5
-    predicted = [
-        Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
-        Grasp((0.01, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
-        Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0),
-        Grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0),
-    ]
+    predicted = GraspSet(
+        [(0.0, 0.0, 0.0), (0.01, 0.0, 0.0), (0.0, 0.05, 0.0), (0.0, 0.0, -0.04)],
+        [(0.0, 0.0, 1.0)] * 4,
+        [0.0] * 4,
+    )
     hand = evaluate(predicted, RigidTransform.identity(), obj, gripper)
     own = evaluate(
         build_positive_set(obj, gripper, per_object=40, seed=3),

@@ -5,7 +5,10 @@ A ground-truth grasp at a region center is encoded as the nearest anchor's
 index plus residuals: center offset in gripper-scale units, orientation
 difference vector, and the approach angle itself (the reference angle is
 zero). Decoding inverts the construction, so a proposal head only has to
-classify the anchor and regress small corrections.
+classify the anchor and regress small corrections. Both directions run on
+all regions at once: :func:`encode_proposals` takes a
+:class:`~.geometry.GraspSet` of ground truths, one row per region, and
+:func:`decode_proposals` returns one.
 
 The residual codec is shared with the refine network (:mod:`.refine`),
 which regresses the same residuals from a proposal instead of an anchor:
@@ -25,7 +28,7 @@ import numpy as np
 
 from .confidence import DEFAULT_DISTANCE_THRESHOLD
 from .errors import DataError, GraspFieldWarning
-from .geometry import Grasp, GraspSet, PointCloud, _nearest_centers, _norms, canonical_orientation
+from .geometry import GraspSet, PointCloud, _nearest_centers, _norms
 from .losses import _weighted_loss
 from .region import extract_regions
 
@@ -72,16 +75,6 @@ def build_anchors(count: int = DEFAULT_ANCHOR_COUNT) -> AnchorSet:
     if count == 6:
         return AnchorSet(np.concatenate((np.eye(3), -np.eye(3))))
     raise DataError("no equiangular construction")
-
-
-def nearest_anchor(anchors: AnchorSet, orientation) -> int:
-    """Index of the anchor at minimal angle to ``orientation`` (lowest
-    index on ties). Invariant under positive rescaling of the input."""
-    r = np.asarray(orientation, dtype=np.float64)
-    n = np.linalg.norm(r)
-    if n < 1e-12:
-        raise DataError("cannot classify a zero-length orientation")
-    return int(np.argmax(anchors.orientations @ (r / n)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,8 @@ def _decode_residuals(ref, res_center, res_orientation, res_angle, scale: float)
 
     The orientations are renormalized (:func:`~.geometry._norms`, the 1-D
     norm's bits); a residual that cancels its reference orientation is
-    rejected. Angles outside [-pi/2, pi/2] are clamped back with a warning.
+    rejected. Angles outside [-pi/2, pi/2] are clamped back with a warning,
+    blamed on the caller of the public decoder that called this one.
     """
     if scale <= 0.0:
         raise DataError("scale must be positive")
@@ -160,45 +154,43 @@ def _decode_residuals(ref, res_center, res_orientation, res_angle, scale: float)
     angles = angles + np.asarray(res_angle, dtype=np.float64)
     clamp = np.abs(angles) > math.pi / 2
     if clamp.any():
-        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=4)
+        warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=3)
         angles[clamp] = np.copysign(math.pi / 2, angles[clamp])
     return GraspSet(p, v / norms, angles)
 
 
-def encode_proposal(center, gt: Grasp, anchors: AnchorSet, scale: float) -> ProposalTarget:
-    """Encode a ground-truth grasp relative to a region center.
+def encode_proposals(centers, gts: GraspSet, anchors: AnchorSet, scale: float) -> list[ProposalTarget]:
+    """Encode ground-truth grasp i relative to region center i, for the
+    (G, 3) ``centers`` and the G rows of ``gts``.
 
-    The gt orientation is sign-canonicalized first (the fingertip line is
-    headless); grasps produced by this package's sampler already are.
+    Each gt orientation is sign-canonicalized first (the fingertip line is
+    headless): divided once more by its length, then negated unless its
+    component of largest magnitude (lowest index on ties) is positive. Its
+    class is the anchor at minimal angle (lowest index on ties), from the
+    dots with the orientation divided by its length once again; each
+    division has the bits of the 1-D norm (:func:`~.geometry._norms`).
     """
-    center = np.asarray(center, dtype=np.float64)
-    r = canonical_orientation(gt.orientation)
-    cls = nearest_anchor(anchors, r)
-    # x - 0.0 == x for every float, so the angle residual is gt.angle itself
-    residuals = _encode_residuals((center, anchors.orientations[cls], 0.0), (gt.center, r, gt.angle), scale)
-    return ProposalTarget(center, cls, *residuals)
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    r = gts.orientations / _norms(gts.orientations)
+    lead = np.abs(r).argmax(axis=1)
+    r = np.where(r[np.arange(len(r)), lead, None] > 0.0, r, -r)
+    # one (M, 3) @ (3, 1) product per row, as for a single orientation
+    classes = np.matmul(anchors.orientations, (r / _norms(r))[:, :, None])[:, :, 0].argmax(axis=1)
+    # x - 0.0 == x for every float, so the angle residuals are the gt angles themselves
+    ref = (centers, anchors.orientations[classes], 0.0)
+    res_c, res_o, res_a = _encode_residuals(ref, (gts.centers, r, gts.angles), scale)
+    return [
+        ProposalTarget(centers[k], int(classes[k]), res_c[k], res_o[k], float(res_a[k])) for k in range(len(centers))
+    ]
 
 
-def decode_proposal(
-    center,
-    anchor_class: int,
-    res_center,
-    res_orientation,
-    res_angle: float,
-    anchors: AnchorSet,
-    scale: float,
-) -> Grasp:
-    """Invert :func:`encode_proposal` for a target or a raw prediction.
+def decode_proposals(centers, classes, res_center, res_orientation, res_angle, anchors, scale) -> GraspSet:
+    """Invert :func:`encode_proposals` for G targets or raw predictions
+    (per-row arrays).
 
     Out-of-range angles are clamped to [-pi/2, pi/2] with a warning;
-    a residual that cancels the anchor is rejected.
+    a residual that cancels its anchor is rejected.
     """
-    residuals = ([res_center], [res_orientation], [res_angle])
-    return _decode_proposals([center], [anchor_class], *residuals, anchors, scale)[0]
-
-
-def _decode_proposals(centers, classes, res_center, res_orientation, res_angle, anchors, scale) -> GraspSet:
-    """:func:`decode_proposal` of G targets (per-row arrays) at once."""
     classes = np.asarray(classes, dtype=np.intp)
     if ((classes < 0) | (classes >= len(anchors))).any():
         raise DataError("anchor_class must be a valid index")
@@ -212,7 +204,7 @@ def _decode_proposals(centers, classes, res_center, res_orientation, res_angle, 
 def build_proposal_targets(
     cloud: PointCloud,
     field,
-    positives,
+    positives: GraspSet,
     anchors: AnchorSet,
     scale: float,
     k1: int,
@@ -223,23 +215,21 @@ def build_proposal_targets(
 ) -> list[tuple[int, ProposalTarget]]:
     """Region extraction plus target encoding for one labeled cloud.
 
-    Each region center is matched to the nearest positive grasp center
-    (one batched match over ``positives``, a ``GraspSet`` or a list of
-    grasps); the match must lie strictly within ``match_distance``
-    (points labeled from these grasps always satisfy that) or the region
-    is dropped. Returns (point index, target) pairs in region order.
+    Each region center is matched to the nearest center of the
+    ``positives`` set in one batch; the match must lie strictly within
+    ``match_distance`` (points labeled from these grasps always satisfy
+    that) or the region is dropped. Returns (point index, target) pairs in
+    region order.
     """
-    positives = GraspSet.of(positives)
     if not len(positives):
         raise DataError("no positive grasps")
-    index = [reg.center_index for reg in extract_regions(cloud, field, k1, radius, size, seed)]
+    regions = extract_regions(cloud, field, k1, radius, size, seed)
+    index = np.array([reg.center_index for reg in regions], dtype=np.intp)
     nearest, dist = _nearest_centers(positives.centers, cloud.points[index])
     # a region whose match is too far was not labeled from these grasps: nothing to regress
-    return [
-        (i, encode_proposal(cloud.points[i], positives[gi], anchors, scale))
-        for i, gi, d in zip(index, nearest, dist)
-        if d < match_distance
-    ]
+    keep = dist < match_distance
+    targets = encode_proposals(cloud.points[index[keep]], positives[nearest[keep]], anchors, scale)
+    return list(zip(index[keep].tolist(), targets))
 
 
 def proposal_loss(

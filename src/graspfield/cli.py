@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import _decode_proposals, build_anchors, build_proposal_targets
+from .anchors import build_anchors, build_proposal_targets, decode_proposals
 from .confidence import confidence_field
 from .config import Config, load_config
 from .dataset import ensure_normals, generate_dataset, verify_stored_grasps
@@ -41,7 +41,7 @@ from .fileio import (
 )
 from .geometry import GraspSet, _nearest_centers
 from .metrics import evaluate, load_report, save_report
-from .refine import _decode_refinements, build_refinement_targets
+from .refine import build_refinement_targets, decode_refinements
 from .sampling import build_positive_set
 
 _ROUND_TRIP_TOL = 1e-9
@@ -173,7 +173,7 @@ def _cmd_make_targets(args) -> int:
         rows = load_proposal_targets(out)
         index, *residuals = zip(*rows) if rows else [()] * 5
         centers = view.points[list(index)]
-        decoded = _decode_proposals(centers, *residuals, anchors, gripper.scale)
+        decoded = decode_proposals(centers, *residuals, anchors, gripper.scale)
         _verify_decoded(index, centers, decoded, positives, "target at point")
         print(f"verify: {len(targets)} targets decode to their grasps")
     return 0
@@ -195,7 +195,7 @@ def _cmd_refine_targets(args) -> int:
     if args.verify:
         rows = [row for row in load_refine_targets(out) if row[1]]
         index, _, *residuals = zip(*rows) if rows else [()] * 5
-        decoded = _decode_refinements(proposals[list(index)], *residuals, gripper.scale)
+        decoded = decode_refinements(proposals[list(index)], *residuals, gripper.scale)
         _verify_decoded(index, proposals.centers[list(index)], decoded, positives, "refinement target")
         print(f"verify: {n_pos} positive targets decode to their grasps")
     return 0

@@ -64,12 +64,12 @@ class ConfidenceField:
 
 def confidence_field(
     cloud: PointCloud,
-    positives,
+    positives: GraspSet,
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
 ) -> ConfidenceField:
-    """Accumulate c_pc over the positive grasp set (a ``GraspSet`` or a
-    list of grasps) and binarize.
+    """Accumulate c_pc over the positive :class:`~.geometry.GraspSet` and
+    binarize.
 
     Per point: starting from 0.0, add 1 - dis/d_th for each grasp center
     with dis < d_th, in ascending grasp order, where dis is the 1-D
@@ -79,7 +79,7 @@ def confidence_field(
     """
     _check_thresholds(distance_threshold, confidence_threshold)
     values = np.zeros(len(cloud), dtype=np.float64)
-    centers = GraspSet.of(positives).centers
+    centers = positives.centers
     if len(centers):
         tree = _kdtree(centers)
         reach = distance_threshold * (1.0 + 1e-9)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import _decode_proposals, build_anchors, build_proposal_targets
+from .anchors import build_anchors, build_proposal_targets, decode_proposals
 from .confidence import confidence_field
 from .config import Config
 from .errors import DataError, GraspFieldWarning, UngraspableError, VerificationError
@@ -243,11 +243,9 @@ def generate_dataset(
     return path
 
 
-def verify_stored_grasps(obj: PointCloud, grasps, gripper, mu: float, where: str = "") -> None:
-    """Re-score stored positives (a ``GraspSet`` or a list of grasps);
-    raise VerificationError naming the first grasp whose stored or
-    recomputed scores are not (1, 1, 1)."""
-    grasps = GraspSet.of(grasps)
+def verify_stored_grasps(obj: PointCloud, grasps: GraspSet, gripper, mu: float, where: str = "") -> None:
+    """Re-score a set of stored positives; raise VerificationError naming
+    the first grasp whose stored or recomputed scores are not (1, 1, 1)."""
     stored = np.zeros((len(grasps), 3)) if grasps.scores is None else grasps.scores
     bad = (score_grasps(obj, grasps, gripper, mu=mu)[:, 2] != 1) | (stored != 1).any(axis=1)
     if bad.any():
@@ -266,7 +264,7 @@ def _verify_dataset(out_dir: Path, checks, config: Config, anchors, gripper) -> 
             # so a failing score still wins over a later bad index
             good = next((k for k, row in enumerate(rows) if not 0 <= row[0] < len(view)), len(rows))
             index, *residuals = zip(*rows[:good]) if good else [()] * 5
-            decoded = _decode_proposals(view.points[list(index)], *residuals, anchors, gripper.scale)
+            decoded = decode_proposals(view.points[list(index)], *residuals, anchors, gripper.scale)
             failed = score_grasps(obj_cloud, decoded, gripper, mu=config.mu)[:, 2] != 1
             if failed.any():
                 point = index[int(np.argmax(failed))]

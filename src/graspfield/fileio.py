@@ -208,9 +208,8 @@ def load_cloud(path) -> PointCloud:
 # Grasps
 # ---------------------------------------------------------------------------
 
-def save_grasps(path, grasps) -> None:
-    """Write a :class:`~.geometry.GraspSet` or a list of grasps."""
-    grasps = GraspSet.of(grasps)
+def save_grasps(path, grasps: GraspSet) -> None:
+    """Write a :class:`~.geometry.GraspSet`."""
     scores = np.full((len(grasps), 3), -1) if grasps.scores is None else grasps.scores
     values = np.hstack([grasps.centers, grasps.orientations, grasps.angles[:, None]]).tolist()
     rows = (",".join(map(repr, row)) + ",{},{},{}".format(*s) for row, s in zip(values, scores.tolist()))
@@ -223,8 +222,9 @@ def _grasp_row(cells) -> list[float]:
 
 
 def load_grasps(path) -> GraspSet:
-    """Read a grasp table as one set, every row checked as ``Grasp`` checks
-    it; a row that fails raises ``DataError`` naming ``path:line``."""
+    """Read a grasp table as one set, every row checked by the
+    :class:`~.geometry.GraspSet` constructor; a row that fails raises
+    ``DataError`` naming ``path:line``."""
     lines = []
     rows = _read_table(path, GRASP_HEADER, 10, _grasp_row, "grasp", lines)
     table = np.array(rows, dtype=np.float64).reshape(-1, 10)

@@ -11,7 +11,7 @@ A parallel-jaw grasp is the 7-tuple (center p, orientation r, angle theta):
 unit-length) and ``theta`` in [-pi/2, pi/2] rotates the gripper about that
 line, starting from the horizontal reference direction.
 
-Grasp coordinate frame (built by :func:`grasp_frame`):
+Grasp coordinate frame (:meth:`GraspSet.rotations` holds its axes as columns):
 
 * origin at the grasp center,
 * Y along the unit orientation (the jaw closing axis),
@@ -42,12 +42,12 @@ The jaw symmetry (r, theta) ~ (-r, pi - theta) maps the frame to
 (X, -Y, -Z) and leaves the gripper solid unchanged; :func:`transform_grasps`
 uses it to keep theta inside [-pi/2, pi/2] after a rigid motion.
 
-Every pipeline stage holds its grasps as one :class:`GraspSet`, arrays
-checked once with :class:`Grasp`'s rules; ``grasps[i]`` is one ``Grasp``
-with the stored bits, and :func:`grasp_frame` and :func:`transform_grasp`
-are one-grasp conveniences. Frames are built for a whole set at once
+A :class:`GraspSet` is the package's one grasp type: every pipeline stage
+and every function that takes grasps holds them as one set of arrays,
+checked once by :func:`_check_rows`; ``grasps[i]`` is the one-row set of
+grasp i with the stored bits. Frames are built for a whole set at once
 (:meth:`GraspSet.rotations` over :func:`_rotations`, the one frame
-builder), and every row is bit-equal to :func:`grasp_frame` of that grasp
+builder), and every row is bit-equal to building that grasp's frame
 alone, signed zeros included, because ties in the grasp frame decide
 contacts. Two rules keep it so (numpy 2.4.6, OpenBLAS 0.3.31):
 
@@ -110,18 +110,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     if n < 1e-12:
         raise DataError("cannot normalize a zero-length vector")
     return np.asarray(v, dtype=np.float64) / n
-
-
-def canonical_orientation(r) -> np.ndarray:
-    """Sign-normalized unit direction for a fingertip connection line.
-
-    The line through both fingertips has no preferred end; this picks the
-    sign that makes the component of largest magnitude positive (lowest
-    index on magnitude ties), so equal lines compare equal.
-    """
-    r = unit(np.asarray(r, dtype=np.float64))
-    lead = int(np.argmax(np.abs(r)))
-    return r if r[lead] > 0.0 else -r
 
 
 def derive_seed(seed, *ids) -> np.random.SeedSequence:
@@ -208,42 +196,7 @@ class PointCloud:
         return _ScoringIndex(self.points)
 
 
-@dataclass(frozen=True)
-class Grasp:
-    """A parallel-jaw grasp: center, unit orientation, approach angle, and
-    optional binary quality scores (antipodal, collision-free, combined),
-    checked as one row of a :class:`GraspSet` (the orientation is
-    normalized; the scores are all three or none, the combined one equal
-    to min(antipodal, collision))."""
-
-    center: np.ndarray
-    orientation: np.ndarray
-    angle: float
-    score_antipodal: int | None = None
-    score_collision: int | None = None
-    score: int | None = None
-
-    def __post_init__(self):
-        center = np.array(self.center, dtype=np.float64)
-        if center.shape != (3,):
-            raise DataError(f"center: expected shape (3,), got {center.shape}")
-        ori = np.array(self.orientation, dtype=np.float64)
-        if ori.shape != (3,):
-            raise DataError("orientation must be a finite 3-vector")
-        angle = float(self.angle)
-        scores = (self.score_antipodal, self.score_collision, self.score)
-        scores = tuple(None if v is None else int(v) for v in scores)
-        table = None if scores == (None,) * 3 else np.array([scores], dtype=np.float64)  # None is NaN
-        units = _check_rows(center[None], ori[None], np.array([angle]), table)
-        _set_fields(self, _GRASP_FIELDS, (center, units[0], angle, *scores))
-
-    @property
-    def scored(self) -> bool:
-        return self.score is not None
-
-
 _SCORE_ROWS = np.array([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)], dtype=np.float64)  # valid scored rows
-_GRASP_FIELDS = ("center", "orientation", "angle", "score_antipodal", "score_collision", "score")
 _SET_FIELDS = ("centers", "orientations", "angles", "scores")
 
 
@@ -264,7 +217,7 @@ def _row_error(row: int, message: str) -> DataError:
 
 
 def _check_rows(centers, orientations, angles, scores) -> np.ndarray:
-    """The one validation pass of :class:`Grasp` and :class:`GraspSet` on
+    """The one validation pass of :class:`GraspSet`, on
     (G, 3) centers and orientations, (G,) angles and a (G, 3) float score
     table (NaN for missing) or ``None``. Returns each orientation divided
     once by its :func:`_norms` (the 1-D norm's bits). One combined mask
@@ -291,7 +244,7 @@ def _check_rows(centers, orientations, angles, scores) -> np.ndarray:
     ]
     if scores is not None:
         row, missing = scores[i], np.isnan(scores[i])
-        for k, name in enumerate(_GRASP_FIELDS[3:]):
+        for k, name in enumerate(("score_antipodal", "score_collision", "score")):
             checks.append((missing[k] or row[k] in (0.0, 1.0), f"{name} must be 0 or 1, got {{scores[{k}]:g}}"))
         checks += [
             (missing.all() or not missing.any(), "scores must be all three or none"),
@@ -326,12 +279,11 @@ class GraspSet:
     collision, combined) scores, -1 in the rows of unscored grasps, or
     ``None`` when no grasp is scored.
 
-    Construction checks every row as :class:`Grasp` does, with its
-    messages (the ``DataError`` names the row in ``row``), and divides
-    each orientation once by its length, bit-equal to ``Grasp``; a NaN
-    score marks a missing one. :meth:`of` stacks built grasps without
-    normalizing them again. ``s[i]`` is grasp i as a ``Grasp`` holding the
-    stored bits; ``s[mask]``, ``s[indices]`` and ``s[a:b]`` are sub-sets.
+    Construction checks every row (:func:`_check_rows`; the ``DataError``
+    names the row in ``row``) and divides each orientation once by its
+    length; a NaN score marks a missing one. ``s[mask]``, ``s[indices]``
+    and ``s[a:b]`` are sub-sets holding the stored bits, and ``s[i]`` is
+    the one-row set ``s[[i]]``.
     """
 
     centers: np.ndarray
@@ -356,35 +308,17 @@ class GraspSet:
         _set_fields(out, _SET_FIELDS, (centers, orientations, angles, scores))
         return out
 
-    @classmethod
-    def of(cls, grasps) -> "GraspSet":
-        """A set as is, or an iterable of :class:`Grasp` stacked once."""
-        if isinstance(grasps, GraspSet):
-            return grasps
-        grasps = list(grasps)
-        scores = np.array([(g.score_antipodal, g.score_collision, g.score) for g in grasps], dtype=np.float64)
-        return cls._stored(
-            np.array([g.center for g in grasps], dtype=np.float64).reshape(-1, 3),
-            np.array([g.orientation for g in grasps], dtype=np.float64).reshape(-1, 3),
-            np.array([g.angle for g in grasps], dtype=np.float64),
-            _score_table(scores.reshape(-1, 3)),
-        )
-
     def __len__(self) -> int:
         return len(self.angles)
 
     def __getitem__(self, index):
-        if not isinstance(index, (int, np.integer)):
-            scores = None if self.scores is None else self.scores[index]
-            return GraspSet._stored(self.centers[index], self.orientations[index], self.angles[index], scores)
-        g = object.__new__(Grasp)
-        scores = (None,) * 3 if self.scores is None or self.scores[index, 0] < 0 else self.scores[index].tolist()
-        row = (self.centers[index], self.orientations[index], float(self.angles[index]), *scores)
-        _set_fields(g, _GRASP_FIELDS, row)
-        return g
+        if isinstance(index, (int, np.integer)):
+            index = [index]
+        scores = None if self.scores is None else self.scores[index]
+        return GraspSet._stored(self.centers[index], self.orientations[index], self.angles[index], scores)
 
     def rotations(self, up=WORLD_UP) -> np.ndarray:
-        """(G, 3, 3) :func:`_rotations` for a unit ``up``, with :class:`GraspFrame`'s checks."""
+        """(G, 3, 3) :func:`_rotations` for a unit ``up``, checked by :func:`_check_rotations`."""
         rotations = _rotations(self.orientations, self.angles, up)
         _check_rotations(rotations)
         return rotations
@@ -456,27 +390,6 @@ class GripperModel:
         finger_neg = (np.array([-hl, -hw - t, -hh]), np.array([hl, -hw, hh]))
         base = (np.array([-hl - b, -hw - t, -hh]), np.array([-hl, hw + t, hh]))
         return [finger_pos, finger_neg, base]
-
-
-@dataclass(frozen=True)
-class GraspFrame:
-    """Orthonormal right-handed frame attached to a grasp (x_axis cross
-    y_axis equals z_axis within 1e-9)."""
-
-    origin: np.ndarray
-    x_axis: np.ndarray
-    y_axis: np.ndarray
-    z_axis: np.ndarray
-
-    def __post_init__(self):
-        for name in ("origin", "x_axis", "y_axis", "z_axis"):
-            object.__setattr__(self, name, _as_array(getattr(self, name), (3,), name))
-        _check_rotations(self.rotation[None])
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """World-from-grasp rotation; columns are the frame axes."""
-        return np.column_stack([self.x_axis, self.y_axis, self.z_axis])
 
 
 @dataclass(frozen=True)
@@ -626,8 +539,8 @@ def _horizontal_references(y_axes: np.ndarray, up: np.ndarray) -> np.ndarray:
 def _rotations(orientations: np.ndarray, angles: np.ndarray, up: np.ndarray) -> np.ndarray:
     """World-from-grasp rotations for (G, 3) unit orientations, (G,)
     angles and a unit ``up``: a C-contiguous (G, 3, 3) stack whose
-    columns are the X, Y and Z axes of :func:`grasp_frame`, built without
-    its checks (see :func:`_check_rotations`).
+    columns are the X, Y and Z axes of the grasp frame (module docstring),
+    built without checks (see :func:`_check_rotations`).
 
     This is the one frame builder. Each row repeats the single-grasp
     arithmetic element for element (crosses as in :func:`_cross3`, norms
@@ -643,9 +556,9 @@ def _rotations(orientations: np.ndarray, angles: np.ndarray, up: np.ndarray) -> 
 
 
 def _check_rotations(rotations: np.ndarray) -> None:
-    """The checks of :class:`GraspFrame` (finite unit axes, mutually
-    orthogonal within 1e-9, x cross y = z) on a (G, 3, 3) stack of
-    rotations whose columns are the frame axes."""
+    """The frame checks (finite unit axes, mutually orthogonal within
+    1e-9, x cross y = z) on a (G, 3, 3) stack of rotations whose columns
+    are the frame axes."""
     axes = np.moveaxis(rotations, 2, 0)  # (3, G, 3): x, y, z per grasp
     for name, a in zip(("x_axis", "y_axis", "z_axis"), axes):
         if not np.isfinite(a).all():
@@ -658,17 +571,6 @@ def _check_rotations(rotations: np.ndarray) -> None:
         raise DataError("frame axes must be mutually orthogonal")
     if np.abs(_cross_rows(x, y) - z).max(initial=0.0) > _ORTHO_TOL:
         raise DataError("frame must be right-handed (x cross y = z)")
-
-
-def grasp_frame(g: Grasp, up=WORLD_UP) -> GraspFrame:
-    """Build the grasp coordinate frame of ``g``.
-
-    Y runs along the grasp orientation; X is the horizontal reference
-    X' = normalize(up x Y) rotated about Y by the grasp angle (right-hand
-    rule); Z = X x Y.
-    """
-    (r,) = _rotations(g.orientation[None], np.array([g.angle]), unit(np.asarray(up, dtype=np.float64)))
-    return GraspFrame(g.center, r[:, 0], r[:, 1], r[:, 2])
 
 
 class _ScoringIndex:
@@ -743,10 +645,10 @@ def _apply_rows(rows: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rotation.T)[:, 0]
 
 
-def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> GraspSet:
-    """Move a set of grasps by a rigid transform, keeping each physical
-    gripper pose; row i is bit-equal to :func:`transform_grasp` of grasp
-    i. Scores are dropped: they refer to an object in the old frame.
+def transform_grasps(grasps: GraspSet, transform: RigidTransform, up=WORLD_UP) -> GraspSet:
+    """Move a :class:`GraspSet` by a rigid transform, keeping each
+    physical gripper pose; row i is bit-equal to moving grasp i alone.
+    Scores are dropped: they refer to an object in the old frame.
 
     The full frame is rotated (its checks passed before the motion), then
     (center, orientation, angle) are read back; when the recovered angle
@@ -756,7 +658,6 @@ def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> GraspSet
     third of them.
     """
     up = unit(np.asarray(up, dtype=np.float64))
-    grasps = GraspSet.of(grasps)
     rotations = grasps.rotations(up)
     r, t = transform.rotation, transform.translation
     x_new = _apply_rows(np.ascontiguousarray(rotations[:, :, 0]), r)
@@ -768,11 +669,6 @@ def transform_grasps(grasps, transform: RigidTransform, up=WORLD_UP) -> GraspSet
     theta[flip] = np.pi - theta[flip]
     theta[flip & (theta > np.pi)] -= 2.0 * np.pi
     return GraspSet(_apply_rows(grasps.centers, r) + t, y_new, np.clip(theta, -np.pi / 2, np.pi / 2))
-
-
-def transform_grasp(g: Grasp, transform: RigidTransform, up=WORLD_UP) -> Grasp:
-    """Move one grasp by a rigid transform (see :func:`transform_grasps`)."""
-    return transform_grasps([g], transform, up)[0]
 
 
 _NEAREST_BLOCK = 1 << 14  # query rows times centers per distance block
@@ -794,9 +690,3 @@ def _nearest_centers(centers: np.ndarray, points) -> tuple[np.ndarray, np.ndarra
         index[start : start + step] = i = np.argmin(d, axis=1)
         dist[start : start + step] = d[np.arange(len(i)), i]
     return index, dist
-
-
-def nearest_center(grasps, point) -> tuple[int, float]:
-    """Index and distance of the grasp center closest to ``point``, lowest index on ties."""
-    (i,), (d,) = _nearest_centers(GraspSet.of(grasps).centers, point)
-    return int(i), float(d)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .fileio import _read_table, _write_table
-from .geometry import GripperModel, PointCloud, RigidTransform, transform_grasps
+from .geometry import GraspSet, GripperModel, PointCloud, RigidTransform, transform_grasps
 from .quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, score_grasps
 
 REPORT_HEADER = "k3,kT,kT_a,kT_c,vgr,vagr,vcgr"
@@ -80,15 +80,15 @@ def summarize_scores(scores) -> EvalReport:
 
 
 def evaluate(
-    predicted,
+    predicted: GraspSet,
     object_pose: RigidTransform,
     obj: PointCloud,
     gripper: GripperModel,
     mu: float = DEFAULT_MU,
     tol: float = DEFAULT_CONTACT_TOL,
 ) -> EvalReport:
-    """Score a predicted grasp set (a ``GraspSet`` or a list of grasps)
-    against an object model.
+    """Score a predicted :class:`~.geometry.GraspSet` against an object
+    model.
 
     ``object_pose`` maps world coordinates into the object frame; the set
     is moved by it (:func:`~.geometry.transform_grasps`) and re-scored

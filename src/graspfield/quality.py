@@ -7,11 +7,11 @@ antipodal test needs both contact forces inside their friction cones,
 folding the normal sign away; jaws that sweep no points score 0.
 
 :func:`score_grasps` is the one scoring kernel: it takes a
-:class:`~.geometry.GraspSet` (a list of ``Grasp`` is stacked once) and
-every stage scores through it, ``metrics.evaluate`` on the moved set.
-:func:`find_contacts` and :func:`score_grasp` are one-grasp views of the
-same sweep. Per call it makes one checked stack of rotations
-(:meth:`~.geometry.GraspSet.rotations`) and builds no per-grasp object.
+:class:`~.geometry.GraspSet` and every stage scores through it,
+``metrics.evaluate`` on the moved set. :func:`find_contacts` returns the
+contact indices of the same sweep. Per call each makes one checked stack
+of rotations (:meth:`~.geometry.GraspSet.rotations`) and builds no
+per-grasp object.
 Each grasp reads only the slice of the cloud, sorted once along its
 widest axis, that its gripper can reach (29% of the 20k-point scene):
 both tests run on one slab of grasp-frame coordinates of that slice.
@@ -34,43 +34,14 @@ original index among the tied points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
-from .geometry import Grasp, GraspSet, GripperModel, PointCloud
+from .geometry import GraspSet, GripperModel, PointCloud
 
 DEFAULT_MU = 0.6
 DEFAULT_CONTACT_TOL = 0.005
-
-_UNIT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ContactPair:
-    """Two opposing contacts: positions, surface normals, and unit force
-    directions along the closing line pointing into the object."""
-
-    point_a: np.ndarray
-    point_b: np.ndarray
-    normal_a: np.ndarray
-    normal_b: np.ndarray
-    force_a: np.ndarray
-    force_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("point_a", "point_b", "normal_a", "normal_b", "force_a", "force_b"):
-            v = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if v.shape != (3,) or not np.isfinite(v).all():
-                raise DataError(f"{name} must be a finite 3-vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        for name in ("normal_a", "normal_b", "force_a", "force_b"):
-            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > _UNIT_TOL:
-                raise DataError(f"{name} must be unit length")
-        if np.array_equal(self.point_a, self.point_b):
-            raise DataError("contact points must be distinct")
 
 
 def _check_friction(mu: float | None = None, tol: float | None = None) -> None:
@@ -152,48 +123,44 @@ def _sweep(obj: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper:
 
 def find_contacts(
     obj: PointCloud,
-    g: Grasp,
+    grasps: GraspSet,
     gripper: GripperModel,
     tol: float = DEFAULT_CONTACT_TOL,
-) -> ContactPair | None:
-    """Close the jaws along the grasp Y axis and report the first-touch
-    contact on each side, or None when either jaw sweeps empty space.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Close the jaws of every grasp along its Y axis: ``(ia, ib)``, the
+    indices of the first-touch contact points on the +Y and the -Y side of
+    each grasp, both -1 where either jaw sweeps empty space.
 
     The sweep volume of each finger is half of the closing box, with its
     X/Z cross-section inflated by ``tol`` to absorb sensor discreteness.
     The contact on each side is the point the finger reaches first, i.e.
-    the one with extreme Y coordinate (lowest index on ties).
+    the one with extreme Y coordinate (lowest index on ties). The contact
+    forces point into the object: -Y at ``ia`` and +Y at ``ib``.
     """
     _check_friction(tol=tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
-    one = GraspSet.of([g])
-    rotations = one.rotations()
-    (ia,), (ib,), _ = _sweep(obj, one.centers, rotations, gripper, tol)
-    if ia < 0:
-        return None
-    y = rotations[0, :, 1]
-    return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -y, y)
+    ia, ib, _ = _sweep(obj, grasps.centers, grasps.rotations(), gripper, tol)
+    return ia, ib
 
 
 def score_grasps(
     obj: PointCloud,
-    grasps,
+    grasps: GraspSet,
     gripper: GripperModel,
     mu: float = DEFAULT_MU,
     tol: float = DEFAULT_CONTACT_TOL,
 ) -> np.ndarray:
     """(G, 3) int64 table of (antipodal, collision, combined) scores for a
-    :class:`~.geometry.GraspSet` or a list of G grasps.
+    :class:`~.geometry.GraspSet` of G grasps.
 
     The combined score is min of the two components; unreachable grasps
     (no contacts) get antipodal score 0 rather than an error. Row i is
-    bit-identical to scoring grasp i on its own. The contacts pass
-    :class:`ContactPair`'s checks without building one: ``PointCloud``
-    checked every normal, the points are checked distinct here, and the
-    forces are the frame's Y axis, unit within 1e-9.
+    bit-identical to scoring grasp i on its own. The contacts need no
+    further checks: ``PointCloud`` checked every normal to unit length,
+    the points are checked distinct here, and the forces are the frame's
+    Y axis, unit within 1e-9.
     """
-    grasps = GraspSet.of(grasps)
     _check_friction(mu, tol)
     if obj.normals is None:
         raise DataError("normals required to extract contacts")
@@ -214,16 +181,3 @@ def score_grasps(
     table[:, 1] = free
     table[:, 2] = np.minimum(table[:, 0], free)
     return table
-
-
-def score_grasp(
-    obj: PointCloud,
-    g: Grasp,
-    gripper: GripperModel,
-    mu: float = DEFAULT_MU,
-    tol: float = DEFAULT_CONTACT_TOL,
-) -> Grasp:
-    """Attach (antipodal, collision, combined) scores to one grasp; see
-    :func:`score_grasps`."""
-    sa, sc, sg = score_grasps(obj, [g], gripper, mu=mu, tol=tol)[0].tolist()
-    return replace(g, score_antipodal=sa, score_collision=sc, score=sg)

@@ -1,6 +1,6 @@
-"""Proposal refinement: closing-area extraction, refinability selection,
-binary refinement labels, and the residual codec between a proposal and
-its matched ground-truth grasp.
+"""Proposal refinement: refinability selection by closing-area count,
+binary refinement labels, and the residual codec between a proposal set
+and its matched ground-truth grasps.
 
 A proposal is worth refining only when enough points fall between the
 jaws; it counts as a positive refinement example when its orientation
@@ -22,7 +22,7 @@ import numpy as np
 
 from .anchors import _decode_residuals, _encode_residuals, _residual_arrays
 from .errors import DataError
-from .geometry import Grasp, GraspSet, GripperModel, PointCloud, _nearest_centers, grasp_frame
+from .geometry import GraspSet, GripperModel, PointCloud, _nearest_centers
 from .losses import _weighted_loss
 
 REFINE_WEIGHTS = (1.0, 1.0, 1.0, 1.0)  # class, center, orientation, angle
@@ -33,57 +33,29 @@ DEFAULT_MIN_CLOSING_POINTS = 50
 _COS_ORIENTATION_GATE = math.cos(ORIENTATION_GATE)
 
 
-def _closing_boxes(cloud: PointCloud, centers: np.ndarray, rotations: np.ndarray, gripper: GripperModel):
-    """Per checked grasp frame: the slab of :meth:`~.geometry._ScoringIndex.slabs`
-    (original indices of the slice, slab positions, coordinates) and the
-    mask of the slab points inside the closing box."""
-    hx, hy, hz = half = gripper.closing_half_extents()
-    for order, idx, local in cloud._scoring_index.slabs(centers, rotations, -half, half, hz):
-        yield order[idx], local, (np.abs(local[0]) <= hx) & (np.abs(local[1]) <= hy)
-
-
-def closing_area(cloud: PointCloud, g: Grasp, gripper: GripperModel) -> tuple[np.ndarray, np.ndarray]:
-    """Points between the jaws of a grasp.
-
-    Returns (ascending indices, their grasp-frame coordinates). The box
-    spans finger_length/2 along X, max_opening/2 along Y, and
-    finger_height/2 along Z, all inclusive.
-    """
-    frame = grasp_frame(g)
-    ((idx, local, inside),) = _closing_boxes(cloud, frame.origin[None], frame.rotation[None], gripper)
-    keep = np.flatnonzero(inside)
-    keep = keep[np.argsort(idx[keep])]  # the slab runs in sort order
-    return idx[keep], np.ascontiguousarray(local[:, keep].T)
-
-
 def select_refinable(
-    proposals,
+    proposals: GraspSet,
     cloud: PointCloud,
     gripper: GripperModel,
     min_points: int = DEFAULT_MIN_CLOSING_POINTS,
 ) -> np.ndarray:
-    """Indices of proposals (a ``GraspSet`` or a list of grasps) with
-    strictly more than ``min_points`` points in their closing area.
-    Exactly ``min_points`` does not qualify."""
+    """Indices of the proposals with strictly more than ``min_points``
+    points in their closing area: the box of
+    :meth:`~.geometry.GripperModel.closing_half_extents` in the grasp
+    frame, all bounds inclusive. Exactly ``min_points`` does not qualify."""
     if min_points < 0:
         raise DataError("min_points must be >= 0")
-    proposals = GraspSet.of(proposals)
-    boxes = _closing_boxes(cloud, proposals.centers, proposals.rotations(), gripper)
-    return np.flatnonzero([np.count_nonzero(inside) > min_points for _, _, inside in boxes])
-
-
-def refinement_label(proposal: Grasp, gt: Grasp) -> int:
-    """1 when the proposal is close enough to refine toward gt.
-
-    Requires the orientation angle strictly under 2*pi/9 and the approach
-    angle difference strictly under pi/3; symmetric in its arguments.
-    """
-    return int(_refinement_labels(proposal.orientation, proposal.angle, gt.orientation, gt.angle))
+    hx, hy, hz = half = gripper.closing_half_extents()
+    slabs = cloud._scoring_index.slabs(proposals.centers, proposals.rotations(), -half, half, hz)
+    counts = [np.count_nonzero((np.abs(x) <= hx) & (np.abs(y) <= hy)) for _, _, (x, y, _) in slabs]
+    return np.flatnonzero(np.array(counts, dtype=np.int64) > min_points)
 
 
 def _refinement_labels(orientations, angles, gt_orientations, gt_angles) -> np.ndarray:
-    """:func:`refinement_label` of each proposal and ground-truth pair (one
-    grasp each, or aligned arrays); ``np.vecdot`` has the bits of ``a @ b``."""
+    """1 for each proposal close enough to refine toward its ground truth,
+    over aligned arrays: the orientation angle strictly under 2*pi/9 and
+    the approach angle difference strictly under pi/3; symmetric in the
+    two grasps. ``np.vecdot`` has the bits of ``a @ b``."""
     dots = np.clip(np.vecdot(orientations, gt_orientations), -1.0, 1.0)
     # angle >= gate compared in cosine space: exact at the boundary
     close = (dots > _COS_ORIENTATION_GATE) & (np.abs(np.subtract(angles, gt_angles)) < ANGLE_GATE)
@@ -120,50 +92,29 @@ class RefineTarget:
         object.__setattr__(self, "label", int(self.label))
 
 
-def encode_refinement(proposal: Grasp, gt: Grasp, scale: float, proposal_index: int = 0) -> RefineTarget:
-    """Residuals taking the proposal onto its ground-truth grasp.
+def decode_refinements(proposals: GraspSet, res_center, res_orientation, res_angle, scale: float) -> GraspSet:
+    """Apply (predicted or encoded) per-row residuals to G proposals.
 
-    Only defined for refinable pairs (label 1); encoding a negative pair
-    is an error since negatives carry no regression target.
-    """
-    residuals = _encode_residuals(
-        (proposal.center, proposal.orientation, proposal.angle), (gt.center, gt.orientation, gt.angle), scale
-    )
-    if refinement_label(proposal, gt) == 0:
-        raise DataError("no target for negatives")
-    return RefineTarget(proposal_index, 1, *residuals)
-
-
-def decode_refinement(proposal: Grasp, res_center, res_orientation, res_angle: float, scale: float) -> Grasp:
-    """Apply (predicted or encoded) residuals to a proposal.
-
-    The corrected angle is clamped back into [-pi/2, pi/2] with a warning
+    A corrected angle is clamped back into [-pi/2, pi/2] with a warning
     when the residual pushes it outside.
     """
-    return _decode_refinements(GraspSet.of([proposal]), [res_center], [res_orientation], [res_angle], scale)[0]
-
-
-def _decode_refinements(proposals: GraspSet, res_center, res_orientation, res_angle, scale: float) -> GraspSet:
-    """:func:`decode_refinement` of G proposals (per-row residual arrays) at once."""
     ref = (proposals.centers, proposals.orientations, proposals.angles)
     return _decode_residuals(ref, res_center, res_orientation, res_angle, scale)
 
 
 def build_refinement_targets(
-    proposals,
+    proposals: GraspSet,
     cloud: PointCloud,
-    positives,
+    positives: GraspSet,
     gripper: GripperModel,
     scale: float,
     min_points: int = DEFAULT_MIN_CLOSING_POINTS,
 ) -> list[RefineTarget]:
     """Select refinable proposals, match each to the nearest positive
     grasp center in one batch, label it, and encode residuals for the
-    positives. Both sets may be a ``GraspSet`` or a list of grasps."""
-    positives = GraspSet.of(positives)
+    positives."""
     if not len(positives):
         raise DataError("no positive grasps")
-    proposals = GraspSet.of(proposals)
     selected = select_refinable(proposals, cloud, gripper, min_points)
     chosen = proposals[selected]
     gts = positives[_nearest_centers(positives.centers, chosen.centers)[0]]

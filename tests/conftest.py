@@ -1,16 +1,17 @@
 """Shared fixtures: analytic objects, the default gripper, and a couple of
 hand-verified grasps that the physics tests reuse; and the one-grasp
-helpers the tests use as scalar oracles, independent of the package's
-kernels."""
+helpers and records (frame, contact pair, closing area) the tests use as
+scalar oracles, independent of the package's kernels."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from graspfield import DataError, Grasp, GripperModel, PointCloud, grasp_frame
-from graspfield.geometry import GraspFrame, _as_array, local_coords
-from graspfield.quality import DEFAULT_MU, ContactPair, _check_friction
+from graspfield import DataError, GraspSet, GripperModel, PointCloud, find_contacts
+from graspfield.geometry import WORLD_UP, _as_array, _check_rotations, _rotations, local_coords, unit
+from graspfield.quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _check_friction
 from graspfield.synthetic import box_cloud, plane_grid, sphere_cloud
 
 
@@ -45,7 +46,24 @@ def dead_plane_scene():
 @pytest.fixture
 def z_grasp():
     """Grasp across the box's thin z dimension; scores (1, 1, 1) on `box`."""
-    return Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
+    return one_grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
+
+
+def one_grasp(center, orientation, angle, *scores) -> GraspSet:
+    """One grasp as a one-row set; ``scores`` are all three or none."""
+    return GraspSet([center], [orientation], [angle], [scores] if scores else None)
+
+
+def stack(sets) -> GraspSet:
+    """The rows of several sets as one set, with their stored bits."""
+    sets = list(sets) or [GraspSet([], [], [])]
+    scores = [np.full((len(s), 3), -1) if s.scores is None else s.scores for s in sets]
+    return GraspSet._stored(
+        np.concatenate([s.centers for s in sets]),
+        np.concatenate([s.orientations for s in sets]),
+        np.concatenate([s.angles for s in sets]),
+        np.concatenate(scores),
+    )
 
 
 def random_unit(rng, n=None):
@@ -57,6 +75,81 @@ def random_unit(rng, n=None):
 # ---------------------------------------------------------------------------
 # One-grasp helpers
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GraspFrame:
+    """Orthonormal right-handed frame attached to a grasp (x_axis cross
+    y_axis equals z_axis within 1e-9)."""
+
+    origin: np.ndarray
+    x_axis: np.ndarray
+    y_axis: np.ndarray
+    z_axis: np.ndarray
+
+    def __post_init__(self):
+        for name in ("origin", "x_axis", "y_axis", "z_axis"):
+            object.__setattr__(self, name, _as_array(getattr(self, name), (3,), name))
+        _check_rotations(self.rotation[None])
+
+    @property
+    def rotation(self) -> np.ndarray:
+        """World-from-grasp rotation; columns are the frame axes."""
+        return np.column_stack([self.x_axis, self.y_axis, self.z_axis])
+
+
+def grasp_frame(g: GraspSet, up=WORLD_UP) -> GraspFrame:
+    """The checked grasp frame of a one-row set: Y along the orientation,
+    X the horizontal reference normalize(up x Y) rotated about Y by the
+    angle, Z = X x Y."""
+    assert len(g) == 1
+    (r,) = _rotations(g.orientations, g.angles, unit(np.asarray(up, dtype=np.float64)))
+    return GraspFrame(g.centers[0], r[:, 0], r[:, 1], r[:, 2])
+
+
+@dataclass(frozen=True)
+class ContactPair:
+    """Two opposing contacts: positions, surface normals, and unit force
+    directions along the closing line pointing into the object."""
+
+    point_a: np.ndarray
+    point_b: np.ndarray
+    normal_a: np.ndarray
+    normal_b: np.ndarray
+    force_a: np.ndarray
+    force_b: np.ndarray
+
+    def __post_init__(self):
+        for name in ("point_a", "point_b", "normal_a", "normal_b", "force_a", "force_b"):
+            v = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            if v.shape != (3,) or not np.isfinite(v).all():
+                raise DataError(f"{name} must be a finite 3-vector")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        for name in ("normal_a", "normal_b", "force_a", "force_b"):
+            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-6:
+                raise DataError(f"{name} must be unit length")
+        if np.array_equal(self.point_a, self.point_b):
+            raise DataError("contact points must be distinct")
+
+
+def contact_pair(obj: PointCloud, g: GraspSet, gripper: GripperModel, tol=DEFAULT_CONTACT_TOL):
+    """The :func:`~graspfield.find_contacts` contacts of a one-row set as a
+    :class:`ContactPair`, or None when either jaw sweeps empty space."""
+    (ia,), (ib,) = find_contacts(obj, g, gripper, tol)
+    if ia < 0:
+        return None
+    y = g.rotations()[0, :, 1]
+    return ContactPair(obj.points[ia], obj.points[ib], obj.normals[ia], obj.normals[ib], -y, y)
+
+
+def closing_area(cloud: PointCloud, g: GraspSet, gripper: GripperModel):
+    """Points between the jaws of a one-row set: (ascending indices, their
+    grasp-frame coordinates), inside the closing box with inclusive bounds."""
+    frame = grasp_frame(g)
+    hx, hy, hz = gripper.closing_half_extents()
+    idx, local = local_coords(cloud.points.T, frame.origin, frame.rotation, hz)
+    keep = (np.abs(local[0]) <= hx) & (np.abs(local[1]) <= hy)
+    return idx[keep], np.ascontiguousarray(local[:, keep].T)
 
 def to_grasp_frame(cloud: PointCloud, frame: GraspFrame) -> PointCloud:
     """Re-express a cloud in the grasp frame: p -> R^T (p - origin)."""
@@ -102,7 +195,7 @@ def antipodal_score(contacts: ContactPair, mu: float = DEFAULT_MU) -> int:
     return 1
 
 
-def collision_score(obj: PointCloud, g: Grasp, gripper: GripperModel) -> int:
+def collision_score(obj: PointCloud, g: GraspSet, gripper: GripperModel) -> int:
     """1 iff no object point lies strictly inside any gripper solid: a
     strict scan of every point against each box in turn, in the grasp
     frame ``(points - origin) @ R``."""

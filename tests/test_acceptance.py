@@ -15,39 +15,47 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from graspfield import (
-    Grasp,
+    GraspSet,
     GripperModel,
     PointCloud,
     RigidTransform,
     build_anchors,
-    closing_area,
     confidence_field,
-    decode_proposal,
-    decode_refinement,
-    encode_proposal,
+    decode_proposals,
+    decode_refinements,
+    encode_proposals,
     evaluate,
-    grasp_frame,
-    refinement_label,
     score_grasps,
     segmentation_loss,
+    select_refinable,
 )
 from graspfield import cli
-from graspfield.anchors import ProposalTarget, proposal_loss
+from graspfield.anchors import ProposalTarget, _encode_residuals, proposal_loss
 from graspfield.fileio import load_grasps, save_cloud_text
-from graspfield.geometry import canonical_orientation
 from graspfield.losses import smooth_l1
 from graspfield.metrics import summarize_scores
-from graspfield.quality import ContactPair
-from graspfield.refine import RefineTarget, encode_refinement, refinement_loss
+from graspfield.refine import RefineTarget, _refinement_labels, refinement_loss
 from graspfield.region import farthest_point_sampling
 from graspfield.sampling import build_positive_set
 from graspfield.synthetic import box_cloud
 
-from conftest import collision_score, from_grasp_frame, random_unit, to_grasp_frame
+from conftest import (
+    ContactPair,
+    GraspFrame,
+    closing_area,
+    collision_score,
+    from_grasp_frame,
+    grasp_frame,
+    one_grasp,
+    random_unit,
+    stack,
+    to_grasp_frame,
+)
+from test_anchors import canonical
 from test_geometry import angle_between
 from test_metrics import random_table
 from test_quality import kernel_antipodal, oracle_antipodal
-from test_refine import refinable_pair
+from test_refine import refinable_pairs
 from test_region import assert_greedy_maxmin
 
 
@@ -75,22 +83,20 @@ def test_criterion_01_anchor_codec_round_trip(criterion):
         anchors = build_anchors(8)
         scale = GripperModel().scale
         rng = np.random.default_rng(1001)
-        worst_center = worst_orientation = 0.0
         start = time.perf_counter()
+        rows = []
         for _ in range(10_000):
             p_a = rng.uniform(-0.5, 0.5, 3)
-            gt = Grasp(
-                p_a + random_unit(rng) * rng.uniform(0.0, scale),
-                canonical_orientation(random_unit(rng)),
-                rng.uniform(-math.pi / 2, math.pi / 2),
-            )
-            t = encode_proposal(p_a, gt, anchors, scale)
-            back = decode_proposal(
-                p_a, t.anchor_class, t.res_center, t.res_orientation, t.res_angle, anchors, scale
-            )
-            worst_center = max(worst_center, float(np.linalg.norm(back.center - gt.center)))
-            worst_orientation = max(worst_orientation, angle_between(back.orientation, gt.orientation))
-            assert back.angle == gt.angle
+            center = p_a + random_unit(rng) * rng.uniform(0.0, scale)
+            rows.append((p_a, center, canonical(random_unit(rng)), rng.uniform(-math.pi / 2, math.pi / 2)))
+        p_as, *columns = zip(*rows)
+        gts = GraspSet(*columns)
+        targets = encode_proposals(p_as, gts, anchors, scale)
+        residuals = [[getattr(t, name) for t in targets] for name in ("res_center", "res_orientation", "res_angle")]
+        back = decode_proposals(p_as, [t.anchor_class for t in targets], *residuals, anchors, scale)
+        worst_center = float(np.linalg.norm(back.centers - gts.centers, axis=1).max())
+        worst_orientation = max(map(angle_between, back.orientations, gts.orientations))
+        assert np.array_equal(back.angles, gts.angles)
         elapsed = time.perf_counter() - start
         assert worst_center < 1e-9
         assert worst_orientation < 1e-9
@@ -101,16 +107,15 @@ def test_criterion_02_refinement_codec_round_trip(criterion):
     with criterion("refinement codec round trip (1e4 positive pairs, <1e-9)"):
         scale = GripperModel().scale
         rng = np.random.default_rng(1002)
-        worst_center = worst_orientation = worst_angle = 0.0
         start = time.perf_counter()
-        for _ in range(10_000):
-            proposal, gt = refinable_pair(rng, scale)
-            assert refinement_label(proposal, gt) == 1
-            t = encode_refinement(proposal, gt, scale)
-            back = decode_refinement(proposal, t.res_center, t.res_orientation, t.res_angle, scale)
-            worst_center = max(worst_center, float(np.linalg.norm(back.center - gt.center)))
-            worst_orientation = max(worst_orientation, angle_between(back.orientation, gt.orientation))
-            worst_angle = max(worst_angle, abs(back.angle - gt.angle))
+        proposals, gts = refinable_pairs(rng, 10_000, scale)
+        assert _refinement_labels(proposals.orientations, proposals.angles, gts.orientations, gts.angles).all()
+        reference = (proposals.centers, proposals.orientations, proposals.angles)
+        residuals = _encode_residuals(reference, (gts.centers, gts.orientations, gts.angles), scale)
+        back = decode_refinements(proposals, *residuals, scale)
+        worst_center = float(np.linalg.norm(back.centers - gts.centers, axis=1).max())
+        worst_orientation = max(map(angle_between, back.orientations, gts.orientations))
+        worst_angle = float(np.abs(back.angles - gts.angles).max())
         elapsed = time.perf_counter() - start
         assert worst_center < 1e-9
         assert worst_orientation < 1e-9
@@ -144,7 +149,7 @@ def test_criterion_04_confidence_field_equivalence(criterion):
             d_th = float(rng.uniform(0.01, 0.04))
             points = rng.uniform(-0.2, 0.2, (n, 3))
             centers = rng.uniform(-0.2, 0.2, (n_grasps, 3))
-            grasps = [Grasp(c, (0.0, 0.0, 1.0), 0.0) for c in centers]
+            grasps = GraspSet(centers, np.tile((0.0, 0.0, 1.0), (n_grasps, 1)), np.zeros(n_grasps))
             field = confidence_field(PointCloud(points), grasps, d_th, 0.6)
             dis = cdist(points, centers)
             brute = np.where(dis < d_th, 1.0 - dis / d_th, 0.0).sum(axis=1)
@@ -153,7 +158,7 @@ def test_criterion_04_confidence_field_equivalence(criterion):
 
         hand = confidence_field(
             PointCloud([[0.0, 0.0, 0.0]]),
-            [Grasp(c, (0.0, 0.0, 1.0), 0.0) for c in ((0.01, 0, 0), (0, 0.01, 0), (0, 0, 0.01))],
+            GraspSet(((0.01, 0, 0), (0, 0.01, 0), (0, 0, 0.01)), [(0.0, 0.0, 1.0)] * 3, [0.0] * 3),
             0.02,
             0.6,
         )
@@ -167,7 +172,7 @@ def test_criterion_05_containment_oracle(criterion):
         gripper = GripperModel()
         half = gripper.closing_half_extents()
         for _ in range(200):
-            g = Grasp(rng.uniform(-0.08, 0.08, 3), random_unit(rng), rng.uniform(-math.pi / 2, math.pi / 2))
+            g = one_grasp(rng.uniform(-0.08, 0.08, 3), random_unit(rng), rng.uniform(-math.pi / 2, math.pi / 2))
             frame = grasp_frame(g)
             local = (obj.points - frame.origin) @ frame.rotation
             hit = False
@@ -175,10 +180,13 @@ def test_criterion_05_containment_oracle(criterion):
                 if np.any(np.all((local > lo) & (local < hi), axis=1)):
                     hit = True
                     break
-            assert score_grasps(obj, [g], gripper)[0, 1] == collision_score(obj, g, gripper) == (0 if hit else 1)
+            assert score_grasps(obj, g, gripper)[0, 1] == collision_score(obj, g, gripper) == (0 if hit else 1)
             inside = np.nonzero(np.all(np.abs(local) <= half, axis=1))[0]
             indices, _ = closing_area(obj, g, gripper)
             assert np.array_equal(indices, inside)
+            assert select_refinable(g, obj, gripper, min_points=len(inside)).size == 0
+            if len(inside):
+                assert np.array_equal(select_refinable(g, obj, gripper, min_points=len(inside) - 1), [0])
 
 
 def test_criterion_06_farthest_point_sampling(criterion):
@@ -254,15 +262,17 @@ def test_criterion_08_grasp_frames(criterion):
         rng = np.random.default_rng(1008)
         template = rng.uniform(-0.2, 0.2, (8, 3))
         worst_ortho = worst_det = worst_round = 0.0
+        rows = []
         for i in range(10_000):
             if i % 5 == 0:
                 # force the up-parallel degenerate branch
                 orientation = (0.0, 0.0, 1.0) if i % 10 == 0 else (0.0, 0.0, -1.0)
             else:
                 orientation = random_unit(rng)
-            g = Grasp(rng.uniform(-0.3, 0.3, 3), orientation, rng.uniform(-math.pi / 2, math.pi / 2))
-            frame = grasp_frame(g)
-            r = frame.rotation
+            rows.append((rng.uniform(-0.3, 0.3, 3), orientation, rng.uniform(-math.pi / 2, math.pi / 2)))
+        grasps = GraspSet(*zip(*rows))
+        for center, r in zip(grasps.centers, grasps.rotations()):
+            frame = GraspFrame(center, r[:, 0], r[:, 1], r[:, 2])
             worst_ortho = max(worst_ortho, float(np.abs(r.T @ r - np.eye(3)).max()))
             worst_det = max(worst_det, abs(float(np.linalg.det(r)) - 1.0))
             cloud = PointCloud(template)
@@ -275,12 +285,10 @@ def test_criterion_08_grasp_frames(criterion):
 
 def test_criterion_09_metrics(criterion, box, gripper):
     with criterion("metrics: 4-grasp case exact, min rule on 100 tables, self-eval VGR 1.0"):
-        predicted = [
-            Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
-            Grasp((0.01, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
-            Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0),
-            Grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0),
-        ]
+        predicted = stack(
+            one_grasp(center, (0.0, 0.0, 1.0), 0.0)
+            for center in ((0.0, 0.0, 0.0), (0.01, 0.0, 0.0), (0.0, 0.05, 0.0), (0.0, 0.0, -0.04))
+        )
         rep = evaluate(predicted, RigidTransform.identity(), box, gripper)
         assert rep.vagr == 0.75
         assert rep.vcgr == 0.5
@@ -319,5 +327,5 @@ def test_criterion_10_end_to_end_determinism(criterion, tmp_path):
         assert first.splitlines()[-1].startswith("manifest-sha256 ")
         grasps = load_grasps(tmp_path / "a" / "box" / "grasps.csv")
         assert len(grasps) == 400
-        assert all(g.score == 1 for g in grasps)
+        assert (grasps.scores == 1).all()
         assert time.perf_counter() - start < 60.0

@@ -8,25 +8,44 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspFieldWarning,
+    GraspSet,
     PointCloud,
     build_anchors,
     build_proposal_targets,
     confidence_field,
-    decode_proposal,
-    encode_proposal,
-    nearest_anchor,
+    decode_proposals,
+    encode_proposals,
     proposal_loss,
 )
 from graspfield.anchors import PROPOSAL_WEIGHTS, AnchorSet, ProposalTarget
 
-from conftest import random_unit
+from conftest import one_grasp, random_unit, stack
 from test_geometry import angle_between
 
 
 def smooth_l1_value(x, beta=1.0):
     return 0.5 * x * x / beta if abs(x) < beta else abs(x) - 0.5 * beta
+
+
+def canonical(r):
+    """``r`` made unit, its largest-magnitude component positive."""
+    r = np.asarray(r, dtype=np.float64) / np.linalg.norm(r)
+    return r if r[np.argmax(np.abs(r))] > 0.0 else -r
+
+
+def anchor_classes(anchors, orientations):
+    """The anchor ``encode_proposals`` classifies ground truths along each
+    row of ``orientations`` to."""
+    n = len(orientations)
+    gts = GraspSet(np.zeros((n, 3)), orientations, np.zeros(n))
+    return np.array([t.anchor_class for t in encode_proposals(np.zeros((n, 3)), gts, anchors, 1.0)])
+
+
+def decode_targets(targets, anchors, scale):
+    """One decode of the targets' rows."""
+    rows = [(t.center, t.anchor_class, t.res_center, t.res_orientation, t.res_angle) for t in targets]
+    return decode_proposals(*zip(*rows), anchors, scale)
 
 
 def anchor_gap_angles(anchors):
@@ -76,116 +95,112 @@ class TestBuildAnchors:
 
 
 class TestNearestAnchor:
+    # the class of a ground truth is the nearest anchor to its canonical line
     @pytest.mark.parametrize("count", [6, 8])
     def test_matches_brute_force_angles(self, count):
         anchors = build_anchors(count)
         rng = np.random.default_rng(50)
-        for _ in range(500):
-            r = random_unit(rng)
-            angles = np.arccos(np.clip(anchors.orientations @ r, -1.0, 1.0))
-            assert nearest_anchor(anchors, r) == int(np.argmin(angles))
+        lines = np.array([canonical(random_unit(rng)) for _ in range(500)])
+        angles = np.arccos(np.clip(lines @ anchors.orientations.T, -1.0, 1.0))
+        assert np.array_equal(anchor_classes(anchors, lines), np.argmin(angles, axis=1))
 
     def test_anchor_classifies_to_itself(self):
+        # a cube corner's lead is its x (all magnitudes tie): the corners
+        # with x > 0 are canonical, the others classify to their negation
         anchors = build_anchors(8)
-        for i, a in enumerate(anchors.orientations):
-            assert nearest_anchor(anchors, a) == i
+        ori = anchors.orientations
+        own = [i if a[0] > 0 else int(np.flatnonzero((ori == -a).all(axis=1))[0]) for i, a in enumerate(ori)]
+        assert np.array_equal(anchor_classes(anchors, ori), own)
 
     def test_scale_invariant(self):
         anchors = build_anchors(8)
         rng = np.random.default_rng(51)
-        for _ in range(100):
-            r = random_unit(rng)
-            assert nearest_anchor(anchors, r) == nearest_anchor(anchors, 3.7 * r)
+        lines = random_unit(rng, 100)
+        assert np.array_equal(anchor_classes(anchors, lines), anchor_classes(anchors, 3.7 * lines))
 
     def test_tie_takes_lowest_index(self):
         anchors = build_anchors(6)
         # equidistant between +x (index 0) and +y (index 1)
-        assert nearest_anchor(anchors, (1.0, 1.0, 0.0)) == 0
+        assert anchor_classes(anchors, [(1.0, 1.0, 0.0)]).tolist() == [0]
 
     def test_zero_rejected(self):
-        with pytest.raises(DataError, match="zero-length"):
-            nearest_anchor(build_anchors(8), (0.0, 0.0, 0.0))
+        with pytest.raises(DataError, match="orientation must have positive length"):
+            anchor_classes(build_anchors(8), [(0.0, 0.0, 0.0)])
 
 
 class TestEncodeDecode:
     def test_gt_on_anchor_gives_zero_orientation_residual(self):
         anchors = build_anchors(8)
-        a = anchors.orientations[nearest_anchor(anchors, (1.0, 1.0, 1.0))]
-        gt = Grasp((0.01, 0.02, 0.03), a, 0.4)
-        target = encode_proposal((0.01, 0.02, 0.03), gt, anchors, scale=0.1)
+        a = anchors.orientations[anchor_classes(anchors, [(1.0, 1.0, 1.0)])[0]]
+        gt = one_grasp((0.01, 0.02, 0.03), a, 0.4)
+        (target,) = encode_proposals([(0.01, 0.02, 0.03)], gt, anchors, scale=0.1)
         assert np.abs(target.res_orientation).max() < 1e-15
         assert np.abs(target.res_center).max() == 0.0
         assert target.res_angle == 0.4
 
     def test_center_residual_in_scale_units(self):
         anchors = build_anchors(8)
-        gt = Grasp((0.05, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
-        target = encode_proposal((0.0, 0.0, 0.0), gt, anchors, scale=0.1)
+        gt = one_grasp((0.05, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
+        (target,) = encode_proposals([(0.0, 0.0, 0.0)], gt, anchors, scale=0.1)
         assert np.allclose(target.res_center, (0.5, 0.0, 0.0))
-        halved = encode_proposal((0.0, 0.0, 0.0), gt, anchors, scale=0.2)
+        (halved,) = encode_proposals([(0.0, 0.0, 0.0)], gt, anchors, scale=0.2)
         assert np.allclose(halved.res_center, (0.25, 0.0, 0.0))
 
     def test_decode_zero_residuals_is_anchor_grasp(self):
         anchors = build_anchors(8)
-        g = decode_proposal((0.01, 0.0, 0.0), 5, (0, 0, 0), (0, 0, 0), 0.0, anchors, 0.1)
-        assert np.array_equal(g.center, (0.01, 0.0, 0.0))
-        assert angle_between(g.orientation, anchors.orientations[5]) < 1e-12
-        assert g.angle == 0.0
+        g = decode_proposals([(0.01, 0.0, 0.0)], [5], [(0, 0, 0)], [(0, 0, 0)], [0.0], anchors, 0.1)
+        assert np.array_equal(g.centers, [(0.01, 0.0, 0.0)])
+        assert angle_between(g.orientations[0], anchors.orientations[5]) < 1e-12
+        assert g.angles[0] == 0.0
 
     @pytest.mark.parametrize("count", [6, 8])
     @pytest.mark.parametrize("scale", [0.05, 0.1, 0.37])
     def test_round_trip(self, count, scale):
         anchors = build_anchors(count)
         rng = np.random.default_rng(52)
+        rows = []
         for _ in range(300):
             p_a = rng.uniform(-0.1, 0.1, 3)
-            gt = Grasp(
-                p_a + rng.uniform(-scale, scale, 3) * 0.5,
-                random_unit(rng),
-                rng.uniform(-math.pi / 2, math.pi / 2),
-            )
-            t = encode_proposal(p_a, gt, anchors, scale)
-            back = decode_proposal(
-                t.center, t.anchor_class, t.res_center, t.res_orientation,
-                t.res_angle, anchors, scale,
-            )
-            assert np.abs(back.center - gt.center).max() < 1e-9
-            expect_r = gt.orientation if gt.orientation[np.argmax(np.abs(gt.orientation))] > 0 else -gt.orientation
-            assert angle_between(back.orientation, expect_r) < 1e-9
-            assert back.angle == gt.angle
+            rows.append((p_a, p_a + rng.uniform(-scale, scale, 3) * 0.5, random_unit(rng),
+                         rng.uniform(-math.pi / 2, math.pi / 2)))
+        p_as, *columns = zip(*rows)
+        gts = GraspSet(*columns)
+        targets = encode_proposals(p_as, gts, anchors, scale)
+        assert [t.center.tolist() for t in targets] == np.array(p_as).tolist()
+        back = decode_targets(targets, anchors, scale)
+        assert np.abs(back.centers - gts.centers).max() < 1e-9
+        for got, r in zip(back.orientations, gts.orientations):
+            assert angle_between(got, canonical(r)) < 1e-9
+        assert np.array_equal(back.angles, gts.angles)
 
     def test_encode_canonicalizes_orientation(self):
         anchors = build_anchors(8)
-        gt = Grasp((0, 0, 0), (0.0, 0.0, -1.0), 0.2)
-        t = encode_proposal((0, 0, 0), gt, anchors, 0.1)
-        back = decode_proposal(
-            t.center, t.anchor_class, t.res_center, t.res_orientation,
-            t.res_angle, anchors, 0.1,
-        )
-        assert np.allclose(back.orientation, (0, 0, 1.0), atol=1e-12)
+        gt = one_grasp((0, 0, 0), (0.0, 0.0, -1.0), 0.2)
+        back = decode_targets(encode_proposals([(0, 0, 0)], gt, anchors, 0.1), anchors, 0.1)
+        assert np.allclose(back.orientations[0], (0, 0, 1.0), atol=1e-12)
 
     def test_out_of_range_angle_clamped_with_warning(self):
         anchors = build_anchors(8)
         with pytest.warns(GraspFieldWarning, match="clamped"):
-            g = decode_proposal((0, 0, 0), 0, (0, 0, 0), (0, 0, 0), 2.0, anchors, 0.1)
-        assert g.angle == math.pi / 2
+            g = decode_proposals([(0, 0, 0)], [0], [(0, 0, 0)], [(0, 0, 0)], [2.0], anchors, 0.1)
+        assert g.angles[0] == math.pi / 2
         with pytest.warns(GraspFieldWarning, match="clamped"):
-            g = decode_proposal((0, 0, 0), 0, (0, 0, 0), (0, 0, 0), -2.0, anchors, 0.1)
-        assert g.angle == -math.pi / 2
+            g = decode_proposals([(0, 0, 0)], [0], [(0, 0, 0)], [(0, 0, 0)], [-2.0], anchors, 0.1)
+        assert g.angles[0] == -math.pi / 2
 
     def test_degenerate_orientation_rejected(self):
         anchors = build_anchors(8)
         cancel = -anchors.orientations[2]
         with pytest.raises(DataError, match="degenerate orientation"):
-            decode_proposal((0, 0, 0), 2, (0, 0, 0), cancel, 0.0, anchors, 0.1)
+            decode_proposals([(0, 0, 0)], [2], [(0, 0, 0)], [cancel], [0.0], anchors, 0.1)
 
     def test_bad_arguments(self):
         anchors = build_anchors(8)
-        gt = Grasp((0, 0, 0), (0, 0, 1), 0.0)
+        gt = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
         with pytest.raises(DataError, match="scale"):
-            encode_proposal((0, 0, 0), gt, anchors, scale=0.0)
+            encode_proposals([(0, 0, 0)], gt, anchors, scale=0.0)
         with pytest.raises(DataError, match="anchor_class"):
-            decode_proposal((0, 0, 0), 8, (0, 0, 0), (0, 0, 0), 0.0, anchors, 0.1)
+            decode_proposals([(0, 0, 0)], [8], [(0, 0, 0)], [(0, 0, 0)], [0.0], anchors, 0.1)
 
     def test_target_validation(self):
         with pytest.raises(DataError, match="unit-difference bound"):
@@ -198,10 +213,10 @@ class TestBuildProposalTargets:
     def make_setup(self, box):
         rng = np.random.default_rng(53)
         pick = rng.choice(len(box), size=12, replace=False)
-        positives = [
-            Grasp(box.points[i], random_unit(rng), rng.uniform(-1.5, 1.5))
+        positives = stack(
+            one_grasp(box.points[i], random_unit(rng), rng.uniform(-1.5, 1.5))
             for i in pick
-        ]
+        )
         field = confidence_field(box, positives)
         return positives, field
 
@@ -213,21 +228,14 @@ class TestBuildProposalTargets:
             k1=8, radius=0.05, size=32, seed=0,
         )
         assert pairs
-        centers = np.stack([g.center for g in positives])
-        for point_index, target in pairs:
+        decoded = decode_targets([target for _, target in pairs], anchors, 0.1)
+        for k, (point_index, target) in enumerate(pairs):
             p_a = box.points[point_index]
             assert np.array_equal(target.center, p_a)
-            back = decode_proposal(
-                target.center, target.anchor_class, target.res_center,
-                target.res_orientation, target.res_angle, anchors, 0.1,
-            )
-            gi = int(np.argmin(np.linalg.norm(centers - p_a, axis=1)))
-            gt = positives[gi]
-            assert np.abs(back.center - gt.center).max() < 1e-9
-            lead = int(np.argmax(np.abs(gt.orientation)))
-            expect_r = gt.orientation if gt.orientation[lead] > 0 else -gt.orientation
-            assert angle_between(back.orientation, expect_r) < 1e-9
-            assert back.angle == gt.angle
+            gi = int(np.argmin(np.linalg.norm(positives.centers - p_a, axis=1)))
+            assert np.abs(decoded.centers[k] - positives.centers[gi]).max() < 1e-9
+            assert angle_between(decoded.orientations[k], canonical(positives.orientations[gi])) < 1e-9
+            assert decoded.angles[k] == positives.angles[gi]
 
     def test_region_centers_are_positive_points(self, box):
         positives, field = self.make_setup(box)
@@ -242,12 +250,12 @@ class TestBuildProposalTargets:
         # labels placed far from the only grasp center: nothing to regress
         from graspfield.confidence import ConfidenceField
 
-        far = Grasp(box.points[0] + (0.5, 0.5, 0.5), (0, 0, 1), 0.0)
+        far = one_grasp(box.points[0] + (0.5, 0.5, 0.5), (0, 0, 1), 0.0)
         values = np.zeros(len(box))
         values[10:15] = 1.0
         field = ConfidenceField(values, (values > 0.6).astype(np.int64), 0.6, 0.02)
         pairs = build_proposal_targets(
-            box, field, [far], build_anchors(8), scale=0.1,
+            box, field, far, build_anchors(8), scale=0.1,
             k1=4, radius=0.05, size=8, seed=2,
         )
         assert pairs == []
@@ -256,7 +264,7 @@ class TestBuildProposalTargets:
         _, field = self.make_setup(box)
         with pytest.raises(DataError, match="no positive grasps"):
             build_proposal_targets(
-                box, field, [], build_anchors(8), scale=0.1,
+                box, field, GraspSet([], [], []), build_anchors(8), scale=0.1,
                 k1=4, radius=0.05, size=8, seed=0,
             )
 
@@ -265,12 +273,12 @@ class TestProposalLoss:
     def make_targets(self, n=3, seed=54):
         anchors = build_anchors(8)
         rng = np.random.default_rng(seed)
-        targets = []
+        rows = []
         for _ in range(n):
             p_a = rng.uniform(-0.05, 0.05, 3)
-            gt = Grasp(p_a + rng.normal(size=3) * 0.01, random_unit(rng), rng.uniform(-1.5, 1.5))
-            targets.append(encode_proposal(p_a, gt, anchors, 0.1))
-        return anchors, targets
+            rows.append((p_a, p_a + rng.normal(size=3) * 0.01, random_unit(rng), rng.uniform(-1.5, 1.5)))
+        p_as, *columns = zip(*rows)
+        return anchors, encode_proposals(p_as, GraspSet(*columns), anchors, 0.1)
 
     def perfect_predictions(self, anchors, targets):
         probs = np.zeros((len(targets), len(anchors)))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import graspfield
-from graspfield import Grasp, GraspSet, cli
+from graspfield import cli
 from graspfield.fileio import (
     load_grasps,
     load_labels,
@@ -29,6 +29,8 @@ from graspfield.fileio import (
 )
 from graspfield.metrics import load_report, summarize_scores
 from graspfield.synthetic import box_cloud
+
+from conftest import one_grasp, stack
 
 IDENTITY_POSE = "1 0 0 0\n0 1 0 0\n0 0 1 0\n"
 
@@ -93,7 +95,7 @@ def test_sample_grasps_verify(ws, capsys):
     assert "verify: 5 grasps re-score to 1" in out
     grasps = load_grasps(ws / "verified.csv")
     assert len(grasps) == 5
-    assert all(g.score == 1 for g in grasps)
+    assert (grasps.scores == 1).all()
 
 
 def test_sample_grasps_deterministic(ws, tmp_path):
@@ -441,8 +443,8 @@ def test_verification_failure_exits_three(ws, tmp_path, capsys, monkeypatch):
 def test_sample_grasps_verify_detects_moved_grasp(ws, tmp_path, capsys, monkeypatch):
     # a saver that drags the second grasp off the object must trip --verify
     def moving(path, grasps):
-        moved = Grasp(grasps[1].center + 1.0, grasps[1].orientation, grasps[1].angle, 1, 1, 1)
-        save_grasps(path, [grasps[0], moved, *grasps[2:]])
+        moved = one_grasp(grasps.centers[1] + 1.0, grasps.orientations[1], grasps.angles[1], 1, 1, 1)
+        save_grasps(path, stack([grasps[0], moved, grasps[2:]]))
 
     monkeypatch.setattr(cli, "save_grasps", moving)
     rc = cli.main(
@@ -632,20 +634,20 @@ def _rotated(orientation, angle):
 
 
 def test_grasp_mismatch_orientation_tolerance():
-    a = Grasp((0.01, 0.02, 0.03), (1.3664634705496859, -0.6651946734866135, 0.3515100700930197), 0.1)
-    nudged = a.orientation.copy()
+    a = one_grasp((0.01, 0.02, 0.03), (1.3664634705496859, -0.6651946734866135, 0.3515100700930197), 0.1)
+    nudged = a.orientations[0].copy()
     nudged[1] = np.nextafter(nudged[1], np.inf)
-    ulp_off = Grasp(a.center, nudged, a.angle)
+    ulp_off = one_grasp(a.centers[0], nudged, a.angles[0])
     # an orientation an ulp or two off whose dot with the original rounds
     # below 1.0, where acos jumps from 0 to 1.49e-8
-    assert np.abs(ulp_off.orientation - a.orientation).max() <= 2 * np.spacing(1.0)
-    assert abs(float(a.orientation @ ulp_off.orientation)) < 1.0
-    others = [
+    assert np.abs(ulp_off.orientations[0] - a.orientations[0]).max() <= 2 * np.spacing(1.0)
+    assert abs(float(a.orientations[0] @ ulp_off.orientations[0])) < 1.0
+    others = stack([
         ulp_off,
-        Grasp(a.center, -a.orientation, a.angle),  # headless axis
-        Grasp(a.center, _rotated(a.orientation, 1e-6), a.angle),
-        Grasp(a.center + (1e-6, 0, 0), a.orientation, a.angle),
-        Grasp(a.center, a.orientation, a.angle + 1e-6),
-    ]
-    mismatch = cli._grasp_mismatch(GraspSet.of([a] * len(others)), GraspSet.of(others))
+        one_grasp(a.centers[0], -a.orientations[0], a.angles[0]),  # headless axis
+        one_grasp(a.centers[0], _rotated(a.orientations[0], 1e-6), a.angles[0]),
+        one_grasp(a.centers[0] + (1e-6, 0, 0), a.orientations[0], a.angles[0]),
+        one_grasp(a.centers[0], a.orientations[0], a.angles[0] + 1e-6),
+    ])
+    mismatch = cli._grasp_mismatch(stack([a] * len(others)), others)
     assert mismatch.tolist() == [False, False, True, True, True]

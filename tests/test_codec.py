@@ -3,10 +3,11 @@ codecs it replaced.
 
 The reference functions below are the proposal-head (anchor) and
 refinement-head codecs and losses as they were written before the two
-heads shared one encode, one decode and one loss. Every result of the
-shared code must equal theirs bit for bit, signed zeros included, on
-seeded random inputs: -0.0 angles, clamped angles, 6 and 8 anchors,
-degenerate orientations, and refinement target sets with no positives.
+heads shared one encode, one decode and one loss, one grasp at a time.
+Every row of the shared set-level code must equal theirs bit for bit,
+signed zeros included, on seeded random inputs: -0.0 angles, clamped
+angles, 6 and 8 anchors, sign and anchor ties, degenerate orientations,
+and refinement target sets with no positives.
 """
 
 import math
@@ -17,21 +18,17 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspFieldWarning,
     GraspSet,
     build_anchors,
-    decode_proposal,
-    decode_refinement,
-    encode_proposal,
-    nearest_anchor,
+    decode_proposals,
+    decode_refinements,
+    encode_proposals,
     proposal_loss,
-    refinement_label,
 )
-from graspfield.anchors import ProposalTarget, _decode_proposals
-from graspfield.geometry import canonical_orientation
+from graspfield.anchors import ProposalTarget, _encode_residuals
 from graspfield.losses import cross_entropy, smooth_l1
-from graspfield.refine import RefineTarget, _decode_refinements, encode_refinement, refinement_loss
+from graspfield.refine import ANGLE_GATE, ORIENTATION_GATE, RefineTarget, _refinement_labels, refinement_loss
 
 from conftest import random_unit
 
@@ -39,16 +36,28 @@ N = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations
+# Reference implementations (one grasp: a one-row set)
 # ---------------------------------------------------------------------------
 
 def ref_encode_proposal(center, gt, anchors, scale):
     if scale <= 0.0:
         raise DataError("scale must be positive")
     center = np.asarray(center, dtype=np.float64)
-    r = canonical_orientation(gt.orientation)
-    cls = nearest_anchor(anchors, r)
-    return cls, (gt.center - center) / scale, r - anchors.orientations[cls], gt.angle
+    # the sign-canonical line: the stored orientation normalized again,
+    # its lowest-index largest-magnitude component made positive
+    r = gt.orientations[0]
+    n = np.linalg.norm(r)
+    if n < 1e-12:
+        raise DataError("cannot normalize a zero-length vector")
+    r = r / n
+    lead = int(np.argmax(np.abs(r)))
+    r = r if r[lead] > 0.0 else -r
+    # the nearest anchor: the first largest dot with the line normalized once more
+    n = np.linalg.norm(r)
+    if n < 1e-12:
+        raise DataError("cannot classify a zero-length orientation")
+    cls = int(np.argmax(anchors.orientations @ (r / n)))
+    return cls, (gt.centers[0] - center) / scale, r - anchors.orientations[cls], float(gt.angles[0])
 
 
 def ref_decode_proposal(center, anchor_class, res_center, res_orientation, res_angle, anchors, scale):
@@ -66,34 +75,39 @@ def ref_decode_proposal(center, anchor_class, res_center, res_orientation, res_a
     if abs(angle) > math.pi / 2:
         warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=2)
         angle = math.copysign(math.pi / 2, angle)
-    return Grasp(p, v / norm, angle)
+    return GraspSet([p], [v / norm], [angle])
+
+
+def ref_refinement_label(proposal, gt):
+    dot = float(np.clip(proposal.orientations[0] @ gt.orientations[0], -1.0, 1.0))
+    return int(dot > math.cos(ORIENTATION_GATE) and abs(proposal.angles[0] - gt.angles[0]) < ANGLE_GATE)
 
 
 def ref_encode_refinement(proposal, gt, scale):
     if scale <= 0.0:
         raise DataError("scale must be positive")
-    if refinement_label(proposal, gt) == 0:
+    if ref_refinement_label(proposal, gt) == 0:
         raise DataError("no target for negatives")
     return (
-        (gt.center - proposal.center) / scale,
-        gt.orientation - proposal.orientation,
-        gt.angle - proposal.angle,
+        (gt.centers[0] - proposal.centers[0]) / scale,
+        gt.orientations[0] - proposal.orientations[0],
+        float(gt.angles[0]) - float(proposal.angles[0]),
     )
 
 
 def ref_decode_refinement(proposal, res_center, res_orientation, res_angle, scale):
     if scale <= 0.0:
         raise DataError("scale must be positive")
-    p = proposal.center + np.asarray(res_center, dtype=np.float64) * scale
-    v = proposal.orientation + np.asarray(res_orientation, dtype=np.float64)
+    p = proposal.centers[0] + np.asarray(res_center, dtype=np.float64) * scale
+    v = proposal.orientations[0] + np.asarray(res_orientation, dtype=np.float64)
     norm = np.linalg.norm(v)
     if norm < 1e-9:
         raise DataError("degenerate orientation")
-    angle = proposal.angle + float(res_angle)
+    angle = float(proposal.angles[0]) + float(res_angle)
     if abs(angle) > math.pi / 2:
         warnings.warn("approach angle clamped to [-pi/2, pi/2]", GraspFieldWarning, stacklevel=2)
         angle = math.copysign(math.pi / 2, angle)
-    return Grasp(p, v / norm, angle)
+    return GraspSet([p], [v / norm], [angle])
 
 
 def ref_proposal_loss(class_probs, res_center_pred, res_orientation_pred, res_angle_pred, targets, weights):
@@ -167,8 +181,8 @@ def same(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def same_grasp(a: Grasp, b: Grasp) -> bool:
-    return same(a.center, b.center) and same(a.orientation, b.orientation) and same(a.angle, b.angle)
+def same_grasps(a: GraspSet, b: GraspSet) -> bool:
+    return same(a.centers, b.centers) and same(a.orientations, b.orientations) and same(a.angles, b.angles)
 
 
 def run(fn, *args):
@@ -205,20 +219,74 @@ def draw_residual_angle(rng) -> float:
     return float(rng.uniform(-3.5, 3.5))
 
 
-def draw_grasp(rng) -> Grasp:
-    return Grasp(rng.normal(size=3) * 0.05, random_unit(rng), draw_angle(rng))
+def draw_grasp(rng) -> tuple:
+    """One grasp row: (center, orientation, angle)."""
+    return rng.normal(size=3) * 0.05, random_unit(rng), draw_angle(rng)
 
 
-def near_grasp(rng, g: Grasp) -> Grasp:
-    """A grasp close to ``g``: mostly a refinable (label-1) pair."""
+def draw_line(rng) -> np.ndarray:
+    """Ground-truth lines: random, axis-aligned with a negative lead, two
+    components of equal largest magnitude (the sign tie), or one exact
+    zero (equidistant from two cube corners)."""
+    u = rng.random()
+    if u < 0.1:
+        line = rng.choice((0.0, -0.0), size=3)
+        line[rng.integers(3)] = -rng.uniform(0.5, 2.0)
+        return line
+    if u < 0.2:
+        a = rng.uniform(0.5, 2.0)
+        line = rng.choice((-1.0, 1.0), size=3) * np.array([a, a, a * rng.uniform(0.0, 1.0)])
+        return line[rng.permutation(3)]
+    if u < 0.3:
+        line = random_unit(rng)
+        line[rng.integers(3)] = rng.choice((0.0, -0.0))
+        return line
+    return random_unit(rng)
+
+
+def grasp_set(rows) -> GraspSet:
+    """One set of (center, orientation, angle) rows."""
+    return GraspSet(*zip(*rows))
+
+
+def near_grasp(rng, g: tuple) -> tuple:
+    """A grasp row close to ``g``: mostly a refinable (label-1) pair."""
+    center, orientation, angle = g
     u = rng.random()
     if u < 0.05:
         return g  # identical pair: every residual is zero
-    ori = g.orientation + rng.normal(size=3) * rng.choice((0.01, 0.3))
-    angle = float(np.clip(g.angle + rng.normal() * 0.4, -math.pi / 2, math.pi / 2))
+    ori = orientation + rng.normal(size=3) * rng.choice((0.01, 0.3))
+    angle = float(np.clip(angle + rng.normal() * 0.4, -math.pi / 2, math.pi / 2))
     if u < 0.10:
         angle = -0.0
-    return Grasp(g.center + rng.normal(size=3) * 0.01, ori, angle)
+    return center + rng.normal(size=3) * 0.01, ori, angle
+
+
+def check_decode_chunk(decode, ref, leads, set_lead, residuals, scale):
+    """Decode the rows of one chunk in one set call against the one-row
+    reference. ``leads`` are the rows' reference arguments before the
+    residuals and ``set_lead(index)`` the set call's for the chosen rows.
+    The rows the reference decodes match bit for bit and warn as one call;
+    the whole chunk fails with the first failing row's error, and each
+    failing row fails alone with its own. Returns (clamped, degenerate)."""
+
+    def call(index):
+        columns = [[residuals[k][c] for k in index] for c in range(3)]
+        return run(decode, *set_lead(index), *columns, scale)
+
+    want = [run(ref, *lead, *res, scale) for lead, res in zip(leads, residuals)]
+    good = [k for k, w in enumerate(want) if w[1] is None]
+    bad = [k for k, w in enumerate(want) if w[1] is not None]
+    got = call(good)
+    assert got[1] is None and len(got[0]) == len(good)
+    assert got[2] == ["approach angle clamped to [-pi/2, pi/2]"] * any(want[k][2] for k in good)
+    for row, k in enumerate(good):
+        assert same_grasps(got[0][row], want[k][0])
+    if bad:
+        assert call(range(len(leads)))[1] == want[bad[0]][1]
+    for k in bad:
+        assert call([k])[1:] == want[k][1:]
+    return sum(bool(want[k][2]) for k in good), len(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -228,44 +296,60 @@ def near_grasp(rng, g: Grasp) -> Grasp:
 class TestProposalCodec:
     def test_encode_bit_identical(self):
         rng = np.random.default_rng(900)
-        anchor_sets = {6: build_anchors(6), 8: build_anchors(8)}
-        for _ in range(N):
-            anchors = anchor_sets[int(rng.choice((6, 8)))]
-            center = rng.normal(size=3) * 0.05
-            gt = draw_grasp(rng)
+        for count in (6, 8):
+            anchors = build_anchors(count)
+            centers = rng.normal(size=(N, 3)) * 0.05
+            gts = grasp_set([(rng.normal(size=3) * 0.05, draw_line(rng), draw_angle(rng)) for _ in range(N)])
             scale = float(rng.uniform(0.01, 0.2))
-            t = encode_proposal(center, gt, anchors, scale)
-            cls, res_c, res_o, res_a = ref_encode_proposal(center, gt, anchors, scale)
-            assert t.anchor_class == cls
-            assert same(t.center, center)
-            assert same(t.res_center, res_c) and same(t.res_orientation, res_o)
-            assert same(t.res_angle, res_a)
+            targets = encode_proposals(centers, gts, anchors, scale)
+            assert len(targets) == N
+            flips = sign_ties = anchor_ties = 0
+            for k, t in enumerate(targets):
+                gt = gts[k]
+                cls, res_c, res_o, res_a = ref_encode_proposal(centers[k], gt, anchors, scale)
+                assert t.anchor_class == cls
+                assert same(t.center, centers[k])
+                assert same(t.res_center, res_c) and same(t.res_orientation, res_o)
+                assert same(t.res_angle, res_a)
+                mag = np.abs(gt.orientations[0])
+                flips += gt.orientations[0, np.argmax(mag)] < 0.0
+                sign_ties += np.count_nonzero(mag == mag.max()) > 1
+                dots = np.sort(anchors.orientations @ (res_o + anchors.orientations[cls]))
+                anchor_ties += dots[-1] == dots[-2]
+            assert flips > N // 4 and sign_ties > N // 20 and anchor_ties > N // 20
 
     def test_decode_bit_identical(self):
         rng = np.random.default_rng(901)
-        anchor_sets = {6: build_anchors(6), 8: build_anchors(8)}
         clamped = degenerate = 0
-        for i in range(N):
-            anchors = anchor_sets[int(rng.choice((6, 8)))]
-            center = rng.normal(size=3) * 0.05
+        for chunk in range(20):
+            anchors = build_anchors(int(rng.choice((6, 8))))
             scale = float(rng.uniform(0.01, 0.2))
-            if i % 2:
-                t = encode_proposal(center, draw_grasp(rng), anchors, scale)
-                args = (t.center, t.anchor_class, t.res_center, t.res_orientation, t.res_angle)
-            else:
+            leads, residuals = [], []
+            for i in range(N // 20):
+                center = rng.normal(size=3) * 0.05
+                if i % 2:
+                    (t,) = encode_proposals([center], grasp_set([draw_grasp(rng)]), anchors, scale)
+                    leads.append((t.center, t.anchor_class))
+                    residuals.append((t.res_center, t.res_orientation, t.res_angle))
+                    continue
                 cls = int(rng.integers(len(anchors)))
                 res_o = rng.normal(size=3) * 0.5
                 if rng.random() < 0.02:
                     res_o = -anchors.orientations[cls]  # cancels the anchor
-                args = (center, cls, rng.normal(size=3), res_o, draw_residual_angle(rng))
-            got = run(decode_proposal, *args, anchors, scale)
-            want = run(ref_decode_proposal, *args, anchors, scale)
-            assert got[1:] == want[1:]
-            if want[0] is None:
-                degenerate += 1
-            else:
-                assert same_grasp(got[0], want[0])
-                clamped += bool(want[2])
+                leads.append((center, cls))
+                residuals.append((rng.normal(size=3), res_o, draw_residual_angle(rng)))
+
+            def decode(centers, classes, *rest):
+                return decode_proposals(centers, classes, *rest[:3], anchors, rest[3])
+
+            def ref(center, cls, *rest):
+                return ref_decode_proposal(center, cls, *rest[:3], anchors, rest[3])
+
+            def set_lead(index):
+                return [leads[k][0] for k in index], [leads[k][1] for k in index]
+
+            counts = check_decode_chunk(decode, ref, leads, set_lead, residuals, scale)
+            clamped, degenerate = clamped + counts[0], degenerate + counts[1]
         assert clamped > 100 and degenerate > 10
 
     def test_bad_arguments_same_errors(self):
@@ -275,83 +359,76 @@ class TestProposalCodec:
             ((0, 0, 0), 8, (0, 0, 0), (0, 0, 0), 0.0, anchors, 0.1),
             ((0, 0, 0), -1, (0, 0, 0), (0, 0, 0), 0.0, anchors, 0.1),
         ):
-            assert run(decode_proposal, *args)[1:] == run(ref_decode_proposal, *args)[1:]
+            rows = [[a] for a in args[:5]]
+            assert run(decode_proposals, *rows, *args[5:])[1:] == run(ref_decode_proposal, *args)[1:]
 
-
-def test_batched_decode_equals_one_row_decode():
-    # the verify paths decode every stored target in one call
-    rng = np.random.default_rng(904)
-    anchors, scale, n = build_anchors(8), 0.1, 400
-    centers, classes = rng.normal(size=(n, 3)) * 0.05, rng.integers(8, size=n)
-    res_c, res_o = rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 0.5
-    res_a = np.array([draw_residual_angle(rng) for _ in range(n)])
-    proposals = GraspSet.of([draw_grasp(rng) for _ in range(n)])
-    for batched, one in (
-        (lambda: _decode_proposals(centers, classes, res_c, res_o, res_a, anchors, scale),
-         lambda k: decode_proposal(centers[k], classes[k], res_c[k], res_o[k], res_a[k], anchors, scale)),
-        (lambda: _decode_refinements(proposals, res_c, res_o, res_a, scale),
-         lambda k: decode_refinement(proposals[k], res_c[k], res_o[k], res_a[k], scale)),
-    ):
-        with pytest.warns(GraspFieldWarning, match="clamped"):
-            decoded = batched()
-        assert len(decoded) == n
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GraspFieldWarning)
-            assert all(same_grasp(decoded[k], one(k)) for k in range(n))
+    def test_clamp_warning_names_the_caller(self):
+        anchors = build_anchors(8)
+        with pytest.warns(GraspFieldWarning, match="clamped") as caught:
+            decode_proposals([(0, 0, 0)], [0], [(0, 0, 0)], [(0, 0, 0)], [2.0], anchors, 0.1)
+        assert [w.filename for w in caught] == [__file__]
+        with pytest.warns(GraspFieldWarning, match="clamped") as caught:
+            decode_refinements(GraspSet([(0, 0, 0)], [(0, 0, 1)], [1.0]), [(0, 0, 0)], [(0, 0, 0)], [1.0], 0.1)
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestRefinementCodec:
     def test_encode_bit_identical(self):
+        # build_refinement_targets labels and encodes its matched pairs
+        # with these two batch calls
         rng = np.random.default_rng(902)
         positives = 0
-        for i in range(N):
-            proposal = draw_grasp(rng)
-            gt = near_grasp(rng, proposal)
+        for chunk in range(10):
+            rows = [draw_grasp(rng) for _ in range(N // 10)]
+            proposals, gts = grasp_set(rows), grasp_set([near_grasp(rng, g) for g in rows])
             scale = float(rng.uniform(0.01, 0.2))
-            got = run(encode_refinement, proposal, gt, scale, i)
-            want = run(ref_encode_refinement, proposal, gt, scale)
-            assert got[1:] == want[1:]
-            if want[0] is None:
-                continue
-            t = got[0]
-            assert (t.proposal_index, t.label) == (i, 1)
-            assert same(t.res_center, want[0][0]) and same(t.res_orientation, want[0][1])
-            assert same(t.res_angle, want[0][2])
-            positives += 1
+            labels = _refinement_labels(proposals.orientations, proposals.angles, gts.orientations, gts.angles)
+            ref = (proposals.centers, proposals.orientations, proposals.angles)
+            res_c, res_o, res_a = _encode_residuals(ref, (gts.centers, gts.orientations, gts.angles), scale)
+            for k in range(len(rows)):
+                want = run(ref_encode_refinement, proposals[k], gts[k], scale)
+                assert labels[k] == (want[1] is None)
+                if labels[k]:
+                    assert same(res_c[k], want[0][0]) and same(res_o[k], want[0][1])
+                    assert same(res_a[k], want[0][2])
+                    positives += 1
         assert 2000 < positives < N
 
     def test_decode_bit_identical(self):
         rng = np.random.default_rng(903)
         clamped = degenerate = 0
-        for i in range(N):
-            proposal = draw_grasp(rng)
+        for chunk in range(20):
             scale = float(rng.uniform(0.01, 0.2))
-            gt = near_grasp(rng, proposal)
-            if i % 2 and refinement_label(proposal, gt):
-                t = encode_refinement(proposal, gt, scale)
-                args = (t.res_center, t.res_orientation, t.res_angle)
-            else:
+            rows, residuals = [], []
+            for i in range(N // 20):
+                proposal = draw_grasp(rng)
+                gt = near_grasp(rng, proposal)
+                one, near = grasp_set([proposal]), grasp_set([gt])
+                rows.append(proposal)
+                if i % 2 and ref_refinement_label(one, near):
+                    residuals.append(ref_encode_refinement(one, near, scale))
+                    continue
                 res_o = rng.normal(size=3) * 0.5
                 if rng.random() < 0.02:
-                    res_o = -proposal.orientation  # cancels the proposal
-                args = (rng.normal(size=3), res_o, draw_residual_angle(rng))
-            got = run(decode_refinement, proposal, *args, scale)
-            want = run(ref_decode_refinement, proposal, *args, scale)
-            assert got[1:] == want[1:]
-            if want[0] is None:
-                degenerate += 1
-            else:
-                assert same_grasp(got[0], want[0])
-                clamped += bool(want[2])
+                    res_o = -one.orientations[0]  # cancels the proposal
+                residuals.append((rng.normal(size=3), res_o, draw_residual_angle(rng)))
+            proposals = grasp_set(rows)
+            leads = [(proposals[k],) for k in range(len(rows))]
+            counts = check_decode_chunk(
+                decode_refinements, ref_decode_refinement, leads, lambda index: (proposals[index],), residuals, scale
+            )
+            clamped, degenerate = clamped + counts[0], degenerate + counts[1]
         assert clamped > 100 and degenerate > 10
 
     def test_bad_scale_same_errors(self):
-        g = Grasp((0, 0, 0), (0, 0, 1), 0.0)
-        far = Grasp((0, 0, 0), (1, 0, 0), 0.0)  # a negative pair
-        for pair in ((g, g), (g, far)):
-            assert run(encode_refinement, *pair, 0.0)[1:] == run(ref_encode_refinement, *pair, 0.0)[1:]
-        args = (g, (0, 0, 0), (0, 0, 0), 0.0, -1.0)
-        assert run(decode_refinement, *args)[1:] == run(ref_decode_refinement, *args)[1:]
+        g = GraspSet([(0, 0, 0)], [(0, 0, 1)], [0.0])
+        far = GraspSet([(0, 0, 0)], [(1, 0, 0)], [0.0])  # a negative pair
+        for a, b in ((g, g), (g, far)):
+            rows = ((a.centers, a.orientations, a.angles), (b.centers, b.orientations, b.angles))
+            assert run(_encode_residuals, *rows, 0.0)[1:] == run(ref_encode_refinement, a, b, 0.0)[1:]
+        args = ((0, 0, 0), (0, 0, 0), 0.0)
+        got = run(decode_refinements, g, *([a] for a in args), -1.0)
+        assert got[1:] == run(ref_decode_refinement, g, *args, -1.0)[1:]
 
 
 # ---------------------------------------------------------------------------

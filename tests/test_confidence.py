@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from graspfield import DataError, Grasp, PointCloud, confidence_field, segmentation_loss
+from graspfield import DataError, GraspSet, PointCloud, confidence_field, segmentation_loss
 from graspfield.confidence import ConfidenceField, segment_positive
 
 from conftest import random_unit
@@ -24,7 +24,8 @@ def brute_confidence(points, centers, d_th):
 
 
 def grasps_at(centers):
-    return [Grasp(c, (0.0, 0.0, 1.0), 0.0) for c in centers]
+    n = len(centers)
+    return GraspSet(centers, np.tile((0.0, 0.0, 1.0), (n, 1)), np.zeros(n))
 
 
 class TestConfidenceField:
@@ -63,7 +64,7 @@ class TestConfidenceField:
 
     def test_no_positives_all_zero(self):
         cloud = PointCloud(np.random.default_rng(0).normal(size=(20, 3)))
-        field = confidence_field(cloud, [])
+        field = confidence_field(cloud, grasps_at([]))
         assert not field.values.any()
         assert not field.labels.any()
 
@@ -111,7 +112,7 @@ class TestConfidenceField:
     def test_validation(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         with pytest.raises(DataError, match="distance_threshold"):
-            confidence_field(cloud, [], distance_threshold=0.0)
+            confidence_field(cloud, grasps_at([]), distance_threshold=0.0)
         with pytest.raises(DataError, match="inconsistent"):
             ConfidenceField(np.array([1.0]), np.array([0]), 0.6, 0.02)
         with pytest.raises(DataError, match="finite"):
@@ -140,10 +141,10 @@ class TestConfidenceField:
         # which the config schema (confidence_threshold >= 0) never allows
         cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         with pytest.raises(DataError, match="confidence_threshold must be finite and >= 0"):
-            confidence_field(cloud, [], 0.02, c_t)
+            confidence_field(cloud, grasps_at([]), 0.02, c_t)
         with pytest.raises(DataError, match="confidence_threshold must be finite and >= 0"):
             ConfidenceField(np.zeros(2), np.ones(2, dtype=int), c_t, 0.02)
-        assert confidence_field(cloud, [], 0.02, 0.0).labels.tolist() == [0, 0]
+        assert confidence_field(cloud, grasps_at([]), 0.02, 0.0).labels.tolist() == [0, 0]
 
 
 class TestSegmentPositive:

@@ -17,8 +17,10 @@ from graspfield.dataset import (
     verify_stored_grasps,
 )
 from graspfield.errors import DataError, GraspFieldWarning, VerificationError
-from graspfield.geometry import Grasp, PointCloud, derive_seed
+from graspfield.geometry import PointCloud, derive_seed
 from graspfield.synthetic import box_cloud, sphere_cloud
+
+from conftest import one_grasp, stack
 
 # small settings keep the end-to-end runs quick
 FAST = Config(region_count=8, region_size=32)
@@ -186,14 +188,14 @@ def test_verify_catches_tampered_target_residual(box, tmp_path):
 
 
 def test_verify_stored_grasps(box, gripper, z_grasp):
-    good = Grasp(z_grasp.center, z_grasp.orientation, z_grasp.angle, 1, 1, 1)
-    verify_stored_grasps(box, [good, good], gripper, 0.6)
-    off = Grasp((1.0, 0.0, 0.0), (0, 0, 1), 0.0, 1, 1, 1)
+    good = one_grasp(z_grasp.centers[0], z_grasp.orientations[0], z_grasp.angles[0], 1, 1, 1)
+    verify_stored_grasps(box, stack([good, good]), gripper, 0.6)
+    off = one_grasp((1.0, 0.0, 0.0), (0, 0, 1), 0.0, 1, 1, 1)
     with pytest.raises(VerificationError, match="^box: stored grasp 1 does not re-score to 1$"):
-        verify_stored_grasps(box, [good, off], gripper, 0.6, where="box: ")
+        verify_stored_grasps(box, stack([good, off]), gripper, 0.6, where="box: ")
     # a grasp that re-scores to 1 still fails when its stored scores are not (1, 1, 1)
     with pytest.raises(VerificationError, match="^stored grasp 0 does not"):
-        verify_stored_grasps(box, [z_grasp], gripper, 0.6)
+        verify_stored_grasps(box, z_grasp, gripper, 0.6)
 
 
 def test_verify_catches_tampered_target_index(box, tmp_path):

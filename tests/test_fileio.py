@@ -9,7 +9,6 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspSet,
     PointCloud,
     RigidTransform,
@@ -39,7 +38,7 @@ from graspfield.fileio import (
 from graspfield.metrics import EvalReport, load_report, save_report
 from graspfield.refine import RefineTarget
 
-from conftest import random_unit
+from conftest import one_grasp, random_unit, stack
 
 
 def full_cloud(n=17, seed=0):
@@ -182,37 +181,31 @@ class TestGrasps:
             sa, sc = (int(v) for v in rng.integers(2, size=2))
             scores = (sa, sc, min(sa, sc)) if scored else ()
             grasps.append(
-                Grasp(rng.normal(size=3) * 0.05, random_unit(rng), rng.uniform(-math.pi / 2, math.pi / 2), *scores)
+                one_grasp(rng.normal(size=3) * 0.05, random_unit(rng), rng.uniform(-math.pi / 2, math.pi / 2), *scores)
             )
-        grasps.append(Grasp((0, 0, 0.01), (0, 1, 0), 0.25))  # unscored
+        grasps.append(one_grasp((0, 0, 0.01), (0, 1, 0), 0.25))  # unscored
+        grasps = stack(grasps)
         p = tmp_path / "g.csv"
         save_grasps(p, grasps)
         back = load_grasps(p)
         assert len(back) == len(grasps)
         assert (back.scores is not None) == scored
-        for a, b in zip(grasps, back):
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.orientation, b.orientation)
-            assert a.angle == b.angle
-            assert (a.score_antipodal, a.score_collision, a.score) == (
-                b.score_antipodal,
-                b.score_collision,
-                b.score,
-            )
+        for name in ("centers", "orientations", "angles", "scores"):
+            assert np.array_equal(getattr(back, name), getattr(grasps, name))
 
     def test_unscored_written_as_minus_one(self, tmp_path):
         p = tmp_path / "g.csv"
-        save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.0)])
+        save_grasps(p, one_grasp((0, 0, 0), (1, 0, 0), 0.0))
         body = p.read_text().splitlines()
         assert body[0] == GRASP_HEADER
         assert body[1].endswith(",-1,-1,-1")
 
     def test_header_comments(self, tmp_path):
         p = tmp_path / "g.csv"
-        save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.25)])
+        save_grasps(p, one_grasp((0, 0, 0), (1, 0, 0), 0.25))
         p.write_text("# seed 7\n# object box\n" + p.read_text())
         (g,) = load_grasps(p)
-        assert np.array_equal(g.orientation, (1, 0, 0)) and g.angle == 0.25
+        assert np.array_equal(g.orientations[0], (1, 0, 0)) and g.angles[0] == 0.25
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -382,7 +375,7 @@ class TestPose:
 # ---------------------------------------------------------------------------
 
 def _write_grasps(p):
-    save_grasps(p, [Grasp((0, 0, 0), (1, 0, 0), 0.25, 1, 1, 1)])
+    save_grasps(p, one_grasp((0, 0, 0), (1, 0, 0), 0.25, 1, 1, 1))
 
 
 def _write_labels(p):

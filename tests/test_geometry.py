@@ -9,20 +9,16 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspFieldWarning,
     GraspSet,
     GripperModel,
     PointCloud,
     RigidTransform,
-    grasp_frame,
-    nearest_center,
-    transform_grasp,
+    build_anchors,
+    encode_proposals,
 )
 from graspfield.geometry import (
     WORLD_UP,
-    GraspFrame,
-    canonical_orientation,
     derive_seed,
     estimate_normals,
     _DEGENERATE_AXIS_TOL,
@@ -36,7 +32,16 @@ from graspfield.geometry import (
 from graspfield import geometry
 from graspfield.synthetic import plane_grid, sphere_cloud
 
-from conftest import from_grasp_frame, points_in_box, random_unit, to_grasp_frame
+from conftest import (
+    GraspFrame,
+    from_grasp_frame,
+    grasp_frame,
+    one_grasp,
+    points_in_box,
+    random_unit,
+    stack,
+    to_grasp_frame,
+)
 
 
 def random_rotation(rng):
@@ -49,7 +54,7 @@ def random_rotation(rng):
 
 
 def random_grasp(rng):
-    return Grasp(
+    return one_grasp(
         rng.uniform(-0.1, 0.1, 3),
         random_unit(rng),
         rng.uniform(-math.pi / 2, math.pi / 2),
@@ -116,30 +121,28 @@ class TestPointCloud:
 
 class TestGrasp:
     def test_orientation_normalized(self):
-        g = Grasp((0, 0, 0), (0, 0, 2.0), 0.1)
-        assert np.allclose(g.orientation, (0, 0, 1))
+        g = one_grasp((0, 0, 0), (0, 0, 2.0), 0.1)
+        assert np.allclose(g.orientations[0], (0, 0, 1))
 
     def test_angle_range(self):
-        Grasp((0, 0, 0), (1, 0, 0), math.pi / 2)
-        Grasp((0, 0, 0), (1, 0, 0), -math.pi / 2)
+        one_grasp((0, 0, 0), (1, 0, 0), math.pi / 2)
+        one_grasp((0, 0, 0), (1, 0, 0), -math.pi / 2)
         with pytest.raises(DataError):
-            Grasp((0, 0, 0), (1, 0, 0), math.pi / 2 + 1e-6)
+            one_grasp((0, 0, 0), (1, 0, 0), math.pi / 2 + 1e-6)
 
     def test_zero_orientation_rejected(self):
         with pytest.raises(DataError):
-            Grasp((0, 0, 0), (0, 0, 0), 0.0)
+            one_grasp((0, 0, 0), (0, 0, 0), 0.0)
 
     def test_score_consistency(self):
         with pytest.raises(DataError):
-            Grasp((0, 0, 0), (1, 0, 0), 0.0, score_antipodal=1, score_collision=0, score=1)
-        g = Grasp((0, 0, 0), (1, 0, 0), 0.0, 1, 0, 0)
-        assert (g.score_antipodal, g.score_collision, g.score) == (1, 0, 0)
-        assert g.scored
+            one_grasp((0, 0, 0), (1, 0, 0), 0.0, 1, 0, 1)
+        g = one_grasp((0, 0, 0), (1, 0, 0), 0.0, 1, 0, 0)
+        assert g.scores.tolist() == [[1, 0, 0]]
 
     def test_score_values(self):
         with pytest.raises(DataError):
-            Grasp((0, 0, 0), (1, 0, 0), 0.0, score=2)
-
+            one_grasp((0, 0, 0), (1, 0, 0), 0.0, None, None, 2)
 
     @pytest.mark.parametrize(
         "orientation", [(1e-160, 1e-161, 0.0), (1e200, 1e200, 0.0)], ids=["tiny", "huge"]
@@ -148,12 +151,13 @@ class TestGrasp:
         # the squares leave the float range: dividing by the norm does not
         # give a unit vector, and scoring the grasp would fail later
         with pytest.raises(DataError, match=r"orientation must normalize to unit length \(tolerance 1e-9\)"):
-            Grasp((0, 0, 0), orientation, 0.1)
+            one_grasp((0, 0, 0), orientation, 0.1)
 
     def test_partial_scores_rejected(self):
+        # a missing score (None) is NaN in the set's score table
         for scores in ((None, 0, 1), (1, None, None), (1, 1, None)):
             with pytest.raises(DataError, match="scores must be all three or none"):
-                Grasp((0, 0, 0), (1, 0, 0), 0.0, *scores)
+                one_grasp((0, 0, 0), (1, 0, 0), 0.0, *scores)
 
 
 def random_rows(rng, count):
@@ -174,6 +178,7 @@ def random_rows(rng, count):
 
 class TestGraspSet:
     def test_rows_equal_grasps_bit_for_bit(self):
+        # each row of a set has the bits of that grasp checked on its own
         rng = np.random.default_rng(31)
         centers, orientations, angles, scores = random_rows(rng, 600)
         for table in (None, scores):
@@ -181,28 +186,26 @@ class TestGraspSet:
             assert len(grasps) == 600
             for k in range(600):
                 row_scores = () if table is None else table[k]
-                want = Grasp(centers[k], orientations[k], angles[k], *row_scores)
+                want = one_grasp(centers[k], orientations[k], angles[k], *row_scores)
                 got = grasps[k]
-                assert_bits_equal(grasps.orientations[k], want.orientation)
-                assert_bits_equal(got.center, want.center)
-                assert_bits_equal(got.orientation, want.orientation)
-                assert_bits_equal(got.angle, want.angle)
-                assert (got.score_antipodal, got.score_collision, got.score) == (
-                    want.score_antipodal,
-                    want.score_collision,
-                    want.score,
-                )
+                assert_bits_equal(grasps.orientations[k], want.orientations[0])
+                for name in ("centers", "orientations", "angles"):
+                    assert_bits_equal(getattr(got, name), getattr(want, name))
+                assert (got.scores is None) == (want.scores is None) == (table is None)
+                assert table is None or np.array_equal(got.scores, want.scores)
 
     def test_indexing_keeps_the_stored_orientation(self):
         rng = np.random.default_rng(32)
         grasps = GraspSet(*random_rows(rng, 600))
         renormalized = 0
         for k, g in enumerate(grasps):
-            assert_bits_equal(g.orientation, grasps.orientations[k])
-            renormalized += not np.array_equal(Grasp(g.center, g.orientation, g.angle).orientation, g.orientation)
+            assert len(g) == 1
+            assert_bits_equal(g.orientations[0], grasps.orientations[k])
+            twice = GraspSet(g.centers, g.orientations, g.angles)
+            renormalized += not np.array_equal(twice.orientations, g.orientations)
         # a second normalization would change the last bit of many rows
         assert renormalized > 100
-        again = GraspSet.of(list(grasps))
+        again = stack(grasps)
         for name in ("centers", "orientations", "angles", "scores"):
             assert_bits_equal(getattr(again, name), getattr(grasps, name))
 
@@ -212,7 +215,7 @@ class TestGraspSet:
         centers[0] = 9.0
         assert grasps.centers[0, 0] != 9.0
         assert grasps.scores.dtype == np.int64
-        for a in (grasps.centers, grasps.orientations, grasps.angles, grasps.scores, grasps[0].center):
+        for a in (grasps.centers, grasps.orientations, grasps.angles, grasps.scores, grasps[0].centers):
             assert not a.flags.writeable
 
     def test_subsets(self):
@@ -226,7 +229,7 @@ class TestGraspSet:
         assert len(grasps[np.zeros(10, dtype=bool)]) == 0
 
     def test_empty(self):
-        for grasps in (GraspSet([], [], []), GraspSet.of([])):
+        for grasps in (GraspSet([], [], []), stack([])):
             assert len(grasps) == 0 and grasps.scores is None
             assert grasps.centers.shape == (0, 3) and grasps.angles.shape == (0,)
             assert grasps.rotations().shape == (0, 3, 3)
@@ -249,7 +252,7 @@ class TestGraspSet:
     def test_bad_row_named_with_the_grasp_message(self, row):
         center, orientation, angle, scores = row
         with pytest.raises(DataError) as want:
-            Grasp(center, orientation, angle, *([None if np.isnan(v) else v for v in scores] if scores else ()))
+            one_grasp(center, orientation, angle, *(scores or ()))
         good = ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0, (1, 1, 1))
         rows = [good, good, row, good, row]
         table = [r[3] or (np.nan,) * 3 for r in rows] if scores else None
@@ -262,10 +265,10 @@ class TestGraspSet:
         rows = ([(0, 0, 0)] * 3, [(1, 0, 0)] * 3, [0.0] * 3)
         mixed = GraspSet(*rows, [(1, 1, 1), (np.nan,) * 3, (0, 1, 0)])
         assert mixed.scores.tolist() == [[1, 1, 1], [-1, -1, -1], [0, 1, 0]]
-        assert [g.score for g in mixed] == [1, None, 0] and not mixed[1].scored
+        assert [None if g.scores is None else g.scores[0, 2] for g in mixed] == [1, None, 0]
         assert mixed[1:2].scores is None and mixed[[0, 2]].scores.tolist() == [[1, 1, 1], [0, 1, 0]]
         assert GraspSet(*rows, [(np.nan,) * 3] * 3).scores is None
-        stacked = GraspSet.of(list(mixed))
+        stacked = stack(mixed)
         assert_bits_equal(stacked.scores, mixed.scores)
 
     def test_shapes_checked(self):
@@ -338,6 +341,14 @@ class TestRigidTransform:
 # Small helpers
 # ---------------------------------------------------------------------------
 
+def canonical_orientation(r):
+    """The sign-canonical line ``encode_proposals`` encodes for a ground
+    truth along ``r``: its axis anchor plus its orientation residual."""
+    anchors = build_anchors(6)
+    (t,) = encode_proposals([(0.0, 0.0, 0.0)], GraspSet([(0.0, 0.0, 0.0)], [r], [0.0]), anchors, 1.0)
+    return anchors.orientations[t.anchor_class] + t.res_orientation
+
+
 class TestCanonicalOrientation:
     def test_flips_to_positive_lead(self):
         assert np.allclose(canonical_orientation((0, 0, -1)), (0, 0, 1))
@@ -391,7 +402,7 @@ class TestDeriveSeed:
 class TestGraspFrame:
     def test_hand_case(self):
         # r=(0,1,0), theta=0: X' = up x Y = (0,0,1)x(0,1,0) = (-1,0,0)
-        frame = grasp_frame(Grasp((0, 0, 0), (0, 1, 0), 0.0))
+        frame = grasp_frame(one_grasp((0, 0, 0), (0, 1, 0), 0.0))
         assert np.allclose(frame.y_axis, (0, 1, 0), atol=1e-15)
         assert np.allclose(frame.x_axis, (-1, 0, 0), atol=1e-15)
         assert np.allclose(frame.z_axis, (0, 0, -1), atol=1e-15)
@@ -403,7 +414,7 @@ class TestGraspFrame:
             y = random_unit(rng)
             if abs(y[2]) > 0.99:
                 continue
-            frame = grasp_frame(Grasp((0, 0, 0), y, 0.0))
+            frame = grasp_frame(one_grasp((0, 0, 0), y, 0.0))
             xp = np.cross(up, frame.y_axis)
             xp /= np.linalg.norm(xp)
             assert np.allclose(frame.x_axis, xp, atol=1e-12)
@@ -419,7 +430,7 @@ class TestGraspFrame:
 
     def test_up_parallel_fallback(self):
         for sign in (1.0, -1.0):
-            frame = grasp_frame(Grasp((0, 0, 0), (0, 0, sign), 0.3))
+            frame = grasp_frame(one_grasp((0, 0, 0), (0, 0, sign), 0.3))
             r = frame.rotation
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
@@ -432,13 +443,13 @@ class TestGraspFrame:
             for sign in (1.0, -1.0):
                 for direction in ((0.0, lean), (0.0, -lean), (lean, lean)):
                     for theta in (-1.5, 0.0, 0.3, 1.2):
-                        g = Grasp((0, 0, 0), (*direction, sign), theta)
+                        g = one_grasp((0, 0, 0), (*direction, sign), theta)
                         frame = grasp_frame(g)
                         r = frame.rotation
                         assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
-                        assert np.array_equal(frame.y_axis, g.orientation)
-                        back = transform_grasp(g, identity)
-                        assert abs(back.angle - theta) < 1e-9
+                        assert np.array_equal(frame.y_axis, g.orientations[0])
+                        back = transform_grasps(g, identity)
+                        assert abs(back.angles[0] - theta) < 1e-9
 
     def test_theta_rotation_about_y(self):
         # rotating X' by theta then by -theta restores X'
@@ -446,15 +457,15 @@ class TestGraspFrame:
         for _ in range(50):
             y = random_unit(rng)
             theta = rng.uniform(-math.pi / 2, math.pi / 2)
-            pos = grasp_frame(Grasp((0, 0, 0), y, theta))
-            ref = grasp_frame(Grasp((0, 0, 0), y, 0.0))
+            pos = grasp_frame(one_grasp((0, 0, 0), y, theta))
+            ref = grasp_frame(one_grasp((0, 0, 0), y, 0.0))
             # X' stays fixed under the composed rotations
             ct, st = math.cos(-theta), math.sin(-theta)
             undone = pos.x_axis * ct + np.cross(y / np.linalg.norm(y), pos.x_axis) * st
             assert np.allclose(undone, ref.x_axis, atol=1e-9)
 
     def test_custom_up(self):
-        frame = grasp_frame(Grasp((0, 0, 0), (0, 0, 1), 0.0), up=(1.0, 0.0, 0.0))
+        frame = grasp_frame(one_grasp((0, 0, 0), (0, 0, 1), 0.0), up=(1.0, 0.0, 0.0))
         # up x Y = (1,0,0)x(0,0,1) = (0,-1,0)
         assert np.allclose(frame.x_axis, (0, -1, 0), atol=1e-15)
 
@@ -471,14 +482,14 @@ def np_cross_frame(g, up=(0.0, 0.0, 1.0)):
     """The grasp frame built with np.cross throughout (reference)."""
     up = np.asarray(up, dtype=np.float64)
     up = up / np.linalg.norm(up)
-    y = g.orientation
+    y = g.orientations[0]
     for ref in (y, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         xp = np.cross(up, ref)
         n = np.linalg.norm(xp)
         if n >= 1e-6:
             xp = xp / n
             break
-    x = xp * np.cos(g.angle) + np.cross(y, xp) * np.sin(g.angle)
+    x = xp * np.cos(g.angles[0]) + np.cross(y, xp) * np.sin(g.angles[0])
     x = x / np.linalg.norm(x)
     z = np.cross(x, y)
     return x, y, z / np.linalg.norm(z)
@@ -507,8 +518,8 @@ class TestCross3:
         # vertical and nearly vertical closing lines take the fallback
         for sign in (1.0, -1.0):
             for tilt in (0.0, -0.0, 1e-9, -1e-7, 5e-7):
-                grasps.append(Grasp((0.01, 0, 0), (tilt, 0.0, sign), rng.uniform(-1.5, 1.5)))
-                grasps.append(Grasp((0, 0, 0), (tilt, 0.0, sign), 0.0))
+                grasps.append(one_grasp((0.01, 0, 0), (tilt, 0.0, sign), rng.uniform(-1.5, 1.5)))
+                grasps.append(one_grasp((0, 0, 0), (tilt, 0.0, sign), 0.0))
         for g in grasps:
             frame = grasp_frame(g)
             for got, want in zip((frame.x_axis, frame.y_axis, frame.z_axis), np_cross_frame(g)):
@@ -517,7 +528,7 @@ class TestCross3:
 
     def test_grasp_frame_custom_up_fallback(self):
         # up along x: closing lines along x degenerate onto the second basis
-        for g in (Grasp((0, 0, 0), (1, 0, 0), 0.4), Grasp((0, 0, 0), (-1, 0, 0), -0.2)):
+        for g in (one_grasp((0, 0, 0), (1, 0, 0), 0.4), one_grasp((0, 0, 0), (-1, 0, 0), -0.2)):
             frame = grasp_frame(g, up=(1.0, 0.0, 0.0))
             want = np_cross_frame(g, up=(1.0, 0.0, 0.0))
             assert all(np.array_equal(a, b) for a, b in zip((frame.x_axis, frame.y_axis, frame.z_axis), want))
@@ -528,7 +539,7 @@ class TestCanonicalTransform:
         rng = np.random.default_rng(8)
         g = random_grasp(rng)
         frame = grasp_frame(g)
-        out = to_grasp_frame(PointCloud([g.center]), frame)
+        out = to_grasp_frame(PointCloud([g.centers[0]]), frame)
         assert np.allclose(out.points[0], 0.0, atol=1e-12)
         assert out.frame_tag == "grasp"
 
@@ -605,10 +616,10 @@ class TestLocalCoords:
 
     def test_rotation_is_the_frame(self):
         rng = np.random.default_rng(77)
-        grasps = [random_grasp(rng) for _ in range(200)] + [Grasp((0, 0, 0), (0, 0, 1), 0.3)]
-        stack = _rotations(np.array([g.orientation for g in grasps]), np.array([g.angle for g in grasps]), WORLD_UP)
-        assert stack.shape == (len(grasps), 3, 3) and stack.flags.c_contiguous
-        for g, r in zip(grasps, stack):
+        grasps = stack([*(random_grasp(rng) for _ in range(200)), one_grasp((0, 0, 0), (0, 0, 1), 0.3)])
+        rotations = _rotations(grasps.orientations, grasps.angles, WORLD_UP)
+        assert rotations.shape == (len(grasps), 3, 3) and rotations.flags.c_contiguous
+        for g, r in zip(grasps, rotations):
             assert r.flags.c_contiguous
             assert np.array_equal(r, grasp_frame(g).rotation)
 
@@ -654,10 +665,10 @@ class TestTransformGrasp:
         rng = np.random.default_rng(21)
         for _ in range(50):
             g = random_grasp(rng)
-            out = transform_grasp(g, RigidTransform.identity())
-            assert np.allclose(out.center, g.center, atol=1e-12)
-            assert angle_between(out.orientation, g.orientation) < 1e-9
-            assert abs(out.angle - g.angle) < 1e-9
+            out = transform_grasps(g, RigidTransform.identity())
+            assert np.allclose(out.centers[0], g.centers[0], atol=1e-12)
+            assert angle_between(out.orientations[0], g.orientations[0]) < 1e-9
+            assert abs(out.angles[0] - g.angles[0]) < 1e-9
 
     def test_preserves_physical_pose(self):
         # the recovered frame must equal the rigidly moved frame up to the
@@ -666,44 +677,44 @@ class TestTransformGrasp:
         for _ in range(200):
             g = random_grasp(rng)
             t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            moved = transform_grasp(g, t)
+            moved = transform_grasps(g, t)
             f0 = grasp_frame(g)
             f1 = grasp_frame(moved)
-            assert np.allclose(moved.center, t.apply_points(g.center), atol=1e-12)
+            assert np.allclose(moved.centers[0], t.apply_points(g.centers[0]), atol=1e-12)
             assert np.abs(f1.x_axis - t.apply_vectors(f0.x_axis)).max() < 1e-9
             sign = 1.0 if f1.y_axis @ t.apply_vectors(f0.y_axis) > 0 else -1.0
             assert np.abs(f1.y_axis - sign * t.apply_vectors(f0.y_axis)).max() < 1e-9
             assert np.abs(f1.z_axis - sign * t.apply_vectors(f0.z_axis)).max() < 1e-9
-            assert -math.pi / 2 <= moved.angle <= math.pi / 2
+            assert -math.pi / 2 <= moved.angles[0] <= math.pi / 2
 
     def test_drops_scores(self):
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0, 1, 1, 1)
-        out = transform_grasp(g, RigidTransform.identity())
-        assert not out.scored
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0, 1, 1, 1)
+        out = transform_grasps(g, RigidTransform.identity())
+        assert out.scores is None
 
     def test_up_parallel_small_twist(self):
         # orientation along up, small rotation about z: the moved hand is still
         # representable, so the whole frame must follow the motion
-        g = Grasp((0.01, 0.02, 0.03), (0, 0, 1), 0.4)
+        g = one_grasp((0.01, 0.02, 0.03), (0, 0, 1), 0.4)
         c, s = math.cos(0.3), math.sin(0.3)
         t = RigidTransform(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]]), np.zeros(3))
-        moved = transform_grasp(g, t)
+        moved = transform_grasps(g, t)
         f0, f1 = grasp_frame(g), grasp_frame(moved)
         assert np.abs(f1.x_axis - t.apply_vectors(f0.x_axis)).max() < 1e-9
-        assert abs(moved.angle - 0.7) < 1e-9
+        assert abs(moved.angles[0] - 0.7) < 1e-9
 
     def test_up_parallel_closing_line_always_kept(self):
         # a quarter turn pushes the hand azimuth outside the representable
         # half-space; the closing line and angle range must still hold
-        g = Grasp((0.01, 0.02, 0.03), (0, 0, 1), 0.4)
+        g = one_grasp((0.01, 0.02, 0.03), (0, 0, 1), 0.4)
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         t = RigidTransform(rot, np.zeros(3))
-        moved = transform_grasp(g, t)
+        moved = transform_grasps(g, t)
         assert min(
-            angle_between(moved.orientation, (0, 0, 1)),
-            angle_between(moved.orientation, (0, 0, -1)),
+            angle_between(moved.orientations[0], (0, 0, 1)),
+            angle_between(moved.orientations[0], (0, 0, -1)),
         ) < 1e-9
-        assert -math.pi / 2 <= moved.angle <= math.pi / 2
+        assert -math.pi / 2 <= moved.angles[0] <= math.pi / 2
         r = grasp_frame(moved).rotation
         assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
@@ -713,11 +724,11 @@ class TestTransformGrasp:
             g = random_grasp(rng)
             t1 = RigidTransform(random_rotation(rng), rng.normal(size=3))
             t2 = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            once = transform_grasp(g, t2.compose(t1))
-            twice = transform_grasp(transform_grasp(g, t1), t2)
-            assert np.allclose(once.center, twice.center, atol=1e-9)
-            assert angle_between(once.orientation, twice.orientation) < 1e-9 or (
-                angle_between(once.orientation, -twice.orientation) < 1e-9
+            once = transform_grasps(g, t2.compose(t1))
+            twice = transform_grasps(transform_grasps(g, t1), t2)
+            assert np.allclose(once.centers[0], twice.centers[0], atol=1e-9)
+            assert angle_between(once.orientations[0], twice.orientations[0]) < 1e-9 or (
+                angle_between(once.orientations[0], -twice.orientations[0]) < 1e-9
             )
             f_once, f_twice = grasp_frame(once), grasp_frame(twice)
             assert np.abs(f_once.x_axis - f_twice.x_axis).max() < 1e-9
@@ -749,22 +760,22 @@ def _horizontal_reference(y_axis, up):
 def reference_rotation(g, up):
     """The single-grasp frame builder the stacked one replaced, kept as the
     reference: one grasp at a time, 1-D norms and dots."""
-    y = g.orientation
+    y = g.orientations[0]
     xp = _horizontal_reference(y, up)
-    ct, st = np.cos(g.angle), np.sin(g.angle)
+    ct, st = np.cos(g.angles[0]), np.sin(g.angles[0])
     x = xp * ct + _cross3(y, xp) * st  # Rodrigues with y . xp = 0
     x = x / np.linalg.norm(x)
     z = _cross3(x, y)
     return np.column_stack([x, y, z / np.linalg.norm(z)])
 
 
-def reference_transform_grasp(g, transform, up=WORLD_UP, seen=None):
+def reference_transform_grasps(g, transform, up=WORLD_UP, seen=None):
     """The single-grasp rigid motion the stacked one replaced (reference);
     ``seen`` counts the rows that take the jaw-symmetry flip."""
     up = unit(np.asarray(up, dtype=np.float64))
     r = reference_rotation(g, up)
-    frame = GraspFrame(g.center, r[:, 0], r[:, 1], r[:, 2])
-    center = transform.apply_points(g.center)
+    frame = GraspFrame(g.centers[0], r[:, 0], r[:, 1], r[:, 2])
+    center = transform.apply_points(g.centers[0])
     x_new = transform.apply_vectors(frame.x_axis)
     y_new = transform.apply_vectors(frame.y_axis)
 
@@ -778,7 +789,7 @@ def reference_transform_grasp(g, transform, up=WORLD_UP, seen=None):
         if seen is not None:
             seen["flip"] += 1
     theta = float(np.clip(theta, -np.pi / 2, np.pi / 2))
-    return Grasp(center, y_new, theta)
+    return one_grasp(center, y_new, theta)
 
 
 def assert_bits_equal(got, want):
@@ -799,7 +810,7 @@ def grid_grasps():
     angles = [-math.pi / 2, -3 * math.pi / 8, -math.pi / 4, -0.0, 0.0, math.pi / 8, math.pi / 3, math.pi / 2]
     rng = np.random.default_rng(5)
     return [
-        Grasp(np.round(rng.uniform(-0.1, 0.1, 3) / 0.002) * 0.002, line, angle)
+        one_grasp(np.round(rng.uniform(-0.1, 0.1, 3) / 0.002) * 0.002, line, angle)
         for line in lines
         for angle in angles
     ]
@@ -813,7 +824,7 @@ def vertical_grasps():
         for lean in (0.0, -0.0, 1e-12, 1e-9, 3e-7, 9.99e-7, 1e-6, 1.01e-6, 1e-5):
             for direction in ((lean, 0.0), (0.0, lean), (-lean, lean), (lean, -0.0)):
                 for theta in (-math.pi / 2, -1.2, -0.0, 0.4, math.pi / 2):
-                    out.append(Grasp((0.01, -0.02, 0.03), (*direction, sign), theta))
+                    out.append(one_grasp((0.01, -0.02, 0.03), (*direction, sign), theta))
     return out
 
 
@@ -836,8 +847,8 @@ def turns():
 class TestStackedFrames:
     @staticmethod
     def stack(grasps, up=WORLD_UP):
-        orientations = np.array([g.orientation for g in grasps]).reshape(-1, 3)
-        return _rotations(orientations, np.array([g.angle for g in grasps]), up)
+        orientations = np.array([g.orientations[0] for g in grasps]).reshape(-1, 3)
+        return _rotations(orientations, np.array([g.angles[0] for g in grasps]), up)
 
     @pytest.mark.parametrize("name", ["random", "grid", "vertical"])
     def test_rotations_bit_equal_to_reference(self, name):
@@ -854,7 +865,7 @@ class TestStackedFrames:
     def test_custom_up_fallback_rows(self):
         up = np.array([1.0, 0.0, 0.0])
         grasps = [
-            Grasp((0, 0, 0), (sign, lean, 0.0), theta)
+            one_grasp((0, 0, 0), (sign, lean, 0.0), theta)
             for sign in (1.0, -1.0)
             for lean in (0.0, 1e-8, 2e-6)
             for theta in (-1.0, 0.5)
@@ -864,7 +875,7 @@ class TestStackedFrames:
 
     def test_empty_batch(self):
         assert self.stack([]).shape == (0, 3, 3)
-        moved = transform_grasps([], RigidTransform.identity())
+        moved = transform_grasps(GraspSet([], [], []), RigidTransform.identity())
         assert moved.centers.shape == (0, 3) and moved.orientations.shape == (0, 3) and moved.angles.shape == (0,)
 
     @pytest.mark.parametrize("name", ["random", "grid", "vertical"])
@@ -878,28 +889,28 @@ class TestStackedFrames:
         seen = {"flip": 0}
         at_bounds = 0
         for t in turns():
-            moved = transform_grasps(grasps, t)
+            moved = transform_grasps(stack(grasps), t)
             assert moved.scores is None
             for i, (g, c, o, a) in enumerate(zip(grasps, moved.centers, moved.orientations, moved.angles)):
-                want = reference_transform_grasp(g, t, seen=seen)
-                assert_bits_equal(c, want.center)
-                assert_bits_equal(o, want.orientation)
-                assert_bits_equal(a, want.angle)
-                if i % 7 == 0:  # the one-grasp wrapper, on a sample
-                    got = transform_grasp(g, t)
-                    assert_bits_equal(got.orientation, want.orientation)
-                    assert_bits_equal(got.angle, want.angle)
+                want = reference_transform_grasps(g, t, seen=seen)
+                assert_bits_equal(c, want.centers[0])
+                assert_bits_equal(o, want.orientations[0])
+                assert_bits_equal(a, want.angles[0])
+                if i % 7 == 0:  # the grasp moved alone as a one-row set, on a sample
+                    got = transform_grasps(g, t)
+                    assert_bits_equal(got.orientations[0], want.orientations[0])
+                    assert_bits_equal(got.angles[0], want.angles[0])
             at_bounds += int((np.abs(moved.angles) == np.pi / 2).sum())
         # the flip runs, and angles land exactly on the clip's bounds
         assert seen["flip"] > 0
         assert at_bounds > 0 or name == "random"
 
     def test_checks_keep_their_messages(self, monkeypatch):
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.2)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.2)
         rotations = _rotations
         monkeypatch.setattr(geometry, "_rotations", lambda *a: rotations(*a) * np.array([1.0, 1.0, -1.0]))
         with pytest.raises(DataError, match="frame must be right-handed"):
-            transform_grasps([g], RigidTransform.identity())
+            transform_grasps(g, RigidTransform.identity())
 
 
 def reference_nearest(centers, point):
@@ -912,13 +923,13 @@ def reference_nearest(centers, point):
 
 class TestNearestCenter:
     def test_prebuilt_centers_match(self):
+        # a batch of points matches as each point does on its own
         rng = np.random.default_rng(9)
-        grasps = [random_grasp(rng) for _ in range(50)]
-        centers = np.array([g.center for g in grasps])
+        grasps = stack(random_grasp(rng) for _ in range(50))
         points = rng.uniform(-0.1, 0.1, size=(100, 3))
-        index, dist = _nearest_centers(centers, points)
+        index, dist = _nearest_centers(grasps.centers, points)
         for point, i, d in zip(points, index, dist):
-            assert (i, d) == nearest_center(grasps, point)
+            assert (i, d) == tuple(a[0] for a in _nearest_centers(grasps.centers, point))
 
     @pytest.mark.parametrize("block", [1, 7 * 50, geometry._NEAREST_BLOCK])
     def test_batched_match_bit_equal_to_reference(self, monkeypatch, block):
@@ -933,8 +944,8 @@ class TestNearestCenter:
             want_i, want_d = reference_nearest(centers, point)
             assert i == want_i < 25
             assert_bits_equal(d, want_d)
-        grasps = [Grasp(c, (1, 0, 0), 0.0) for c in centers]
-        assert nearest_center(grasps, points[0]) == (index[0], dist[0])
+        grasps = GraspSet(centers, [(1, 0, 0)] * len(centers), np.zeros(len(centers)))
+        assert _nearest_centers(grasps.centers, points[0]) == ([index[0]], [dist[0]])
 
     def test_empty_centers(self):
         with pytest.raises(DataError, match="empty grasp list"):
@@ -943,17 +954,14 @@ class TestNearestCenter:
         assert index.shape == dist.shape == (0,)
 
     def test_basic(self):
-        grasps = [
-            Grasp((0, 0, 0), (1, 0, 0), 0.0),
-            Grasp((0.1, 0, 0), (1, 0, 0), 0.0),
-        ]
-        i, d = nearest_center(grasps, (0.09, 0, 0))
+        grasps = GraspSet([(0, 0, 0), (0.1, 0, 0)], [(1, 0, 0)] * 2, [0.0, 0.0])
+        (i,), (d,) = _nearest_centers(grasps.centers, (0.09, 0, 0))
         assert i == 1
         assert d == pytest.approx(0.01)
 
     def test_empty(self):
         with pytest.raises(DataError):
-            nearest_center([], (0, 0, 0))
+            _nearest_centers(GraspSet([], [], []).centers, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

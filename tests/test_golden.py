@@ -18,7 +18,7 @@ from graspfield import GraspFieldWarning, cli
 from graspfield.config import Config
 from graspfield.dataset import generate_dataset
 from graspfield.fileio import save_cloud_text, save_grasps, save_pose
-from graspfield.geometry import Grasp, RigidTransform
+from graspfield.geometry import GraspSet, RigidTransform
 from graspfield.metrics import load_report
 from graspfield.synthetic import box_cloud, cylinder_cloud, sphere_cloud
 
@@ -49,11 +49,9 @@ def _eval_inputs(root):
     pose = RigidTransform([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], [0.05, -0.02, 0.1])
     # predictions live in the world; the pose maps world to object
     to_world = pose.inverse()
-    save_grasps(
-        root / "pred.csv",
-        [Grasp(to_world.apply_points(p), to_world.apply_vectors(r), a)
-         for p, r, a in zip(centers, orientations, angles)],
-    )
+    # one grasp at a time: a moved row has the bits of moving it alone
+    rows = [(to_world.apply_points(p), to_world.apply_vectors(r), a) for p, r, a in zip(centers, orientations, angles)]
+    save_grasps(root / "pred.csv", GraspSet(*zip(*rows)))
     save_cloud_text(root / "box.csv", box_cloud())
     save_pose(root / "pose.txt", pose)
     return to_world
@@ -69,8 +67,8 @@ def _refine_inputs(root):
         for u, v in itertools.product((-0.015, 0.0, 0.015), repeat=2):
             center = np.insert(np.array([u, v]), axis, 0.0)
             for angle in (-1.0, 0.0, 1.0):
-                reference.append(Grasp(to_world.apply_points(center), to_world.apply_vectors(np.eye(3)[axis]), angle))
-    save_grasps(root / "reference.csv", reference)
+                reference.append((to_world.apply_points(center), to_world.apply_vectors(np.eye(3)[axis]), angle))
+    save_grasps(root / "reference.csv", GraspSet(*zip(*reference)))
 
 
 def test_dataset_manifest_digest(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graspfield.errors import DataError
-from graspfield.geometry import Grasp, RigidTransform, transform_grasp
+from graspfield.geometry import GraspSet, RigidTransform, transform_grasps
 from graspfield.metrics import (
     REPORT_HEADER,
     SCORE_HEADER,
@@ -17,6 +17,7 @@ from graspfield.metrics import (
 )
 from graspfield.sampling import build_positive_set
 
+from conftest import stack
 from test_geometry import random_grasp, random_rotation
 
 
@@ -101,12 +102,12 @@ def test_evaluate_hand_case(box, gripper):
     # Four grasps on the box: two good, one colliding with the base, one
     # off the surface entirely. Counts are exact. Stored scores, here on
     # one row only, never enter the evaluation.
-    predicted = [
-        Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0, 0, 0, 0),
-        Grasp((0.01, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
-        Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0),
-        Grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0),
-    ]
+    predicted = GraspSet(
+        [(0.0, 0.0, 0.0), (0.01, 0.0, 0.0), (0.0, 0.05, 0.0), (0.0, 0.0, -0.04)],
+        [(0.0, 0.0, 1.0)] * 4,
+        [0.0] * 4,
+        [(0, 0, 0), *[(np.nan,) * 3] * 3],
+    )
     rep = evaluate(predicted, RigidTransform.identity(), box, gripper)
     assert np.array_equal(rep.scores, [[1, 1, 1], [1, 1, 1], [1, 0, 0], [0, 0, 0]])
     assert rep.vagr == 0.75
@@ -124,7 +125,7 @@ def test_evaluate_own_positives_scores_one(box, gripper):
 
 def test_evaluate_empty_error(box, gripper):
     with pytest.raises(DataError, match="no grasps to evaluate"):
-        evaluate([], RigidTransform.identity(), box, gripper)
+        evaluate(GraspSet([], [], []), RigidTransform.identity(), box, gripper)
 
 
 def test_evaluate_applies_object_pose(box, gripper):
@@ -132,7 +133,7 @@ def test_evaluate_applies_object_pose(box, gripper):
     rng = np.random.default_rng(61)
     good = build_positive_set(box, gripper, per_object=3, seed=7)
     pose = random_transform(rng)
-    world = [transform_grasp(g, pose.inverse()) for g in good]
+    world = transform_grasps(good, pose.inverse())
     rep = evaluate(world, pose, box, gripper)
     assert np.all(rep.scores == 1)
 
@@ -140,12 +141,12 @@ def test_evaluate_applies_object_pose(box, gripper):
 def test_evaluate_rigid_invariance(box, gripper):
     # Moving predictions and pose by the same transform keeps every row.
     rng = np.random.default_rng(62)
-    predicted = [random_grasp(rng) for _ in range(12)]
+    predicted = stack(random_grasp(rng) for _ in range(12))
     pose = random_transform(rng)
     base = evaluate(predicted, pose, box, gripper)
     for _ in range(3):
         t = random_transform(rng)
-        moved = [transform_grasp(g, t) for g in predicted]
+        moved = transform_grasps(predicted, t)
         rep = evaluate(moved, pose.compose(t.inverse()), box, gripper)
         assert np.array_equal(rep.scores, base.scores)
 
@@ -153,7 +154,7 @@ def test_evaluate_rigid_invariance(box, gripper):
 def test_evaluate_mu_passthrough(box, gripper):
     # Contacts folded 45 deg off the closing line: outside a 31 deg cone,
     # inside a 50 deg one.
-    slanted = [Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), 0.0)]
+    slanted = GraspSet([(0.0, 0.0, 0.0)], [(0.0, 1.0, 1.0)], [0.0])
     strict = evaluate(slanted, RigidTransform.identity(), box, gripper, mu=0.6)
     loose = evaluate(slanted, RigidTransform.identity(), box, gripper, mu=1.2)
     assert strict.scores[0, 0] == 0
@@ -173,7 +174,7 @@ def test_evaluate_mu_passthrough(box, gripper):
     ],
 )
 def test_evaluate_rejects_bad_mu_and_tol(box, gripper, kwargs, match):
-    predicted = [Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)]
+    predicted = GraspSet([(0.0, 0.0, 0.0)], [(0.0, 0.0, 1.0)], [0.0])
     with pytest.raises(DataError, match=match):
         evaluate(predicted, RigidTransform.identity(), box, gripper, **kwargs)
 

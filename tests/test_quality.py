@@ -8,23 +8,31 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspSet,
     PointCloud,
     RigidTransform,
     find_contacts,
-    grasp_frame,
-    score_grasp,
-    transform_grasp,
+    transform_grasps,
 )
 from graspfield import geometry
-from graspfield.geometry import GraspFrame, GripperModel, local_coords
+from graspfield.geometry import GripperModel, local_coords
 from graspfield.metrics import evaluate
-from graspfield.quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, ContactPair, _intervals, _sweep, score_grasps
+from graspfield.quality import DEFAULT_CONTACT_TOL, DEFAULT_MU, _intervals, _sweep, score_grasps
 from graspfield.sampling import sample_candidates
 from graspfield.synthetic import box_cloud, cylinder_cloud, plane_grid, sphere_cloud
 
-from conftest import antipodal_score, collision_score, points_in_box, random_unit
+from conftest import (
+    ContactPair,
+    GraspFrame,
+    antipodal_score,
+    collision_score,
+    contact_pair,
+    grasp_frame,
+    one_grasp,
+    points_in_box,
+    random_unit,
+    stack,
+)
 from test_geometry import permutation_frames, random_grasp, random_rotation
 
 
@@ -57,8 +65,7 @@ def oracle_collision(obj, g, gripper):
 def kernel_collision(obj, g, gripper):
     """The package's collision score of one grasp, checked against the
     strict per-box scan of :func:`conftest.collision_score`."""
-    one = GraspSet.of([g])
-    (free,) = _sweep(obj, one.centers, one.rotations(), gripper, 0.0)[2]
+    (free,) = _sweep(obj, g.centers, g.rotations(), gripper, 0.0)[2]
     assert free == collision_score(obj, g, gripper)
     return free
 
@@ -77,13 +84,13 @@ def kernel_antipodal(contacts, mu=DEFAULT_MU):
         sides = [(-contacts.force_a, a, None), (contacts.force_b, None, b)]
     grasps, ys, points, normals = [], [], [], []
     for i, (force, top, bottom) in enumerate(sides):
-        g = Grasp((float(i), 0.0, 0.0), force, 0.0)
+        g = one_grasp((float(i), 0.0, 0.0), force, 0.0)
         y = grasp_frame(g).y_axis
         grasps.append(g)
         ys.append(y)
-        points += [g.center + 0.01 * y, g.center - 0.01 * y]
+        points += [g.centers[0] + 0.01 * y, g.centers[0] - 0.01 * y]
         normals += [y if top is None else top, y if bottom is None else bottom]
-    table = score_grasps(PointCloud(points, normals=normals), grasps, GripperModel(), mu=mu)
+    table = score_grasps(PointCloud(points, normals=normals), stack(grasps), GripperModel(), mu=mu)
     score = int(table[:, 0].min())
     pair = ContactPair(contacts.point_a, contacts.point_b, a, b, -ys[0], ys[-1])
     assert score == antipodal_score(pair, mu)
@@ -112,7 +119,7 @@ def contact_pair_along_y(alpha_a, alpha_b=0.0):
 
 class TestFindContacts:
     def test_box_across_thin_axis(self, box, gripper, z_grasp):
-        contacts = find_contacts(box, z_grasp, gripper)
+        contacts = contact_pair(box, z_grasp, gripper)
         assert contacts is not None
         assert contacts.point_a[2] == pytest.approx(0.015, abs=1e-15)
         assert contacts.point_b[2] == pytest.approx(-0.015, abs=1e-15)
@@ -127,7 +134,7 @@ class TestFindContacts:
         found = 0
         for _ in range(50):
             g = random_grasp(rng)
-            contacts = find_contacts(box, g, gripper)
+            contacts = contact_pair(box, g, gripper)
             if contacts is None:
                 continue
             found += 1
@@ -143,7 +150,7 @@ class TestFindContacts:
         rng = np.random.default_rng(18)
         for _ in range(30):
             g = random_grasp(rng)
-            contacts = find_contacts(box, g, gripper)
+            contacts = contact_pair(box, g, gripper)
             if contacts is None:
                 continue
             frame = grasp_frame(g)
@@ -160,8 +167,8 @@ class TestFindContacts:
             assert lb[1] == pytest.approx(yb.min(), abs=1e-12)
 
     def test_sphere_diametric(self, small_sphere, gripper):
-        g = Grasp((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
-        contacts = find_contacts(small_sphere, g, gripper)
+        g = one_grasp((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
+        contacts = contact_pair(small_sphere, g, gripper)
         assert contacts is not None
         # poles along the closing line, radial normals within sampling gap
         assert contacts.point_a[0] > 0.034 and contacts.point_b[0] < -0.034
@@ -169,23 +176,23 @@ class TestFindContacts:
         assert abs(contacts.normal_b @ np.array([1.0, 0, 0])) > 0.999
 
     def test_empty_sweep_returns_none(self, box, gripper):
-        g = Grasp((1.0, 1.0, 1.0), (0.0, 0.0, 1.0), 0.0)
-        assert find_contacts(box, g, gripper) is None
+        g = one_grasp((1.0, 1.0, 1.0), (0.0, 0.0, 1.0), 0.0)
+        assert contact_pair(box, g, gripper) is None
 
     def test_one_sided_sweep_returns_none(self, box, gripper):
         # hand hovering above the box: only the lower jaw side sees points
-        g = Grasp((0.0, 0.0, 0.05), (0.0, 0.0, 1.0), 0.0)
-        assert find_contacts(box, g, gripper) is None
+        g = one_grasp((0.0, 0.0, 0.05), (0.0, 0.0, 1.0), 0.0)
+        assert contact_pair(box, g, gripper) is None
 
     def test_single_shared_point_returns_none(self, gripper):
         cloud = PointCloud([[0.0, 0.0, 0.0]], normals=[[0.0, 0.0, 1.0]])
-        g = Grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
-        assert find_contacts(cloud, g, gripper) is None
+        g = one_grasp((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
+        assert contact_pair(cloud, g, gripper) is None
 
     def test_point_on_closing_plane_counts_for_the_positive_jaw(self, gripper):
         # hand case frame: y=(0,1,0); a point at local y == 0 is a +Y contact
         cloud = PointCloud([[0.0, 0.0, 0.0], [0.0, -0.01, 0.0]], normals=[[0, 1.0, 0], [0, -1.0, 0]])
-        contacts = find_contacts(cloud, Grasp((0, 0, 0), (0, 1, 0), 0.0), gripper)
+        contacts = contact_pair(cloud, one_grasp((0, 0, 0), (0, 1, 0), 0.0), gripper)
         assert contacts is not None
         assert np.array_equal(contacts.point_a, (0, 0, 0)) and np.array_equal(contacts.point_b, (0, -0.01, 0))
 
@@ -297,30 +304,30 @@ class TestAntipodalScore:
 
 class TestCollisionScore:
     def test_empty_cloud_is_free(self, gripper):
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         assert kernel_collision(PointCloud(np.zeros((0, 3))), g, gripper) == 1
 
     def test_point_at_finger_center_collides(self, gripper):
         # hand case frame: x=(-1,0,0), y=(0,1,0), z=(0,0,-1)
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         finger_mid_y = (gripper.max_opening / 2 + gripper.max_opening / 2 + gripper.finger_thickness) / 2
         cloud = PointCloud([[0.0, finger_mid_y, 0.0]])
         assert kernel_collision(cloud, g, gripper) == 0
 
     def test_point_between_jaws_is_free(self, gripper):
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         assert kernel_collision(cloud, g, gripper) == 1
 
     def test_boundary_point_is_free(self, gripper):
         # exactly on the inner finger face: not strictly inside
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud([[0.0, gripper.max_opening / 2, 0.0]])
         assert kernel_collision(cloud, g, gripper) == 1
 
     def test_points_on_box_faces_are_free(self, gripper):
         # hand case frame: local (x, y, z) sits at world (-x, y, -z), exactly
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         to_world = np.array([-1.0, 1.0, -1.0])
         for lo, hi in gripper.collision_boxes():
             center = (lo + hi) / 2.0
@@ -334,7 +341,7 @@ class TestCollisionScore:
 
     def test_base_behind_fingers_collides(self, gripper):
         # hand case: base occupies world x in (0.03, 0.05) (local -x is world +x)
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud([[0.04, 0.0, 0.0]])
         assert kernel_collision(cloud, g, gripper) == 0
 
@@ -366,48 +373,44 @@ class TestCollisionScore:
 
 class TestScoreGrasp:
     def test_good_grasp_on_box(self, box, gripper, z_grasp):
-        scored = score_grasp(box, z_grasp, gripper)
-        assert (scored.score_antipodal, scored.score_collision, scored.score) == (1, 1, 1)
+        assert score_grasps(box, z_grasp, gripper).tolist() == [[1, 1, 1]]
 
     def test_good_grasp_on_sphere(self, small_sphere, gripper):
         # hand pulled back so the base clears the sphere
-        g = Grasp((0.0, -0.01, 0.0), (1.0, 0.0, 0.0), 0.0)
-        scored = score_grasp(small_sphere, g, gripper)
-        assert (scored.score_antipodal, scored.score_collision, scored.score) == (1, 1, 1)
+        g = one_grasp((0.0, -0.01, 0.0), (1.0, 0.0, 0.0), 0.0)
+        assert score_grasps(small_sphere, g, gripper).tolist() == [[1, 1, 1]]
 
     def test_slanted_contacts_fail_antipodal_only(self, box, gripper):
         # closing line 45 degrees between the y and z faces: contacts exist
         # but both normals sit outside the friction cone
-        g = Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), 0.0)
-        scored = score_grasp(box, g, gripper)
-        assert find_contacts(box, g, gripper) is not None
-        assert (scored.score_antipodal, scored.score_collision, scored.score) == (0, 1, 0)
+        g = one_grasp((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), 0.0)
+        assert contact_pair(box, g, gripper) is not None
+        assert score_grasps(box, g, gripper).tolist() == [[0, 1, 0]]
 
     def test_base_collision_fails_collision_only(self, box, gripper):
         # grasp offset along +y: contacts still the z faces, base digs in
-        g = Grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0)
-        scored = score_grasp(box, g, gripper)
-        assert (scored.score_antipodal, scored.score_collision, scored.score) == (1, 0, 0)
+        g = one_grasp((0.0, 0.05, 0.0), (0.0, 0.0, 1.0), 0.0)
+        assert score_grasps(box, g, gripper).tolist() == [[1, 0, 0]]
 
     def test_no_contacts_scores_zero_antipodal(self, box, gripper):
-        g = Grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0)
-        assert find_contacts(box, g, gripper) is None
-        scored = score_grasp(box, g, gripper)
-        assert scored.score_antipodal == 0
-        assert scored.score == 0
+        g = one_grasp((0.0, 0.0, -0.04), (0.0, 0.0, 1.0), 0.0)
+        assert contact_pair(box, g, gripper) is None
+        (sa, _, sg), = score_grasps(box, g, gripper).tolist()
+        assert sa == 0
+        assert sg == 0
 
     def test_combined_is_min(self, box, gripper):
         rng = np.random.default_rng(25)
-        for _ in range(40):
-            scored = score_grasp(box, random_grasp(rng), gripper)
-            assert scored.score == min(scored.score_antipodal, scored.score_collision)
+        grasps = stack(random_grasp(rng) for _ in range(40))
+        for sa, sc, sg in score_grasps(box, grasps, gripper).tolist():
+            assert sg == min(sa, sc)
 
     def test_monotone_in_mu_on_real_geometry(self, box, gripper):
         rng = np.random.default_rng(26)
         for _ in range(30):
             g = random_grasp(rng)
-            lo = score_grasp(box, g, gripper, mu=0.2).score_antipodal
-            hi = score_grasp(box, g, gripper, mu=1.5).score_antipodal
+            lo = score_grasps(box, g, gripper, mu=0.2)[0, 0]
+            hi = score_grasps(box, g, gripper, mu=1.5)[0, 0]
             assert lo <= hi
 
     def test_rigid_invariance(self, box, gripper):
@@ -415,13 +418,9 @@ class TestScoreGrasp:
         for _ in range(40):
             g = random_grasp(rng)
             t = RigidTransform(random_rotation(rng), rng.normal(size=3) * 0.2)
-            base = score_grasp(box, g, gripper)
-            moved = score_grasp(t.apply_cloud(box), transform_grasp(g, t), gripper)
-            assert (base.score_antipodal, base.score_collision, base.score) == (
-                moved.score_antipodal,
-                moved.score_collision,
-                moved.score,
-            )
+            base = score_grasps(box, g, gripper)
+            moved = score_grasps(t.apply_cloud(box), transform_grasps(g, t), gripper)
+            assert np.array_equal(base, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,7 @@ class TestScoreGrasps:
         obj = make()
         candidates = sample_candidates(obj, gripper, count, seed=11)
         rng = np.random.default_rng(12)
-        grasps = list(candidates) + [random_grasp(rng) for _ in range(20)]
+        grasps = stack([candidates, *(random_grasp(rng) for _ in range(20))])
         widths = []
 
         def recorded(cols, *args):
@@ -537,8 +536,8 @@ class TestScoreGrasps:
         if make is table_scene:
             assert max(widths) < len(obj)  # every grasp scores a partial slice
         assert table.dtype == np.int64 and table.shape == (len(grasps), 3)
-        looped = [score_grasp(obj, g, gripper) for g in grasps]
-        assert np.array_equal(table, [(s.score_antipodal, s.score_collision, s.score) for s in looped])
+        looped = [score_grasps(obj, g, gripper)[0] for g in grasps]
+        assert np.array_equal(table, looped)
         assert np.array_equal(table, [reference_scores(obj, g, gripper) for g in grasps])
         assert 0 < table[:, 2].sum() < len(grasps)
 
@@ -555,10 +554,11 @@ class TestScoreGrasps:
         alpha = math.atan(0.6) + rng.choice([-1e-12, 0.0, 1e-12], size=len(edge))
         normals[edge] = np.column_stack([np.sin(alpha), np.cos(alpha), np.zeros(len(edge))])
         cloud = PointCloud(points, normals=normals)
-        grasps = [Grasp((float(i), 0.0, 0.0), (0.0, 1.0, 0.0), float(rng.uniform(-1.5, 1.5))) for i in range(count)]
+        angles = [float(rng.uniform(-1.5, 1.5)) for _ in range(count)]
+        grasps = GraspSet([(float(i), 0.0, 0.0) for i in range(count)], [(0.0, 1.0, 0.0)] * count, angles)
         for mu in (0.6, 1.1):
             table = score_grasps(cloud, grasps, gripper, mu=mu)
-            want = [antipodal_score(find_contacts(cloud, g, gripper), mu) for g in grasps]
+            want = [antipodal_score(contact_pair(cloud, g, gripper), mu) for g in grasps]
             assert np.array_equal(table[:, 0], want) and 0 < sum(want) < count
             assert np.array_equal(table, [reference_scores(cloud, g, gripper, mu=mu) for g in grasps])
 
@@ -570,49 +570,45 @@ class TestScoreGrasps:
                 [reference_scores(box, g, gripper, mu=mu, tol=tol) for g in grasps],
             )
 
-    def test_accepts_a_generator(self, box, gripper):
-        grasps = sample_candidates(box, gripper, 30, seed=14)
-        assert np.array_equal(score_grasps(box, (g for g in grasps), gripper), score_grasps(box, grasps, gripper))
-
     def test_empty_cloud(self, gripper):
         empty = PointCloud(np.zeros((0, 3)), normals=np.zeros((0, 3)))
-        grasps = [Grasp((0, 0, 0), (0, 1, 0), 0.0), Grasp((1, 2, 3), (1, 1, 0), 0.5)]
+        grasps = GraspSet([(0, 0, 0), (1, 2, 3)], [(0, 1, 0), (1, 1, 0)], [0.0, 0.5])
         assert np.array_equal(score_grasps(empty, grasps, gripper), [[0, 1, 0], [0, 1, 0]])
 
     def test_grasps_sweeping_nothing(self, box, gripper):
-        far = [Grasp((1.0, 1.0, 1.0), (0, 0, 1), 0.0), Grasp((0.0, 0.0, -0.5), (1, 0, 0), 1.0)]
+        far = GraspSet([(1.0, 1.0, 1.0), (0.0, 0.0, -0.5)], [(0, 0, 1), (1, 0, 0)], [0.0, 1.0])
         assert np.array_equal(score_grasps(box, far, gripper), [[0, 1, 0], [0, 1, 0]])
 
     def test_no_grasps(self, box, gripper):
-        table = score_grasps(box, [], gripper)
+        table = score_grasps(box, GraspSet([], [], []), gripper)
         assert table.shape == (0, 3) and table.dtype == np.int64
 
     def test_requires_normals(self, box, gripper, z_grasp):
         with pytest.raises(DataError, match="normals"):
-            score_grasps(PointCloud(box.points), [z_grasp], gripper)
+            score_grasps(PointCloud(box.points), z_grasp, gripper)
 
     @pytest.mark.parametrize("mu", [0.0, -0.6, float("nan"), float("inf")])
     def test_bad_mu(self, box, gripper, z_grasp, mu):
         # nan and inf used to pass the antipodal test on every grasp
         with pytest.raises(DataError, match="mu must be a finite positive number"):
-            score_grasps(box, [z_grasp], gripper, mu=mu)
+            score_grasps(box, z_grasp, gripper, mu=mu)
         with pytest.raises(DataError, match="mu must be a finite positive number"):
-            score_grasps(box, [], gripper, mu=mu)
+            score_grasps(box, GraspSet([], [], []), gripper, mu=mu)
 
     @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), float("-inf")])
     def test_bad_tol(self, box, gripper, z_grasp, tol):
         # nan used to score every grasp antipodal 0, inf to sweep without bound
         with pytest.raises(DataError, match="tol must be a finite non-negative number"):
-            score_grasps(box, [z_grasp], gripper, tol=tol)
+            score_grasps(box, z_grasp, gripper, tol=tol)
         with pytest.raises(DataError, match="tol must be a finite non-negative number"):
             find_contacts(box, z_grasp, gripper, tol=tol)
 
     def test_zero_tol_is_valid(self, box, gripper, z_grasp):
-        assert score_grasps(box, [z_grasp], gripper, tol=0.0).shape == (1, 3)
-        assert find_contacts(box, z_grasp, gripper, tol=0.0) is not None
+        assert score_grasps(box, z_grasp, gripper, tol=0.0).shape == (1, 3)
+        assert find_contacts(box, z_grasp, gripper, tol=0.0)[0] >= 0
 
     def test_skewed_rotation_raises(self, box, gripper, z_grasp, monkeypatch):
-        # the kernel builds no GraspFrame: the stacked check must still
+        # the kernel builds no frame record: the stacked check must still
         # catch a frame that is not orthonormal and right-handed
         rotations = geometry._rotations
 
@@ -624,16 +620,16 @@ class TestScoreGrasps:
 
         monkeypatch.setattr(geometry, "_rotations", skewed)
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
-            score_grasps(box, [z_grasp], gripper)
+            score_grasps(box, z_grasp, gripper)
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
-            score_grasps(box, [Grasp((0, 0, 0), (0, 1, 0), 0.2)] * 3, gripper)
+            score_grasps(box, stack([one_grasp((0, 0, 0), (0, 1, 0), 0.2)] * 3), gripper)
         # evaluate checks the frames before the motion (in transform_grasps)
         # and, with only the moved frames skewed, the frames it scores
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
-            evaluate([z_grasp] * 2, RigidTransform.identity(), box, gripper)
+            evaluate(stack([z_grasp] * 2), RigidTransform.identity(), box, gripper)
         monkeypatch.setattr(geometry, "_rotations", _after_motion(rotations, skewed))
         with pytest.raises(DataError, match="frame axes must be mutually orthogonal"):
-            evaluate([z_grasp] * 2, RigidTransform.identity(), box, gripper)
+            evaluate(stack([z_grasp] * 2), RigidTransform.identity(), box, gripper)
 
     @pytest.mark.parametrize(
         "breakage, message",
@@ -651,16 +647,16 @@ class TestScoreGrasps:
 
         monkeypatch.setattr(geometry, "_rotations", broken)
         with pytest.raises(DataError, match=message):
-            score_grasps(box, [z_grasp], gripper)
+            score_grasps(box, z_grasp, gripper)
         monkeypatch.setattr(geometry, "_rotations", _after_motion(rotations, broken))
         with pytest.raises(DataError, match=message):
-            evaluate([z_grasp], RigidTransform.identity(), box, gripper)
+            evaluate(z_grasp, RigidTransform.identity(), box, gripper)
 
     def test_duplicates_on_the_closing_plane_make_no_contacts(self, gripper):
         # both jaws reach the same (lowest-index) copy first: no pair
         cloud = PointCloud([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], normals=[[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-        grasp = Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
-        assert np.array_equal(score_grasps(cloud, [grasp], gripper), [[0, 1, 0]])
+        grasp = one_grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
+        assert np.array_equal(score_grasps(cloud, grasp, gripper), [[0, 1, 0]])
 
     @pytest.mark.parametrize("tol", [0.0, 0.005])
     @pytest.mark.parametrize("size", range(1, 9))
@@ -674,7 +670,7 @@ class TestScoreGrasps:
         ys = (-hw, hw, 0.0, 0.02, -0.02, hw + 0.005)
         zs = (-hh, hh, -hh - tol, hh + tol, 0.0, 0.004)
         normals = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.6, -0.8), (1.0, 0.0, 0.0)]
-        grasps = [Grasp((0, 0, 0), (0, sign, 0), angle) for sign in (1.0, -1.0) for angle in (0.0, math.pi / 2)]
+        grasps = GraspSet([(0, 0, 0)] * 4, [(0, 1, 0)] * 2 + [(0, -1, 0)] * 2, [0.0, math.pi / 2] * 2)
         for _ in range(40):
             pts = [(rng.choice(xs), rng.choice(ys), rng.choice(zs)) for _ in range(size)]
             if size > 1:
@@ -692,16 +688,16 @@ class TestScoreGrasps:
             normals = [tilted] * 6
             normals[good_a], normals[3 + good_b] = (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)
             cloud = PointCloud(pts, normals=normals)
-            grasp = Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
+            grasp = one_grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0)
             want = reference_scores(cloud, grasp, gripper)
             assert want[0] == int(good_a == 0 and good_b == 0)
-            assert np.array_equal(score_grasps(cloud, [grasp], gripper), [want])
+            assert np.array_equal(score_grasps(cloud, grasp, gripper), [want])
 
     def test_collision_boxes_beyond_the_finger_height(self, box, gripper):
         # the shared slab must reach the palm's points beyond the sweep slab
         palm = TallPalm()
         # grasp-frame x is -world x for the first grasp, +world x for the second
-        grasps = [Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0), Grasp((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), 0.0)]
+        grasps = GraspSet([(0.0, 0.0, 0.0)] * 2, [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)], [0.0, 0.0])
         depth = gripper.finger_length / 2 + gripper.base_depth / 2
         for x in (depth, -depth):
             for z in (0.02, -0.025, 0.0201):  # inside the palm only
@@ -711,7 +707,7 @@ class TestScoreGrasps:
                 assert np.array_equal(score_grasps(cloud, grasps, palm), want)
         for seed in (0, 1):
             rng = np.random.default_rng(seed)
-            near = [random_grasp(rng) for _ in range(40)]
+            near = stack(random_grasp(rng) for _ in range(40))
             assert np.array_equal(score_grasps(box, near, palm), [reference_scores(box, g, palm) for g in near])
 
 
@@ -732,11 +728,11 @@ class TestSortedSlices:
         index = cloud._scoring_index
         rank = np.argsort(index.order)  # each point's place in the sorted cloud
         assert index.axis == 0 and rank[0] > rank[1] > rank[2] > rank[3] and rank[4] > rank[5]
-        grasps = [Grasp((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0), Grasp((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), 0.3)]
+        grasps = GraspSet([(0.0, 0.0, 0.0)] * 2, [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)], [0.0, 0.3])
         want = [reference_scores(cloud, g, gripper) for g in grasps]
         assert [w[0] for w in want] == [1, 1]
         assert np.array_equal(score_grasps(cloud, grasps, gripper), want)
-        contact = find_contacts(cloud, grasps[0], gripper)
+        contact = contact_pair(cloud, grasps[0], gripper)
         assert np.array_equal(contact.point_a, pts[0]) and np.array_equal(contact.point_b, pts[4])
 
     @pytest.mark.parametrize("grip", [GripperModel(), TallPalm()], ids=["default", "tall-palm"])
@@ -825,10 +821,9 @@ class TestCollisionMasks:
     def test_random_grasps_on_box_and_scene(self, grip):
         rng = np.random.default_rng(41)
         for obj in (box_cloud(), table_scene()):
-            grasps = list(sample_candidates(obj, grip, 40, seed=42)) + [random_grasp(rng) for _ in range(40)]
-            one = GraspSet.of(grasps)
-            rotations = one.rotations()
-            got = np.column_stack(_sweep(obj, one.centers, rotations, grip, DEFAULT_CONTACT_TOL))
-            want = [reference_sweep(obj, c, r, grip) for c, r in zip(one.centers, rotations)]
+            grasps = stack([sample_candidates(obj, grip, 40, seed=42), *(random_grasp(rng) for _ in range(40))])
+            rotations = grasps.rotations()
+            got = np.column_stack(_sweep(obj, grasps.centers, rotations, grip, DEFAULT_CONTACT_TOL))
+            want = [reference_sweep(obj, c, r, grip) for c, r in zip(grasps.centers, rotations)]
             assert np.array_equal(got, want)
             assert 0 < got[:, 2].sum() < len(grasps) and (got[:, 0] >= 0).any()

@@ -1,4 +1,4 @@
-"""Refinement stage: closing-area extraction, refinability selection,
+"""Refinement stage: closing-area counts, refinability selection,
 labels, the residual codec, and the refinement loss."""
 
 import math
@@ -8,26 +8,24 @@ import pytest
 
 from graspfield import (
     DataError,
-    Grasp,
     GraspFieldWarning,
+    GraspSet,
     PointCloud,
     build_refinement_targets,
-    closing_area,
-    decode_refinement,
-    grasp_frame,
-    refinement_label,
+    decode_refinements,
     select_refinable,
 )
+from graspfield.anchors import _encode_residuals
 from graspfield.refine import (
     ANGLE_GATE,
     ORIENTATION_GATE,
     REFINE_WEIGHTS,
     RefineTarget,
-    encode_refinement,
+    _refinement_labels,
     refinement_loss,
 )
 
-from conftest import random_unit
+from conftest import closing_area, grasp_frame, one_grasp, random_unit, stack
 from test_geometry import angle_between, random_grasp
 
 
@@ -47,30 +45,48 @@ def tilted(orientation, angle, seed=0):
     return rotate_about(orientation, perp, angle)
 
 
-def refinable_pair(rng, scale=0.1):
-    """Random (proposal, gt) pair guaranteed label 1."""
-    proposal = Grasp(
-        rng.uniform(-0.1, 0.1, 3), random_unit(rng), rng.uniform(-1.5, 1.5)
-    )
-    phi = rng.uniform(0.0, ORIENTATION_GATE * 0.9)
-    axis = np.cross(proposal.orientation, random_unit(rng))
-    axis /= np.linalg.norm(axis)
-    gt_orientation = rotate_about(proposal.orientation, axis, phi)
-    gt_angle = np.clip(
-        proposal.angle + rng.uniform(-0.9, 0.9) * ANGLE_GATE * 0.9, -1.5, 1.5
-    )
-    gt = Grasp(
-        proposal.center + rng.uniform(-0.5, 0.5, 3) * scale,
-        gt_orientation,
-        float(gt_angle),
-    )
-    return proposal, gt
+def refinable_pairs(rng, count, scale=0.1):
+    """Random (proposals, gts) sets of ``count`` rows, each pair guaranteed
+    label 1, drawn pair by pair."""
+    pairs = []
+    for _ in range(count):
+        center, orientation, angle = rng.uniform(-0.1, 0.1, 3), random_unit(rng), rng.uniform(-1.5, 1.5)
+        phi = rng.uniform(0.0, ORIENTATION_GATE * 0.9)
+        axis = np.cross(orientation, random_unit(rng))
+        axis /= np.linalg.norm(axis)
+        gt_angle = np.clip(angle + rng.uniform(-0.9, 0.9) * ANGLE_GATE * 0.9, -1.5, 1.5)
+        gt_center = center + rng.uniform(-0.5, 0.5, 3) * scale
+        pairs.append((center, orientation, angle, gt_center, rotate_about(orientation, axis, phi), float(gt_angle)))
+    columns = list(zip(*pairs)) or [()] * 6
+    return GraspSet(*columns[:3]), GraspSet(*columns[3:])
+
+
+def refinement_label(a, b):
+    """The label of one-row sets ``a`` and ``b``."""
+    return int(_refinement_labels(a.orientations, a.angles, b.orientations, b.angles)[0])
+
+
+def encode_pairs(proposals, gts, scale):
+    """Labels and residuals of aligned proposal and gt sets, as
+    ``build_refinement_targets`` encodes its matched pairs."""
+    labels = _refinement_labels(proposals.orientations, proposals.angles, gts.orientations, gts.angles)
+    ref = (proposals.centers, proposals.orientations, proposals.angles)
+    return labels, _encode_residuals(ref, (gts.centers, gts.orientations, gts.angles), scale)
+
+
+def positive_targets(proposals, gts, scale):
+    """Label-1 targets of refinable pairs, indexed by row."""
+    labels, (res_c, res_o, res_a) = encode_pairs(proposals, gts, scale)
+    assert labels.all()
+    return [RefineTarget(k, 1, res_c[k], res_o[k], float(res_a[k])) for k in range(len(labels))]
 
 
 class TestClosingArea:
+    # select_refinable counts the closing area; conftest.closing_area is
+    # the direct reference scan of the same box
     def test_hand_case_inclusive_bounds(self, gripper):
         # closing box half extents (0.03, 0.04, 0.01) in the grasp frame
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         cloud = PointCloud(
             [
                 [0.03, 0.0, 0.0],   # on the X face (world -x is frame +x)
@@ -86,17 +102,21 @@ class TestClosingArea:
         frame = grasp_frame(g)
         expect = (cloud.points[idx] - frame.origin) @ frame.rotation
         assert np.array_equal(local, expect)
+        assert np.array_equal(select_refinable(g, cloud, gripper, min_points=2), [0])
+        assert select_refinable(g, cloud, gripper, min_points=3).size == 0
 
     def test_free_space_empty(self, box, gripper):
-        g = Grasp((1.0, 1.0, 1.0), (0, 0, 1), 0.0)
+        g = one_grasp((1.0, 1.0, 1.0), (0, 0, 1), 0.0)
         idx, local = closing_area(box, g, gripper)
         assert idx.size == 0
         assert local.shape == (0, 3)
+        assert select_refinable(g, box, gripper, min_points=0).size == 0
 
     def test_matches_direct_scan(self, gripper):
         rng = np.random.default_rng(60)
         cloud = PointCloud(rng.uniform(-0.08, 0.08, size=(500, 3)))
         half = gripper.closing_half_extents()
+        counted = 0
         for _ in range(20):
             g = random_grasp(rng)
             idx, local = closing_area(cloud, g, gripper)
@@ -107,13 +127,18 @@ class TestClosingArea:
                 if np.all(np.abs(frame.rotation.T @ (p - frame.origin)) <= half)
             ]
             assert idx.tolist() == expect
-            assert np.abs(np.abs(local) - half).min() >= 0 if idx.size else True
             assert (np.abs(local) <= half + 1e-12).all()
+            if expect:
+                counted += 1
+                assert np.array_equal(select_refinable(g, cloud, gripper, min_points=len(expect) - 1), [0])
+            assert select_refinable(g, cloud, gripper, min_points=len(expect)).size == 0
+        assert counted > 0
 
     def test_indices_ascending(self, box, gripper, z_grasp):
         idx, _ = closing_area(box, z_grasp, gripper)
         assert idx.size > 50
         assert np.array_equal(idx, np.sort(idx))
+        assert np.array_equal(select_refinable(z_grasp, box, gripper, min_points=idx.size - 1), [0])
 
 
 class TestSelectRefinable:
@@ -123,7 +148,7 @@ class TestSelectRefinable:
         rng = np.random.default_rng(seed)
         half = gripper.closing_half_extents()
         inside_local = rng.uniform(-0.9, 0.9, size=(count, 3)) * half
-        g = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        g = one_grasp((0, 0, 0), (0, 1, 0), 0.0)
         frame = grasp_frame(g)
         inside = inside_local @ frame.rotation.T + frame.origin
         far = rng.normal(size=(40, 3)) + 2.0
@@ -132,15 +157,15 @@ class TestSelectRefinable:
     def test_exact_threshold_excluded(self, gripper):
         g, cloud = self.build_cloud_with_inside_count(gripper, 50)
         assert len(closing_area(cloud, g, gripper)[0]) == 50
-        assert select_refinable([g], cloud, gripper, min_points=50).size == 0
+        assert select_refinable(g, cloud, gripper, min_points=50).size == 0
 
     def test_one_past_threshold_included(self, gripper):
         g, cloud = self.build_cloud_with_inside_count(gripper, 51)
-        assert np.array_equal(select_refinable([g], cloud, gripper, min_points=50), [0])
+        assert np.array_equal(select_refinable(g, cloud, gripper, min_points=50), [0])
 
     def test_monotone_in_min_points(self, box, gripper):
         rng = np.random.default_rng(61)
-        proposals = [random_grasp(rng) for _ in range(30)]
+        proposals = stack(random_grasp(rng) for _ in range(30))
         previous = None
         for mp in (0, 20, 80, 200):
             keep = set(select_refinable(proposals, box, gripper, min_points=mp).tolist())
@@ -149,24 +174,24 @@ class TestSelectRefinable:
             previous = keep
 
     def test_indices_refer_to_input_order(self, box, gripper, z_grasp):
-        far = Grasp((1, 1, 1), (0, 0, 1), 0.0)
-        keep = select_refinable([far, z_grasp, far], box, gripper)
+        far = one_grasp((1, 1, 1), (0, 0, 1), 0.0)
+        keep = select_refinable(stack([far, z_grasp, far]), box, gripper)
         assert np.array_equal(keep, [1])
 
     def test_negative_min_points_rejected(self, box, gripper, z_grasp):
         with pytest.raises(DataError, match="min_points"):
-            select_refinable([z_grasp], box, gripper, min_points=-1)
+            select_refinable(z_grasp, box, gripper, min_points=-1)
 
 
 class TestRefinementLabel:
     def test_identical_pair_positive(self):
-        g = Grasp((0, 0, 0), (0, 0, 1), 0.2)
+        g = one_grasp((0, 0, 0), (0, 0, 1), 0.2)
         assert refinement_label(g, g) == 1
 
     def test_orientation_gate_exact_boundary_negative(self):
         # constructor renormalization must be an exact no-op for the dot to
         # land exactly on cos(gate); nudge the sine until the norm is 1.0
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.0)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
         c = math.cos(ORIENTATION_GATE)
         s = math.sin(ORIENTATION_GATE)
         for _ in range(200):
@@ -175,36 +200,36 @@ class TestRefinementLabel:
             s = math.nextafter(s, 2.0)
         else:
             pytest.skip("no exactly-unit neighbor found")
-        b = Grasp((0, 0, 0), (0.0, s, c), 0.0)
-        assert float(b.orientation @ a.orientation) == c
+        b = one_grasp((0, 0, 0), (0.0, s, c), 0.0)
+        assert float(b.orientations[0] @ a.orientations[0]) == c
         assert refinement_label(a, b) == 0
 
     def test_orientation_gate_strict(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.0)
-        inside = Grasp((0, 0, 0), tilted((0, 0, 1.0), ORIENTATION_GATE - 1e-6), 0.0)
-        outside = Grasp((0, 0, 0), tilted((0, 0, 1.0), ORIENTATION_GATE + 1e-6), 0.0)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
+        inside = one_grasp((0, 0, 0), tilted((0, 0, 1.0), ORIENTATION_GATE - 1e-6), 0.0)
+        outside = one_grasp((0, 0, 0), tilted((0, 0, 1.0), ORIENTATION_GATE + 1e-6), 0.0)
         assert refinement_label(a, inside) == 1
         assert refinement_label(a, outside) == 0
 
     def test_thirty_degree_tilt_positive(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.1)
-        b = Grasp((0.01, 0, 0), tilted((0, 0, 1.0), math.radians(30)), 0.2)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.1)
+        b = one_grasp((0.01, 0, 0), tilted((0, 0, 1.0), math.radians(30)), 0.2)
         assert refinement_label(a, b) == 1
 
     def test_seventy_degree_tilt_negative(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.1)
-        b = Grasp((0, 0, 0), tilted((0, 0, 1.0), math.radians(70)), 0.1)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.1)
+        b = one_grasp((0, 0, 0), tilted((0, 0, 1.0), math.radians(70)), 0.1)
         assert refinement_label(a, b) == 0
 
     def test_angle_gate_exact_boundary_negative(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.0)
-        b = Grasp((0, 0, 0), (0, 0, 1), math.pi / 3)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
+        b = one_grasp((0, 0, 0), (0, 0, 1), math.pi / 3)
         assert refinement_label(a, b) == 0
 
     def test_angle_gate_strict(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), -0.5)
-        inside = Grasp((0, 0, 0), (0, 0, 1), -0.5 + ANGLE_GATE - 1e-9)
-        outside = Grasp((0, 0, 0), (0, 0, 1), -0.5 + ANGLE_GATE + 1e-9)
+        a = one_grasp((0, 0, 0), (0, 0, 1), -0.5)
+        inside = one_grasp((0, 0, 0), (0, 0, 1), -0.5 + ANGLE_GATE - 1e-9)
+        outside = one_grasp((0, 0, 0), (0, 0, 1), -0.5 + ANGLE_GATE + 1e-9)
         assert refinement_label(a, inside) == 1
         assert refinement_label(a, outside) == 0
 
@@ -215,72 +240,70 @@ class TestRefinementLabel:
             assert refinement_label(a, b) == refinement_label(b, a)
 
     def test_center_does_not_matter(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.0)
-        b = Grasp((5, 5, 5), (0, 0, 1), 0.0)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
+        b = one_grasp((5, 5, 5), (0, 0, 1), 0.0)
         assert refinement_label(a, b) == 1
 
 
 class TestEncodeDecode:
     def test_identical_pair_zero_residuals(self):
-        g = Grasp((0.01, 0.02, 0.03), (0, 0, 1), 0.4)
-        t = encode_refinement(g, g, scale=0.1)
+        g = one_grasp((0.01, 0.02, 0.03), (0, 0, 1), 0.4)
+        (t,) = positive_targets(g, g, scale=0.1)
         assert t.label == 1
         assert np.abs(t.res_center).max() == 0.0
         assert np.abs(t.res_orientation).max() == 0.0
         assert t.res_angle == 0.0
 
     def test_scale_length_offset_encodes_to_unit(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.0)
-        b = Grasp((0.1, 0, 0), (0, 0, 1), 0.0)
-        t = encode_refinement(a, b, scale=0.1)
+        a = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
+        b = one_grasp((0.1, 0, 0), (0, 0, 1), 0.0)
+        (t,) = positive_targets(a, b, scale=0.1)
         assert np.array_equal(t.res_center, (1.0, 0.0, 0.0))
 
-    def test_negative_pair_rejected(self):
-        a = Grasp((0, 0, 0), (0, 0, 1), 0.0)
-        b = Grasp((0, 0, 0), (1, 0, 0), 0.0)
-        with pytest.raises(DataError, match="no target for negatives"):
-            encode_refinement(a, b, scale=0.1)
+    def test_negative_pair_rejected(self, box, gripper, z_grasp):
+        # a negative pair is labeled 0, and its target carries no residuals
+        off_axis = one_grasp((0, 0, 0), (1, 0, 0), 0.0)
+        assert encode_pairs(z_grasp, off_axis, 0.1)[0].tolist() == [0]
+        (t,) = build_refinement_targets(z_grasp, box, off_axis, gripper, 0.1)
+        assert t.label == 0 and t.res_center is None and t.res_angle is None
 
     def test_decode_zero_residuals_identity(self):
         rng = np.random.default_rng(63)
-        for _ in range(20):
-            g = random_grasp(rng)
-            back = decode_refinement(g, (0, 0, 0), (0, 0, 0), 0.0, scale=0.1)
-            assert np.array_equal(back.center, g.center)
-            assert angle_between(back.orientation, g.orientation) < 1e-12
-            assert back.angle == g.angle
+        grasps = stack(random_grasp(rng) for _ in range(20))
+        back = decode_refinements(grasps, np.zeros((20, 3)), np.zeros((20, 3)), np.zeros(20), scale=0.1)
+        assert np.array_equal(back.centers, grasps.centers)
+        for got, want in zip(back.orientations, grasps.orientations):
+            assert angle_between(got, want) < 1e-12
+        assert np.array_equal(back.angles, grasps.angles)
 
     @pytest.mark.parametrize("scale", [0.05, 0.1, 0.4])
     def test_round_trip(self, scale):
         rng = np.random.default_rng(64)
-        for _ in range(300):
-            proposal, gt = refinable_pair(rng, scale)
-            t = encode_refinement(proposal, gt, scale, proposal_index=7)
-            assert t.proposal_index == 7
-            back = decode_refinement(
-                proposal, t.res_center, t.res_orientation, t.res_angle, scale
-            )
-            assert np.abs(back.center - gt.center).max() < 1e-9
-            assert angle_between(back.orientation, gt.orientation) < 1e-9
-            assert abs(back.angle - gt.angle) < 1e-9
+        proposals, gts = refinable_pairs(rng, 300, scale)
+        targets = positive_targets(proposals, gts, scale)
+        residuals = [[getattr(t, name) for t in targets] for name in ("res_center", "res_orientation", "res_angle")]
+        back = decode_refinements(proposals, *residuals, scale)
+        assert np.abs(back.centers - gts.centers).max() < 1e-9
+        assert max(angle_between(a, b) for a, b in zip(back.orientations, gts.orientations)) < 1e-9
+        assert np.abs(back.angles - gts.angles).max() < 1e-9
 
     def test_decode_clamps_angle_with_warning(self):
-        g = Grasp((0, 0, 0), (0, 0, 1), 1.0)
+        g = one_grasp((0, 0, 0), (0, 0, 1), 1.0)
         with pytest.warns(GraspFieldWarning, match="clamped"):
-            back = decode_refinement(g, (0, 0, 0), (0, 0, 0), 1.0, scale=0.1)
-        assert back.angle == math.pi / 2
+            back = decode_refinements(g, [(0, 0, 0)], [(0, 0, 0)], [1.0], scale=0.1)
+        assert back.angles[0] == math.pi / 2
 
     def test_decode_degenerate_orientation_rejected(self):
-        g = Grasp((0, 0, 0), (0, 0, 1), 0.0)
+        g = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
         with pytest.raises(DataError, match="degenerate"):
-            decode_refinement(g, (0, 0, 0), (0, 0, -1.0), 0.0, scale=0.1)
+            decode_refinements(g, [(0, 0, 0)], [(0, 0, -1.0)], [0.0], scale=0.1)
 
     def test_bad_scale(self):
-        g = Grasp((0, 0, 0), (0, 0, 1), 0.0)
+        g = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
         with pytest.raises(DataError, match="scale"):
-            encode_refinement(g, g, scale=0.0)
+            encode_pairs(g, g, scale=0.0)
         with pytest.raises(DataError, match="scale"):
-            decode_refinement(g, (0, 0, 0), (0, 0, 0), 0.0, scale=-1.0)
+            decode_refinements(g, [(0, 0, 0)], [(0, 0, 0)], [0.0], scale=-1.0)
 
     def test_target_validation(self):
         with pytest.raises(DataError, match="no residuals"):
@@ -293,43 +316,42 @@ class TestEncodeDecode:
 
 class TestBuildRefinementTargets:
     def test_mixed_labels_and_matching(self, box, gripper):
-        gt_a = Grasp((0.0, 0.0, 0.0), (0, 0, 1), 0.2)
-        gt_b = Grasp((0.02, 0.01, 0.0), (0, 0, 1), -0.3)
-        near_a = Grasp((0.001, 0.0, 0.0), tilted((0, 0, 1.0), 0.1, seed=1), 0.25)
-        off_axis = Grasp((0.019, 0.01, 0.0), (0, 1, 0), -0.3)  # 90 deg off gt_b
-        far = Grasp((1.0, 1.0, 1.0), (0, 0, 1), 0.0)  # empty closing area
+        gt_a = one_grasp((0.0, 0.0, 0.0), (0, 0, 1), 0.2)
+        gt_b = one_grasp((0.02, 0.01, 0.0), (0, 0, 1), -0.3)
+        near_a = one_grasp((0.001, 0.0, 0.0), tilted((0, 0, 1.0), 0.1, seed=1), 0.25)
+        off_axis = one_grasp((0.019, 0.01, 0.0), (0, 1, 0), -0.3)  # 90 deg off gt_b
+        far = one_grasp((1.0, 1.0, 1.0), (0, 0, 1), 0.0)  # empty closing area
         targets = build_refinement_targets(
-            [near_a, off_axis, far], box, [gt_a, gt_b], gripper, scale=0.1
+            stack([near_a, off_axis, far]), box, stack([gt_a, gt_b]), gripper, scale=0.1
         )
         assert [t.proposal_index for t in targets] == [0, 1]
         assert [t.label for t in targets] == [1, 0]
-        back = decode_refinement(
-            near_a, targets[0].res_center, targets[0].res_orientation,
-            targets[0].res_angle, 0.1,
+        back = decode_refinements(
+            near_a, [targets[0].res_center], [targets[0].res_orientation],
+            [targets[0].res_angle], 0.1,
         )
-        assert np.abs(back.center - gt_a.center).max() < 1e-9
-        assert angle_between(back.orientation, gt_a.orientation) < 1e-9
+        assert np.abs(back.centers - gt_a.centers).max() < 1e-9
+        assert angle_between(back.orientations[0], gt_a.orientations[0]) < 1e-9
 
     def test_min_points_filter_applies(self, box, gripper, z_grasp):
         inside_count = len(closing_area(box, z_grasp, gripper)[0])
-        gt = [Grasp((0, 0, 0), (0, 0, 1), 0.0)]
-        kept = build_refinement_targets([z_grasp], box, gt, gripper, 0.1,
+        gt = one_grasp((0, 0, 0), (0, 0, 1), 0.0)
+        kept = build_refinement_targets(z_grasp, box, gt, gripper, 0.1,
                                         min_points=inside_count - 1)
         assert len(kept) == 1
-        dropped = build_refinement_targets([z_grasp], box, gt, gripper, 0.1,
+        dropped = build_refinement_targets(z_grasp, box, gt, gripper, 0.1,
                                            min_points=inside_count)
         assert dropped == []
 
     def test_no_positives_rejected(self, box, gripper, z_grasp):
         with pytest.raises(DataError, match="no positive grasps"):
-            build_refinement_targets([z_grasp], box, [], gripper, 0.1)
+            build_refinement_targets(z_grasp, box, GraspSet([], [], []), gripper, 0.1)
 
 
 class TestRefinementLoss:
     def make_mixed_targets(self):
         rng = np.random.default_rng(65)
-        proposal, gt = refinable_pair(rng)
-        pos = encode_refinement(proposal, gt, 0.1, proposal_index=0)
+        (pos,) = positive_targets(*refinable_pairs(rng, 1), 0.1)
         neg = RefineTarget(proposal_index=1, label=0)
         return [pos, neg]
 
@@ -393,11 +415,7 @@ class TestRefinementLoss:
 
     def test_regression_averages_over_positives_only(self):
         rng = np.random.default_rng(66)
-        pairs = [refinable_pair(rng) for _ in range(3)]
-        targets = [
-            encode_refinement(p, g, 0.1, proposal_index=i)
-            for i, (p, g) in enumerate(pairs)
-        ] + [RefineTarget(proposal_index=3, label=0)]
+        targets = positive_targets(*refinable_pairs(rng, 3), 0.1) + [RefineTarget(proposal_index=3, label=0)]
         probs, rc, ro, ra = self.perfect_predictions(targets)
         ra = ra.copy()
         ra[:3] += 1.0  # smooth_l1(1) = 0.5 on each positive row
